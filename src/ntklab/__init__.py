@@ -4,34 +4,33 @@ their neural tangent kernels.
 
 Submodules:
 
-* netsim   — channel instances, SINR/sum-rate, permutations, featurization
-* wmmse    — the weighted-MMSE baseline power-control solver
-* kernels  — analytic / Monte Carlo / empirical tangent kernels
-* spectral — eigenanalysis, kernel gradient-flow dynamics, theorem bounds
-* nets     — finite-width trainable networks with exact gradients
-* training — seeded training loops, traces, evaluation, checkpoints
+* netsim    — batched channel instances, the SINR / weighted-sum-rate
+  objective, synthetic labels
+* wmmse     — the weighted-MMSE baseline power-control solver
+* kernels   — analytic / Monte Carlo / empirical tangent kernels
+* spectral  — eigenanalysis, kernel gradient-flow dynamics, theorem bounds
+* nets      — finite-width trainable networks with exact gradients
+* training  — seeded training loops, traces, evaluation, checkpoints
+* artifacts — the atomic file writer and CSV text every output goes through
 * experiments, config, cli — reproducible artifact generation
 """
 
 from .errors import (DegenerateInputError, DivergenceError,
                      NumericFailureError, RangeViolationError,
                      SingularKernelError, UnsupportedConstantError)
-from .netsim import (Dataset, FlatSample, GraphSample, NetworkInstance,
-                     Permutation, PowerAllocation, apply_permutation,
-                     featurize, gaussian_node_dataset, generate_instances,
-                     sinr, synthetic_labels, weighted_sum_rate)
-from .wmmse import wmmse, wmmse_batch
+from .netsim import (Dataset, gaussian_node_dataset, generate_instances,
+                     sum_rate_batch, synthetic_labels)
+from .wmmse import wmmse_batch
 from .kernels import (ArchSpec, KernelMatrix, analytic_ntk_gnn,
                       analytic_ntk_mlp, empirical_ntk, load_kernel_csv,
                       load_kernel_ntk1, mc_ntk, save_kernel_csv,
                       save_kernel_ntk1)
-from .spectral import (BoundReport, DynamicsResult, LandscapeTable,
-                       SpectralReport, activation_constant,
-                       condition_landscape, eig_sym, generalization_bound,
-                       kernel_dynamics, thm2_rate_bound, thm3_bounds)
-from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, forward_mlp,
-                   forward_wcgcn, gradients, init_net, loss_value,
-                   output_jacobians)
+from .spectral import (DynamicsResult, LandscapeTable, SpectralReport,
+                       activation_constant, condition_landscape, eig_sym,
+                       generalization_bound, kernel_dynamics, thm2_rate_bound,
+                       thm3_bounds)
+from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, init_net,
+                   loss_value, output_jacobians)
 from .training import (TrainConfig, TrainTrace, epochs_to_level,
                        epochs_to_threshold, evaluate, load_checkpoint,
                        progress_level, save_checkpoint, train,

@@ -22,9 +22,10 @@ import time
 
 import numpy as np
 
+from .artifacts import RunFiles, csv_text
 from .config import EXPERIMENT_IDS, ExperimentConfig, load_config
 from .errors import DivergenceError, NumericFailureError
-from .experiments import run_experiment, write_manifest, _atomic_write, _csv_text
+from .experiments import run_experiment, write_manifest
 from .kernels import (ArchSpec, analytic_ntk_gnn, analytic_ntk_mlp, mc_ntk,
                       save_kernel_csv, save_kernel_ntk1, load_kernel_csv,
                       load_kernel_ntk1)
@@ -108,73 +109,68 @@ def _threads(args):
     return int(env) if env else 1
 
 
+def _seed(args):
+    return args.seed if args.seed is not None else 0
+
+
+def _dataset(args):
+    """The dataset the gen and ntk commands draw (channel instances with
+    --k users or Gaussian node sets of --n nodes in R^--d) and the lines
+    that describe it."""
+    meta = [f"m = {args.m}", f"seed = {_seed(args)}"]
+    if args.kind == "channel":
+        return (generate_instances(args.k, args.m, _seed(args)),
+                ["kind = channel", f"k = {args.k}"] + meta)
+    return (gaussian_node_dataset(args.n, args.m, args.d, _seed(args)),
+            ["kind = gaussian", f"n = {args.n}", f"d = {args.d}"] + meta)
+
+
 def _cmd_gen(args):
     t0 = time.perf_counter()
-    out = args.out or "runs"
-    seed = args.seed if args.seed is not None else 0
-    if args.kind == "channel":
-        ds = generate_instances(args.k, args.m, seed)
-        meta = ["kind = channel", f"k = {args.k}"]
-    else:
-        ds = gaussian_node_dataset(args.n, args.m, args.d, seed)
-        meta = ["kind = gaussian", f"n = {args.n}", f"d = {args.d}"]
-    meta += [f"m = {args.m}", f"seed = {seed}"]
+    files = RunFiles(args.out or "runs")
+    ds, meta = _dataset(args)
     dim = ds.flat_features.shape[1]
-    _atomic_write(os.path.join(out, "flat_features.csv"),
-                  _csv_text(",".join(f"x{i}" for i in range(dim)),
-                            [tuple(float(v) for v in row)
-                             for row in ds.flat_features]))
-    _atomic_write(os.path.join(out, "meta.txt"), "\n".join(meta) + "\n")
-    write_manifest(out, ["command = gen"] + meta, t0)
+    files.write("flat_features.csv",
+                csv_text(",".join(f"x{i}" for i in range(dim)),
+                         [tuple(float(v) for v in row)
+                          for row in ds.flat_features]))
+    files.write("meta.txt", "\n".join(meta) + "\n")
+    write_manifest(files, ["command = gen"] + meta, t0)
     return 0
-
-
-def _gen_dataset_for_kernel(args, seed):
-    if args.kind == "channel":
-        ds = generate_instances(args.k, args.m, seed)
-    else:
-        ds = gaussian_node_dataset(args.n, args.m, args.d, seed)
-    return ds
 
 
 def _cmd_ntk(args):
     t0 = time.perf_counter()
-    out = args.out or "runs"
-    seed = args.seed if args.seed is not None else 0
-    ds = _gen_dataset_for_kernel(args, seed)
+    files = RunFiles(args.out or "runs")
+    ds, _ = _dataset(args)
     if args.arch == "mlp":
-        kernel = analytic_ntk_mlp(ds.flat_features, args.activation)
+        family, X, analytic = "flat-mlp", ds.flat_features, analytic_ntk_mlp
     else:
-        kernel = analytic_ntk_gnn(ds.node_features, args.activation)
-    os.makedirs(out, exist_ok=True)
-    save_kernel_csv(kernel, os.path.join(out, "kernel.csv"))
-    save_kernel_ntk1(kernel, os.path.join(out, "kernel.ntk1"))
+        family, X, analytic = "perminv-gnn", ds.node_features, analytic_ntk_gnn
+    kernel = analytic(X, args.activation)
+    save_kernel_csv(kernel, files.path("kernel.csv"))
+    save_kernel_ntk1(kernel, files.path("kernel.ntk1"))
     echo = ["command = ntk", f"arch = {args.arch}",
             f"activation = {args.activation}", f"kind = {args.kind}",
-            f"m = {args.m}", f"seed = {seed}"]
+            f"m = {args.m}", f"seed = {_seed(args)}"]
     if args.mc_units:
         draws = max(1, args.mc_units // args.mc_width)
-        if args.arch == "mlp":
-            spec_arch = ArchSpec("flat-mlp", args.activation)
-            X = ds.flat_features
-        else:
-            spec_arch = ArchSpec("perminv-gnn", args.activation)
-            X = ds.node_features
-        est = mc_ntk(spec_arch, X, draws, args.mc_width, seed)
-        save_kernel_csv(est, os.path.join(out, "mc_kernel.csv"))
+        est = mc_ntk(ArchSpec(family, args.activation), X, draws,
+                     args.mc_width, _seed(args))
+        save_kernel_csv(est, files.path("mc_kernel.csv"))
         err = float(np.linalg.norm(est.entries - kernel.entries)
                     / np.linalg.norm(kernel.entries))
-        _atomic_write(os.path.join(out, "mc_error.csv"),
-                      _csv_text("draws,width_per_draw,relative_frobenius_error",
-                                [(draws, args.mc_width, err)]))
+        files.write("mc_error.csv",
+                    csv_text("draws,width_per_draw,relative_frobenius_error",
+                             [(draws, args.mc_width, err)]))
         echo += [f"mc_draws = {draws}", f"mc_width = {args.mc_width}"]
-    write_manifest(out, echo, t0)
+    write_manifest(files, echo, t0)
     return 0
 
 
 def _cmd_spectral(args):
     t0 = time.perf_counter()
-    out = args.out or "runs"
+    files = RunFiles(args.out or "runs")
     path = args.kernel
     if path.endswith(".ntk1"):
         kernel = load_kernel_ntk1(path)
@@ -184,21 +180,19 @@ def _cmd_spectral(args):
     if args.labels:
         y = np.loadtxt(args.labels, ndmin=1)
     rep = eig_sym(kernel.entries, y)
-    _atomic_write(os.path.join(out, "eigenvalues.csv"),
-                  _csv_text("index,eigenvalue",
-                            list(enumerate(map(float, rep.eigenvalues)))))
+    files.write("eigenvalues.csv",
+                csv_text("index,eigenvalue",
+                         list(enumerate(map(float, rep.eigenvalues)))))
     if y is not None:
-        _atomic_write(
-            os.path.join(out, "alignment.csv"),
-            _csv_text("index,eigenvalue,alignment",
-                      [(i, float(l), float(a)) for i, (l, a) in
-                       enumerate(zip(rep.eigenvalues, rep.alignment))]))
-    _atomic_write(
-        os.path.join(out, "spectral_summary.csv"),
-        _csv_text("condition_number,trace,lambda_min,lambda_max",
-                  [(rep.condition_number, rep.trace,
-                    float(rep.eigenvalues[-1]), float(rep.eigenvalues[0]))]))
-    write_manifest(out, ["command = spectral", f"kernel = {path}"], t0)
+        files.write("alignment.csv", csv_text(
+            "index,eigenvalue,alignment",
+            [(i, float(l), float(a)) for i, (l, a) in
+             enumerate(zip(rep.eigenvalues, rep.alignment))]))
+    files.write("spectral_summary.csv", csv_text(
+        "condition_number,trace,lambda_min,lambda_max",
+        [(rep.condition_number, rep.trace,
+          float(rep.eigenvalues[-1]), float(rep.eigenvalues[0]))]))
+    write_manifest(files, ["command = spectral", f"kernel = {path}"], t0)
     return 0
 
 
@@ -212,7 +206,7 @@ def _cmd_train(args):
     spec = sections.get("train")
     if spec is None:
         raise ValueError("config file has no [train] section")
-    out = args.out or spec.get("out", "runs")
+    files = RunFiles(args.out or spec.get("out", "runs"))
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
 
     arch = spec.get("arch", "wcgcn")
@@ -257,24 +251,22 @@ def _cmd_train(args):
         batch_size=None if spec.get("batch_size", "full").lower()
         in ("full", "none") else int(spec.get("batch_size")),
     )
-    os.makedirs(out, exist_ok=True)
     try:
         trace = train(net, train_ds, test_ds, cfg)
     except DivergenceError as exc:
         if exc.trace is not None and exc.trace.rows:
-            write_trace_csv(exc.trace, os.path.join(out, "trace.csv"))
-            write_manifest(out, ["command = train (diverged)"], t0)
+            write_trace_csv(exc.trace, files.path("trace.csv"))
+            write_manifest(files, ["command = train (diverged)"], t0)
         raise
-    write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    save_checkpoint(net, os.path.join(out, "checkpoint.txt"))
+    write_trace_csv(trace, files.path("trace.csv"))
+    save_checkpoint(net, files.path("checkpoint.txt"))
     metrics = evaluate(net, test_ds, loss=loss,
                        train_ds=train_ds if loss == "squared" else None)
     rows = [(key, float(v)) for key, v in sorted(metrics.items())
             if v is not None]
-    _atomic_write(os.path.join(out, "train_summary.csv"),
-                  _csv_text("metric,value", rows))
-    write_manifest(out, ["command = train", f"arch = {arch}",
-                         f"loss = {loss}", f"seed = {seed}"], t0)
+    files.write("train_summary.csv", csv_text("metric,value", rows))
+    write_manifest(files, ["command = train", f"arch = {arch}",
+                           f"loss = {loss}", f"seed = {seed}"], t0)
     return 0
 
 

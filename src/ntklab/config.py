@@ -61,6 +61,18 @@ def _merge(base, override):
     return merged
 
 
+def _integral(key, raw):
+    """An integer config value; scientific notation such as 2e3 is fine, a
+    fractional value is not."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = None
+    if value is None or not value.is_integer():
+        raise ValueError(f"config key {key!r} must be an integer, got {raw!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Typed view over merged config sections for one experiment run."""
@@ -84,14 +96,23 @@ class ExperimentConfig:
     @classmethod
     def build(cls, experiment, user_sections=None, seed=None, out=None,
               threads=None, scale=None):
-        sections = _merge(default_config(), user_sections or {})
+        """Defaults merged with ``user_sections``; a user key that its
+        section of defaults.cfg does not declare is rejected as a typo."""
+        defaults = default_config()
+        for section, kv in (user_sections or {}).items():
+            unknown = sorted(set(kv) - set(defaults.get(section, {})))
+            if unknown:
+                raise ValueError(f"unknown config key(s) in [{section}]: "
+                                 f"{', '.join(unknown)}")
+        sections = _merge(defaults, user_sections or {})
         common = sections.get("common", {})
         return cls(
             experiment=experiment,
             sections=sections,
-            seed=int(common.get("seed", 0)) if seed is None else int(seed),
+            seed=_integral("seed", common.get("seed", 0) if seed is None else seed),
             out=common.get("out", "runs") if out is None else out,
-            threads=int(common.get("threads", 1)) if threads is None else int(threads),
+            threads=_integral("threads", common.get("threads", 1)
+                              if threads is None else threads),
             scale=float(common.get("scale", 1.0)) if scale is None else float(scale),
         )
 
@@ -109,24 +130,20 @@ class ExperimentConfig:
         return str(self._raw(key, default, section))
 
     def get_int(self, key, default=None, section=None):
-        return int(float(self._raw(key, default, section)))
+        return _integral(key, self._raw(key, default, section))
 
     def get_float(self, key, default=None, section=None):
         return float(self._raw(key, default, section))
 
     def get_int_list(self, key, default=None, section=None):
         raw = self._raw(key, default, section)
-        if isinstance(raw, (list, tuple)):
-            return [int(v) for v in raw]
-        values = [int(float(v)) for v in str(raw).split(",") if v.strip()]
+        values = [_integral(key, v) for v in str(raw).split(",") if v.strip()]
         if not values:
             raise ValueError(f"config list {key!r} must be nonempty")
         return values
 
     def get_str_list(self, key, default=None, section=None):
         raw = self._raw(key, default, section)
-        if isinstance(raw, (list, tuple)):
-            return [str(v) for v in raw]
         values = [v.strip() for v in str(raw).split(",") if v.strip()]
         if not values:
             raise ValueError(f"config list {key!r} must be nonempty")
@@ -134,7 +151,7 @@ class ExperimentConfig:
 
     def get_batch(self, key="batch_size", default="full", section=None):
         raw = str(self._raw(key, default, section)).lower()
-        return None if raw in ("full", "none") else int(raw)
+        return None if raw in ("full", "none") else _integral(key, raw)
 
     def scaled(self, value, minimum=1):
         """Shrink a sample count by the global --scale factor."""

@@ -5,12 +5,12 @@ Every pipeline is a pure function of (config, seed): re-running reproduces
 identical CSV bytes, whatever the worker count.  Wall-clock times therefore
 never enter data CSVs; they live in manifest header comments only.  Cells —
 independent (model, K, m) units — may run in parallel worker processes; all
-files are written by the parent, atomically (temp file + rename).
+files are written by the parent, atomically (temp file + rename), and the
+manifest lists exactly the files the run wrote.
 """
 
 import hashlib
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -18,60 +18,22 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import __version__
+from .artifacts import RunFiles, atomic_write, csv_text
 from .kernels import analytic_ntk_gnn, analytic_ntk_mlp, empirical_ntk
 from .netsim import gaussian_node_dataset, generate_instances, synthetic_labels
 from .nets import init_net
 from .spectral import (activation_constant, condition_landscape,
                        generalization_bound, kernel_dynamics, thm3_bounds)
 from .errors import RangeViolationError, UnsupportedConstantError
-from .training import (TraceRow, TrainConfig, epochs_to_level,
-                       epochs_to_threshold, evaluate, progress_level, train,
-                       write_trace_csv)
+from .training import (TrainConfig, epochs_to_level, epochs_to_threshold,
+                       evaluate, progress_level, train, write_trace_csv)
 
 __all__ = ["run_fig1", "run_fig2", "run_fig3", "run_ntk_regime", "run_bounds",
-           "run_experiment"]
+           "run_experiment", "write_manifest"]
 
 
 # ---------------------------------------------------------------------------
 # artifact plumbing
-
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _csv_text(header, rows, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(f"{v:.17g}")
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _trace_text(trace):
-    lines = ["epoch,train_loss,test_loss,grad_norm"]
-    for r in trace.rows:
-        lines.append(f"{r.epoch},{r.train_loss:.17g},{r.test_loss:.17g},"
-                     f"{r.grad_norm:.17g}")
-    return "\n".join(lines) + "\n"
-
 
 def _sha256(path):
     h = hashlib.sha256()
@@ -81,36 +43,30 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(out, echo_lines, t0):
-    """path<TAB>sha256 for every file in the output directory, with config
-    echo / version / wall time as header comments."""
+def write_manifest(files, echo_lines, t0):
+    """path<TAB>sha256 for every file the run wrote (a RunFiles), with
+    config echo / version / wall time as header comments."""
     lines = [f"# version = ntklab-{__version__}",
              f"# wall_seconds = {time.perf_counter() - t0:.1f}"]
     lines += [f"# {e}" for e in echo_lines]
-    entries = []
-    for root, _, names in os.walk(out):
-        for name in sorted(names):
-            if name == "manifest.txt":
-                continue
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, out)
-            entries.append(f"{rel}\t{_sha256(full)}")
-    lines += sorted(entries)
-    _atomic_write(os.path.join(out, "manifest.txt"), "\n".join(lines) + "\n")
+    lines += sorted(f"{name}\t{_sha256(os.path.join(files.out, name))}"
+                    for name in set(files.names))
+    atomic_write(os.path.join(files.out, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def _dispatch(job):
-    fn_name, kwargs = job
-    return _CELL_FUNCS[fn_name](**kwargs)
+def _dispatch(cell, kwargs):
+    return _CELL_FUNCS[cell](**kwargs)
 
 
-def _run_cells(jobs, threads):
+def _run_cells(cell, jobs, threads):
+    """One cell function over a list of keyword-argument jobs, in spawned
+    worker processes when threads > 1; results come back in job order."""
     if threads <= 1 or len(jobs) <= 1:
-        return [_dispatch(j) for j in jobs]
+        return [_dispatch(cell, j) for j in jobs]
     ctx = get_context("spawn")
     with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
                              mp_context=ctx) as ex:
-        return list(ex.map(_dispatch, jobs))
+        return list(ex.map(_dispatch, [cell] * len(jobs), jobs))
 
 
 def _power_mlp_count(d_in, h, k):
@@ -129,12 +85,21 @@ def _matched_mlp_hidden(gnn_params, d_in, k):
     return h - 1 if h > 1 and gnn_params - below < here - gnn_params else h
 
 
-# ---------------------------------------------------------------------------
-# Fig. 1: convergence and generalization on the power-control task
+def _mlp_hidden(cfg, k, gnn_hidden, layers):
+    """The flat net's hidden width: the configured one, or with
+    ``mlp_hidden = auto`` the one matching the WCGCN's parameter count."""
+    if cfg.get_str("mlp_hidden") != "auto":
+        return cfg.get_int("mlp_hidden")
+    gnn_params = init_net("wcgcn", None, gnn_hidden, 0, layers=layers).n_params()
+    return _matched_mlp_hidden(gnn_params, k * k + k, k)
 
-def _fig1_cell(k, model, m_train, m_test, seed, hidden, layers, optimizer,
-               lr, epochs, batch_size, eval_every):
-    train_ds = generate_instances(k, m_train, seed)
+
+# ---------------------------------------------------------------------------
+# The training cell of Fig. 1 and Fig. 3: one (model, K, m) sum-rate run
+
+def _train_cell(k, model, m, m_test, seed, hidden, layers, optimizer, lr,
+                epochs, batch_size, eval_every):
+    train_ds = generate_instances(k, m, seed)
     test_ds = generate_instances(k, m_test, seed + 1)
     if model == "gnn":
         net = init_net("wcgcn", None, hidden, seed, layers=layers)
@@ -144,21 +109,11 @@ def _fig1_cell(k, model, m_train, m_test, seed, hidden, layers, optimizer,
                       loss="negative-sum-rate", seed=seed,
                       eval_every=eval_every, batch_size=batch_size)
     trace = train(net, train_ds, test_ds, cfg)
-    metrics = evaluate(net, test_ds)
-    summary = {
-        "k": k, "model": model, "hidden": hidden,
-        "params": int(sum(v.size for v in net.params.values())),
-        "final_train_loss": trace.final_train_loss,
-        "final_test_loss": trace.final_test_loss,
-        "mean_sum_rate": metrics["mean_sum_rate"],
-        "ratio_to_wmmse": metrics["ratio_to_wmmse"],
-        "e_gen": metrics["e_gen"],
-        "t_star": epochs_to_threshold(trace),
-    }
-    return {"trace": _trace_text(trace),
-            "rows": [(r.epoch, r.train_loss, r.test_loss) for r in trace.rows],
-            "summary": summary}
+    return {"rows": trace.rows, "params": trace.n_params, **evaluate(net, test_ds)}
 
+
+# ---------------------------------------------------------------------------
+# Fig. 1: convergence and generalization on the power-control task
 
 _FIG1_PLOT = """\
 #!/usr/bin/env python3
@@ -196,54 +151,42 @@ def run_fig1(cfg):
     m_test = cfg.scaled(cfg.get_int("m_test"))
     gnn_hidden = cfg.get_int("gnn_hidden")
     layers = cfg.get_int("gnn_layers")
-    opt = cfg.get_str("optimizer")
-    lr = cfg.get_float("lr")
-    epochs = cfg.get_int("epochs")
-    batch = cfg.get_batch()
-    eval_every = cfg.get_int("eval_every")
-    mlp_hidden_raw = cfg.get_str("mlp_hidden", "auto")
+    common = dict(m=m_train, m_test=m_test, seed=cfg.seed, layers=layers,
+                  optimizer=cfg.get_str("optimizer"), lr=cfg.get_float("lr"),
+                  epochs=cfg.get_int("epochs"), batch_size=cfg.get_batch(),
+                  eval_every=cfg.get_int("eval_every"))
+    jobs = [dict(common, k=k, model=model, hidden=hidden)
+            for k in k_list
+            for model, hidden in (("gnn", gnn_hidden),
+                                  ("mlp", _mlp_hidden(cfg, k, gnn_hidden, layers)))]
+    results = _run_cells("train", jobs, cfg.threads)
 
-    jobs = []
+    files = RunFiles(cfg.out)
+    rows, summaries = {}, []
+    for job, r in zip(jobs, results):
+        k, model = job["k"], job["model"]
+        rows[(k, model)] = r["rows"]
+        write_trace_csv(r["rows"], files.path(f"trace_{model}_K{k}.csv"))
+        summaries.append({
+            "k": k, "model": model, "hidden": job["hidden"],
+            "params": r["params"],
+            "final_train_loss": r["rows"][-1].train_loss,
+            "final_test_loss": r["rows"][-1].test_loss,
+            "mean_sum_rate": r["mean_sum_rate"],
+            "ratio_to_wmmse": r["ratio_to_wmmse"],
+            "e_gen": r["e_gen"],
+            "t_star": epochs_to_threshold(r["rows"]),
+        })
     for k in k_list:
-        gnn_params = init_net("wcgcn", None, gnn_hidden, 0, layers=layers).n_params()
-        if mlp_hidden_raw == "auto":
-            mlp_hidden = _matched_mlp_hidden(gnn_params, k * k + k, k)
-        else:
-            mlp_hidden = int(mlp_hidden_raw)
-        for model, hidden in (("gnn", gnn_hidden), ("mlp", mlp_hidden)):
-            jobs.append(("fig1", dict(
-                k=k, model=model, m_train=m_train, m_test=m_test,
-                seed=cfg.seed, hidden=hidden, layers=layers, optimizer=opt,
-                lr=lr, epochs=epochs, batch_size=batch,
-                eval_every=eval_every)))
-    results = _run_cells(jobs, cfg.threads)
-
-    by_cell = {(r["summary"]["k"], r["summary"]["model"]): r for r in results}
-    summaries = []
-    for k in k_list:
-        for model in ("gnn", "mlp"):
-            cell = by_cell[(k, model)]
-            _atomic_write(os.path.join(cfg.out, f"trace_{model}_K{k}.csv"),
-                          cell["trace"])
-            summaries.append(cell["summary"])
-        g, m = by_cell[(k, "gnn")]["rows"], by_cell[(k, "mlp")]["rows"]
-        rows = [(ge[0], ge[1], ge[2], me[1], me[2])
-                for ge, me in zip(g, m)]
-        _atomic_write(
-            os.path.join(cfg.out, f"fig1_K{k}.csv"),
-            _csv_text("epoch,gnn_train_loss,gnn_test_loss,mlp_train_loss,"
-                      "mlp_test_loss", rows))
-    _atomic_write(
-        os.path.join(cfg.out, "fig1_summary.csv"),
-        _csv_text("k,model,hidden,params,final_train_loss,final_test_loss,"
-                  "mean_sum_rate,ratio_to_wmmse,e_gen,t_star",
-                  [(s["k"], s["model"], s["hidden"], s["params"],
-                    s["final_train_loss"], s["final_test_loss"],
-                    s["mean_sum_rate"], s["ratio_to_wmmse"], s["e_gen"],
-                    s["t_star"]) for s in summaries]))
-    _atomic_write(os.path.join(cfg.out, "fig1_plot.py"),
-                  _FIG1_PLOT.replace("K_LIST", repr([str(k) for k in k_list])))
-    write_manifest(cfg.out, cfg.echo_lines(), t0)
+        files.write(f"fig1_K{k}.csv", csv_text(
+            "epoch,gnn_train_loss,gnn_test_loss,mlp_train_loss,mlp_test_loss",
+            [(g.epoch, g.train_loss, g.test_loss, m.train_loss, m.test_loss)
+             for g, m in zip(rows[(k, "gnn")], rows[(k, "mlp")])]))
+    files.write("fig1_summary.csv", csv_text(
+        ",".join(summaries[0]), [tuple(s.values()) for s in summaries]))
+    files.write("fig1_plot.py",
+                _FIG1_PLOT.replace("K_LIST", repr([str(k) for k in k_list])))
+    write_manifest(files, cfg.echo_lines(), t0)
     return summaries
 
 
@@ -285,58 +228,27 @@ def run_fig2(cfg):
 
     table = condition_landscape(n_list, samples=samples, seed=cfg.seed,
                                 node_dim=node_dim, activation=activation)
-    _atomic_write(
-        os.path.join(cfg.out, "landscape.csv"),
-        _csv_text("n,cond_mlp,cond_gnn", table.rows,
-                  comments=[table.definition,
-                            f"samples = {samples}, node_dim = {node_dim}, "
-                            f"seed = {cfg.seed}, activation = {activation}"]))
+    files = RunFiles(cfg.out)
+    files.write("landscape.csv", csv_text(
+        "n,cond_mlp,cond_gnn", table.rows,
+        comments=[table.definition,
+                  f"samples = {samples}, node_dim = {node_dim}, "
+                  f"seed = {cfg.seed}, activation = {activation}"]))
     conds = {n: (cm, cg) for n, cm, cg in table.rows}
     n_lo, n_hi = min(n_list), max(n_list)
     mlp_growth = conds[n_hi][0] / conds[n_lo][0]
     gnn_growth = conds[n_hi][1] / conds[n_lo][1]
-    _atomic_write(
-        os.path.join(cfg.out, "fig2_summary.csv"),
-        _csv_text("metric,value,threshold,satisfied",
-                  [("cond_mlp_growth", mlp_growth, growth_min,
-                    int(mlp_growth >= growth_min)),
-                   ("cond_gnn_growth", gnn_growth, flat_max,
-                    int(gnn_growth <= flat_max))]))
-    _atomic_write(os.path.join(cfg.out, "fig2_plot.py"), _FIG2_PLOT)
-    write_manifest(cfg.out, cfg.echo_lines(), t0)
+    files.write("fig2_summary.csv", csv_text(
+        "metric,value,threshold,satisfied",
+        [("cond_mlp_growth", mlp_growth, growth_min, int(mlp_growth >= growth_min)),
+         ("cond_gnn_growth", gnn_growth, flat_max, int(gnn_growth <= flat_max))]))
+    files.write("fig2_plot.py", _FIG2_PLOT)
+    write_manifest(files, cfg.echo_lines(), t0)
     return table
 
 
 # ---------------------------------------------------------------------------
 # Fig. 3: sample-size scaling — training slowdown and kernel lambda_min
-
-def _as_rows(pairs):
-    """Wrap (epoch, train_loss) pairs as minimal trace rows for the
-    threshold helpers."""
-    return [TraceRow(epoch=e, train_loss=v, test_loss=float("nan"),
-                     grad_norm=0.0) for e, v in pairs]
-
-
-def _fig3_cell(k, model, m, m_test, seed, hidden, layers, optimizer, lr,
-               epochs, batch_size, eval_every):
-    train_ds = generate_instances(k, m, seed)
-    test_ds = generate_instances(k, m_test, seed + 1)
-    if model == "gnn":
-        net = init_net("wcgcn", None, hidden, seed, layers=layers)
-    else:
-        net = init_net("power-mlp", (k * k + k, k), hidden, seed)
-    cfg = TrainConfig(optimizer=optimizer, lr=lr, epochs=epochs,
-                      loss="negative-sum-rate", seed=seed,
-                      eval_every=eval_every, batch_size=batch_size)
-    trace = train(net, train_ds, test_ds, cfg)
-    metrics = evaluate(net, test_ds)
-    return {"trace": _trace_text(trace),
-            "losses": [(r.epoch, r.train_loss) for r in trace.rows],
-            "summary": {"k": k, "model": model, "m": m, "hidden": hidden,
-                        "final_train_loss": trace.final_train_loss,
-                        "final_test_loss": trace.final_test_loss,
-                        "ratio_to_wmmse": metrics["ratio_to_wmmse"]}}
-
 
 _FIG3_PLOT = """\
 #!/usr/bin/env python3
@@ -379,67 +291,50 @@ def run_fig3(cfg):
     m_list = [cfg.scaled(m) for m in cfg.get_int_list("m_list")]
     m_test = cfg.scaled(cfg.get_int("m_test"))
     lambda_ms = [cfg.scaled(m) for m in cfg.get_int_list("lambda_m_list")]
-    eval_every = cfg.get_int("eval_every")
     frac = cfg.get_float("threshold_fraction")
     gnn_hidden = cfg.get_int("gnn_hidden")
     layers = cfg.get_int("gnn_layers")
-    mlp_hidden_raw = cfg.get_str("mlp_hidden", "auto")
-    if mlp_hidden_raw == "auto":
-        gnn_params = init_net("wcgcn", None, gnn_hidden, 0, layers=layers).n_params()
-        mlp_hidden = _matched_mlp_hidden(gnn_params, k * k + k, k)
-    else:
-        mlp_hidden = int(mlp_hidden_raw)
+    hidden = {"gnn": gnn_hidden, "mlp": _mlp_hidden(cfg, k, gnn_hidden, layers)}
 
     # Each model trains in its own regime (declared per-model in the config):
     # the flat net under plain full-batch descent, where the kernel's
     # conditioning governs the epoch count, the graph net in the practical
     # minibatch-adam regime it is normally run in.
-    jobs = []
-    for model, hidden in (("gnn", gnn_hidden), ("mlp", mlp_hidden)):
-        for m in m_list:
-            jobs.append(("fig3", dict(
-                k=k, model=model, m=m, m_test=m_test, seed=cfg.seed,
-                hidden=hidden, layers=layers,
-                optimizer=cfg.get_str(f"{model}_optimizer"),
-                lr=cfg.get_float(f"{model}_lr"),
-                epochs=cfg.get_int(f"{model}_epochs"),
-                batch_size=cfg.get_batch(f"{model}_batch_size"),
-                eval_every=eval_every)))
-    results = _run_cells(jobs, cfg.threads)
+    jobs = [dict(k=k, model=model, m=m, m_test=m_test, seed=cfg.seed,
+                 hidden=hidden[model], layers=layers,
+                 optimizer=cfg.get_str(f"{model}_optimizer"),
+                 lr=cfg.get_float(f"{model}_lr"),
+                 epochs=cfg.get_int(f"{model}_epochs"),
+                 batch_size=cfg.get_batch(f"{model}_batch_size"),
+                 eval_every=cfg.get_int("eval_every"))
+            for model in ("gnn", "mlp") for m in m_list]
+    results = _run_cells("train", jobs, cfg.threads)
 
-    summaries = []
-    losses = {}
-    for r in results:
-        s = r["summary"]
-        _atomic_write(os.path.join(cfg.out, f"trace_{s['model']}_m{s['m']}.csv"),
-                      r["trace"])
-        losses[(s["model"], s["m"])] = r["losses"]
-        summaries.append(s)
+    files = RunFiles(cfg.out)
+    rows = {}
+    for job, r in zip(jobs, results):
+        model, m = job["model"], job["m"]
+        rows[(model, m)] = r["rows"]
+        write_trace_csv(r["rows"], files.path(f"trace_{model}_m{m}.csv"))
 
     # One fixed train-loss threshold per model, shared by its sample sizes:
     # the highest of the runs' own progress levels, so every run crosses it.
-    t_star = {}
-    thresholds = {}
-    for model in ("gnn", "mlp"):
-        level = max(progress_level(_as_rows(losses[key]), frac)
-                    for key in losses if key[0] == model)
-        thresholds[model] = level
-        for key in losses:
-            if key[0] == model:
-                t_star[key] = epochs_to_level(_as_rows(losses[key]), level)
+    thresholds = {model: max(progress_level(rows[(model, m)], frac) for m in m_list)
+                  for model in ("gnn", "mlp")}
+    t_star = {key: epochs_to_level(r, thresholds[key[0]]) for key, r in rows.items()}
 
-    _atomic_write(
-        os.path.join(cfg.out, "fig3_summary.csv"),
-        _csv_text("model,m,hidden,t_star,final_train_loss,final_test_loss,"
-                  "ratio_to_wmmse",
-                  [(s["model"], s["m"], s["hidden"],
-                    t_star[(s["model"], s["m"])],
-                    s["final_train_loss"], s["final_test_loss"],
-                    s["ratio_to_wmmse"]) for s in summaries],
-                  comments=[f"t_star = first epoch at or below the model's "
-                            f"shared train-loss threshold "
-                            f"(fraction {frac:g} of each run's decrease "
-                            "left; highest level across its sample sizes)"]))
+    summaries = [{"model": job["model"], "m": job["m"], "hidden": job["hidden"],
+                  "t_star": t_star[(job["model"], job["m"])],
+                  "final_train_loss": r["rows"][-1].train_loss,
+                  "final_test_loss": r["rows"][-1].test_loss,
+                  "ratio_to_wmmse": r["ratio_to_wmmse"]}
+                 for job, r in zip(jobs, results)]
+    files.write("fig3_summary.csv", csv_text(
+        ",".join(summaries[0]), [tuple(s.values()) for s in summaries],
+        comments=[f"t_star = first epoch at or below the model's "
+                  f"shared train-loss threshold "
+                  f"(fraction {frac:g} of each run's decrease "
+                  "left; highest level across its sample sizes)"]))
     slow_rows = []
     for model in ("gnn", "mlp"):
         ts = {m: t_star[(model, m)] for m in m_list}
@@ -450,10 +345,9 @@ def run_fig3(cfg):
             ratio = ts[hi] / ts[lo]
         slow_rows.append((model, thresholds[model], lo, ts[lo], hi, ts[hi],
                           ratio))
-    _atomic_write(
-        os.path.join(cfg.out, "fig3_slowdown.csv"),
-        _csv_text("model,threshold,m_small,t_star_small,m_large,t_star_large,"
-                  "slowdown_ratio", slow_rows))
+    files.write("fig3_slowdown.csv", csv_text(
+        "model,threshold,m_small,t_star_small,m_large,t_star_large,"
+        "slowdown_ratio", slow_rows))
 
     # analytic-kernel smallest eigenvalues on nested sample prefixes
     lam_rows = []
@@ -465,13 +359,12 @@ def run_fig3(cfg):
         lam_gnn = float(np.linalg.eigvalsh(
             analytic_ntk_gnn(sub.node_features).entries)[0])
         lam_rows.append((m, lam_mlp, lam_gnn))
-    _atomic_write(
-        os.path.join(cfg.out, "lambda_min.csv"),
-        _csv_text("m,lambda_min_mlp,lambda_min_gnn", lam_rows,
-                  comments=[f"K = {k}, seed = {cfg.seed}; sample m is a "
-                            "prefix of sample m' for m < m'"]))
-    _atomic_write(os.path.join(cfg.out, "fig3_plot.py"), _FIG3_PLOT)
-    write_manifest(cfg.out, cfg.echo_lines(), t0)
+    files.write("lambda_min.csv", csv_text(
+        "m,lambda_min_mlp,lambda_min_gnn", lam_rows,
+        comments=[f"K = {k}, seed = {cfg.seed}; sample m is a "
+                  "prefix of sample m' for m < m'"]))
+    files.write("fig3_plot.py", _FIG3_PLOT)
+    write_manifest(files, cfg.echo_lines(), t0)
     return summaries
 
 
@@ -557,29 +450,25 @@ def run_ntk_regime(cfg):
     degree = cfg.get_int("label_degree")
     loss_drop = cfg.get_float("loss_drop")
 
-    jobs = [("ntk", dict(width=w, d=d, m=m, seed=cfg.seed, lr=lr,
-                         epochs=epochs, eval_every=eval_every,
-                         label_degree=degree, loss_drop=loss_drop))
+    jobs = [dict(width=w, d=d, m=m, seed=cfg.seed, lr=lr, epochs=epochs,
+                 eval_every=eval_every, label_degree=degree, loss_drop=loss_drop)
             for w in widths]
-    results = _run_cells(jobs, cfg.threads)
+    results = _run_cells("ntk", jobs, cfg.threads)
 
+    files = RunFiles(cfg.out)
     for r in results:
-        _atomic_write(
-            os.path.join(cfg.out, f"traj_w{r['width']}.csv"),
-            _csv_text("epoch,train_loss,predicted_loss", r["rows"]))
-    _atomic_write(
-        os.path.join(cfg.out, "ntk_regime.csv"),
-        _csv_text("width,max_relative_deviation,reached_loss_drop",
-                  [(r["width"], r["deviation"], int(r["reached_drop"]))
-                   for r in results],
-                  comments=[f"deviation window: first {loss_drop:g}x "
-                            "training-loss reduction"]))
-    _atomic_write(
-        os.path.join(cfg.out, "kernel_convergence.csv"),
-        _csv_text("width,kernel_frobenius_error",
-                  [(r["width"], r["fro_error"]) for r in results]))
-    _atomic_write(os.path.join(cfg.out, "ntk_plot.py"), _NTK_PLOT)
-    write_manifest(cfg.out, cfg.echo_lines(), t0)
+        files.write(f"traj_w{r['width']}.csv",
+                    csv_text("epoch,train_loss,predicted_loss", r["rows"]))
+    files.write("ntk_regime.csv", csv_text(
+        "width,max_relative_deviation,reached_loss_drop",
+        [(r["width"], r["deviation"], int(r["reached_drop"])) for r in results],
+        comments=[f"deviation window: first {loss_drop:g}x "
+                  "training-loss reduction"]))
+    files.write("kernel_convergence.csv", csv_text(
+        "width,kernel_frobenius_error",
+        [(r["width"], r["fro_error"]) for r in results]))
+    files.write("ntk_plot.py", _NTK_PLOT)
+    write_manifest(files, cfg.echo_lines(), t0)
     return results
 
 
@@ -647,6 +536,7 @@ def run_bounds(cfg):
     # node set stands in, giving a spectrum whose sum grows with n.  The p=1
     # constant is likewise unpublished, so a declared override of 1.0 is used
     # and recorded here.
+    files = RunFiles(cfg.out)
     thm3_rows, const_notes = [], []
     for p, act in zip(p_list, acts):
         try:
@@ -662,9 +552,8 @@ def run_bounds(cfg):
             gnn_c, mlp_c = thm3_bounds(lam, beta_norm, p, c, times)
             thm3_rows += [(p, act, n, float(t), float(g), float(mm))
                           for t, g, mm in zip(times, gnn_c, mlp_c)]
-    _atomic_write(os.path.join(cfg.out, "thm3.csv"),
-                  _csv_text("p,activation,n,t,gnn_bound,mlp_bound", thm3_rows,
-                            comments=const_notes))
+    files.write("thm3.csv", csv_text("p,activation,n,t,gnn_bound,mlp_bound",
+                                     thm3_rows, comments=const_notes))
 
     thm45_rows, resid_rows, race_rows = [], [], []
     for p, act in zip(p_list, acts):
@@ -697,24 +586,20 @@ def run_bounds(cfg):
                 hit = np.nonzero(rel <= target)[0]
                 reach[name] = float(times[hit[0]]) if hit.size else None
             race_rows.append((p, act, n, reach["gnn"], reach["mlp"]))
-    _atomic_write(os.path.join(cfg.out, "thm45.csv"),
-                  _csv_text("p,activation,n,gnn_bound,mlp_bound,ratio,note",
-                            thm45_rows,
-                            comments=[f"m = {m}, delta = {delta}"]))
-    _atomic_write(os.path.join(cfg.out, "residuals.csv"),
-                  _csv_text("p,activation,n,kernel,t,residual_over_ynorm",
-                            resid_rows))
-    _atomic_write(os.path.join(cfg.out, "residual_race.csv"),
-                  _csv_text("p,activation,n,t_gnn_reach,t_mlp_reach",
-                            race_rows,
-                            comments=[f"first grid time with residual <= "
-                                      f"{target:g} * ||y||"]))
-    _atomic_write(os.path.join(cfg.out, "bounds_plot.py"), _BOUNDS_PLOT)
-    write_manifest(cfg.out, cfg.echo_lines(), t0)
+    files.write("thm45.csv", csv_text(
+        "p,activation,n,gnn_bound,mlp_bound,ratio,note", thm45_rows,
+        comments=[f"m = {m}, delta = {delta}"]))
+    files.write("residuals.csv", csv_text(
+        "p,activation,n,kernel,t,residual_over_ynorm", resid_rows))
+    files.write("residual_race.csv", csv_text(
+        "p,activation,n,t_gnn_reach,t_mlp_reach", race_rows,
+        comments=[f"first grid time with residual <= {target:g} * ||y||"]))
+    files.write("bounds_plot.py", _BOUNDS_PLOT)
+    write_manifest(files, cfg.echo_lines(), t0)
     return thm45_rows
 
 
-_CELL_FUNCS = {"fig1": _fig1_cell, "fig3": _fig3_cell, "ntk": _ntk_cell}
+_CELL_FUNCS = {"train": _train_cell, "ntk": _ntk_cell}
 
 _RUNNERS = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3,
             "ntk-regime": run_ntk_regime, "thm3": run_bounds,

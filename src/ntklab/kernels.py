@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_write, csv_text
 from .errors import DegenerateInputError
 from .rng import DOMAIN_MC, stream
 
@@ -47,15 +48,12 @@ class ArchSpec:
 
     family: str                 # 'flat-mlp' | 'perminv-gnn'
     activation: str = "relu"    # 'relu' | 'quadratic'
-    input_dim: int = 0
 
     def __post_init__(self):
         if self.family not in ("flat-mlp", "perminv-gnn"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.activation not in ("relu", "quadratic"):
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.input_dim < 0:
-            raise ValueError("input_dim must be positive")
 
 
 @dataclass(frozen=True)
@@ -171,6 +169,20 @@ def _sigma_prime(Z, activation):
     raise ValueError(f"unknown activation {activation!r}")
 
 
+def _first_layer_gram(X, W, activation):
+    """Gram matrix of first-layer parameter gradients of the two-layer net
+    with first layer W (r, d); the +-1 output signs cancel.  Flat (m, d)
+    inputs give the plain kernel, (m, n, d) node sets the sum-readout one."""
+    r = W.shape[0]
+    if X.ndim == 2:
+        D = _sigma_prime(X @ W.T, activation)                   # (m, r)
+        return (X @ X.T) * (D @ D.T) / r
+    m, n, d = X.shape
+    D = _sigma_prime(X.reshape(m * n, d) @ W.T, activation).reshape(m, n, r)
+    T = np.einsum("mnr,mnd->mrd", D, X, optimize=True)
+    return np.einsum("ird,jrd->ij", T, T, optimize=True) / r
+
+
 def mc_ntk(arch, X, draws, width_per_draw, seed):
     """Monte-Carlo estimate of the NTK: average of per-draw Gram matrices
     over Gaussian first layers.  Unbiased for the analytic kernel; exactly
@@ -180,28 +192,16 @@ def mc_ntk(arch, X, draws, width_per_draw, seed):
     if draws < 1 or width_per_draw < 1:
         raise ValueError("draws and width_per_draw must be >= 1")
     X = np.asarray(X, dtype=float)
-    flat = arch.family == "flat-mlp"
-    if flat:
-        Xv, _ = _check_samples(X)
-        m, d = Xv.shape
-        G = Xv @ Xv.T
-    else:
-        if X.ndim != 3:
-            raise ValueError("perminv-gnn expects (m, n, d) node features")
-        m, n, d = X.shape
-        nodes = X.reshape(m * n, d)
-    acc = np.zeros((m, m))
+    if arch.family == "flat-mlp":
+        X, _ = _check_samples(X)
+        if X.ndim != 2:
+            raise ValueError("flat-mlp expects (m, d) samples")
+    elif X.ndim != 3:
+        raise ValueError("perminv-gnn expects (m, n, d) node features")
+    acc = np.zeros((X.shape[0], X.shape[0]))
     for t in range(draws):
-        W = stream(seed, DOMAIN_MC, t).standard_normal((width_per_draw, d))
-        if flat:
-            D = _sigma_prime(Xv @ W.T, arch.activation)        # (m, r)
-            acc += G * (D @ D.T) / width_per_draw
-        else:
-            D = _sigma_prime(nodes @ W.T, arch.activation)     # (m*n, r)
-            T = np.einsum("mnr,mnd->mrd",
-                          D.reshape(m, n, width_per_draw),
-                          X, optimize=True)
-            acc += np.einsum("ird,jrd->ij", T, T, optimize=True) / width_per_draw
+        W = stream(seed, DOMAIN_MC, t).standard_normal((width_per_draw, X.shape[-1]))
+        acc += _first_layer_gram(X, W, arch.activation)
     H = acc / draws
     H = (H + H.T) / 2.0
     return KernelMatrix(
@@ -223,23 +223,11 @@ def empirical_ntk(net, X):
     """
     from . import nets as _nets
 
-    X = np.asarray(X, dtype=float) if isinstance(X, (np.ndarray, list)) else X
     if isinstance(net, _nets.TwoLayerNet):
         X = np.asarray(X, dtype=float)
-        if X.ndim == 2:
-            m, d = X.shape
-            Xn = X
-            G = X @ X.T
-            D = _sigma_prime(Xn @ net.W.T, net.activation)
-            H = G * (D @ D.T) / net.width
-        elif X.ndim == 3:
-            m, n, d = X.shape
-            nodes = X.reshape(m * n, d)
-            D = _sigma_prime(nodes @ net.W.T, net.activation).reshape(m, n, net.width)
-            T = np.einsum("mnr,mnd->mrd", D, X, optimize=True)
-            H = np.einsum("ird,jrd->ij", T, T, optimize=True) / net.width
-        else:
+        if X.ndim not in (2, 3):
             raise ValueError("TwoLayerNet expects (m, d) or (m, n, d) inputs")
+        H = _first_layer_gram(X, net.W, net.activation)
         width = net.width
     else:
         J = _nets.output_jacobians(net, X)      # (outputs, params)
@@ -255,10 +243,7 @@ def empirical_ntk(net, X):
 def save_kernel_csv(kernel, path):
     """Text export: first line m, then m comma-separated rows of m values."""
     H = kernel.entries
-    with open(path, "w") as fh:
-        fh.write(f"{H.shape[0]}\n")
-        for row in H:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    atomic_write(path, csv_text(str(H.shape[0]), H))
 
 
 def load_kernel_csv(path, provenance="analytic-mlp"):
@@ -271,23 +256,28 @@ def load_kernel_csv(path, provenance="analytic-mlp"):
 
 
 MAGIC = b"NTK1"
+_HEADER = len(MAGIC) + 8
 
 
 def save_kernel_ntk1(kernel, path):
     """Binary export: magic 'NTK1', little-endian u64 m, m*m little-endian
     f64 entries in row-major order."""
     H = np.ascontiguousarray(kernel.entries, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", H.shape[0]))
-        fh.write(H.tobytes())
+    atomic_write(path, MAGIC + struct.pack("<Q", H.shape[0]) + H.tobytes())
 
 
 def load_kernel_ntk1(path, provenance="analytic-mlp"):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        (m,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * m * m), dtype="<f8").reshape(m, m)
+        raw = fh.read()
+    if raw[:len(MAGIC)] != MAGIC:
+        raise ValueError(f"bad magic {raw[:len(MAGIC)]!r}")
+    if len(raw) < _HEADER:
+        raise ValueError(f"truncated header: {len(raw)} bytes, "
+                         f"expected at least {_HEADER}")
+    (m,) = struct.unpack("<Q", raw[len(MAGIC):_HEADER])
+    expected = _HEADER + 8 * m * m
+    if len(raw) != expected:
+        raise ValueError(f"file length {len(raw)} bytes does not match "
+                         f"m = {m}: expected {expected}")
+    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER).reshape(m, m)
     return KernelMatrix(data.astype(float), provenance, {"source": str(path)})

@@ -18,12 +18,10 @@ full-power fixed point and training stalls.  All gradients are hand-written
 reverse mode and checked against central finite differences in the tests.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericFailureError
-from .netsim import PowerAllocation, neighbor_indices, sum_rate_batch
+from .netsim import _sinr_terms, neighbor_indices, sum_rate_batch
 from .rng import DOMAIN_INIT, stream
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "WcgcnNet",
     "PowerMlp",
     "init_net",
-    "forward_mlp",
-    "forward_wcgcn",
     "gradients",
     "loss_value",
     "output_jacobians",
@@ -399,35 +395,20 @@ def init_net(arch, dims, width, seed, layers=2):
     raise ValueError(f"unknown architecture {arch!r}")
 
 
-def forward_mlp(net, x):
-    """Scalar output of a TwoLayerNet on one flat sample or node set."""
-    out = net.forward(np.asarray(x, dtype=float))
-    return float(out[0]) if out.shape == (1,) else out
-
-
-def forward_wcgcn(net, inst):
-    """Power allocation for one instance (evaluation mode)."""
-    mags = np.abs(inst.H)[None]
-    p, _ = net.forward_batch(mags, inst.w[None], train=False)
-    return PowerAllocation(p[0])
-
-
 def sum_rate_loss_grad(mags, sigma2s, weights, P):
-    """Mean negative weighted sum rate over the batch and its gradient in P."""
-    m, K, _ = mags.shape
-    G = mags ** 2
-    signal = np.einsum("mkk,mk->mk", G, P)
-    denom = np.einsum("mki,mi->mk", G, P) - signal + sigma2s
+    """Per-sample weighted sum rates (m,) and the gradient in P of the mean
+    negative sum rate (the training loss, -rates.mean())."""
+    m = mags.shape[0]
+    G, signal, denom = _sinr_terms(mags, sigma2s, P)
     s = signal / denom
     rates = np.einsum("mk,mk->m", weights, np.log2(1.0 + s))
-    loss = -float(rates.mean())
     coef = weights / (np.log(2.0) * (1.0 + s))          # (m, K)
     gkk = np.einsum("mkk->mk", G)
     own = coef * gkk / denom
     w2 = coef * signal / denom ** 2
     cross = np.einsum("mk,mki->mi", w2, G) - w2 * gkk
     dP = -(own - cross) / m
-    return loss, dP
+    return rates, dP
 
 
 def _batch_features(net, batch):
@@ -483,8 +464,8 @@ def loss_value(net, batch, loss_spec, train=False, chunk=None):
         return 0.5 * float(np.sum((u - y) ** 2))
     if loss_spec == "negative-sum-rate":
         P, _ = _power_forward(net, batch, train)
-        loss, _ = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, P)
-        return loss
+        return -float(sum_rate_batch(batch.mags, batch.sigma2s,
+                                     batch.weights, P).mean())
     raise ValueError(f"unknown loss {loss_spec!r}")
 
 
@@ -544,11 +525,11 @@ def gradients(net, batch, loss_spec, train=False, chunk=None):
         return grads, 0.5 * float(np.sum(resid ** 2))
     if loss_spec == "negative-sum-rate":
         P, cache = _power_forward(net, batch, train)
-        per_rate = sum_rate_batch(batch.mags, batch.sigma2s, batch.weights, P)
-        _check_finite_per_sample(per_rate, "sum rate")
-        loss, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, P)
+        rates, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,
+                                       batch.weights, P)
+        _check_finite_per_sample(rates, "sum rate")
         grads = _power_backward(net, batch, cache, dP, train)
-        return grads, loss
+        return grads, -float(rates.mean())
     raise ValueError(f"unknown loss {loss_spec!r}")
 
 

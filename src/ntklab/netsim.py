@@ -2,10 +2,11 @@
 
 A K-user instance is a complex K x K channel matrix H where entry (k, i) is
 the channel from transmitter i to receiver k, together with rate weights w
-and noise powers sigma2.  The module provides instance generation, the SINR /
-weighted-sum-rate objective, permutation machinery, featurization for the
-flat (MLP) and graph (GNN) architectures, and synthetic polynomial labels for
-the supervised kernel experiments.
+and noise powers sigma2.  Only |H| enters the objective, so a batch of m
+instances is held as arrays: magnitudes (m, K, K), weights and noise powers
+(m, K).  The module provides instance generation, the batched SINR /
+weighted-sum-rate objective, and synthetic polynomial labels for the
+supervised kernel experiments.
 """
 
 from dataclasses import dataclass, field
@@ -15,141 +16,25 @@ import numpy as np
 from .rng import DOMAIN_INSTANCE, DOMAIN_NODES, stream
 
 __all__ = [
-    "NetworkInstance",
-    "PowerAllocation",
-    "Permutation",
-    "GraphSample",
-    "FlatSample",
     "Dataset",
     "generate_instances",
     "gaussian_node_dataset",
-    "sinr",
-    "weighted_sum_rate",
     "sum_rate_batch",
-    "apply_permutation",
-    "featurize",
     "synthetic_labels",
     "neighbor_indices",
 ]
 
 
-@dataclass(frozen=True)
-class NetworkInstance:
-    """One K-user interference channel.
-
-    H[k, i] is the complex gain from transmitter i to receiver k; the
-    diagonal holds the direct links.
-    """
-
-    K: int
-    H: np.ndarray
-    w: np.ndarray
-    sigma2: np.ndarray
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        H = np.asarray(self.H, dtype=complex)
-        w = np.asarray(self.w, dtype=float)
-        sigma2 = np.asarray(self.sigma2, dtype=float)
-        if H.shape != (self.K, self.K):
-            raise ValueError(f"H must be {self.K}x{self.K}, got {H.shape}")
-        if w.shape != (self.K,) or sigma2.shape != (self.K,):
-            raise ValueError("w and sigma2 must be K-vectors")
-        if not np.all(np.isfinite(H.view(float))):
-            raise ValueError("H contains non-finite entries")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if np.any(sigma2 <= 0) or not np.all(np.isfinite(sigma2)):
-            raise ValueError("noise powers must be positive and finite")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "sigma2", sigma2)
-
-    @property
-    def gains(self):
-        """|H|^2, the only channel statistic the objective depends on."""
-        return np.abs(self.H) ** 2
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Transmit powers, one per user, each in [0, 1]."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1:
-            raise ValueError("p must be a vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("p contains non-finite entries")
-        if np.any(p < 0) or np.any(p > 1):
-            raise ValueError("powers must lie in [0, 1]")
-        object.__setattr__(self, "p", p)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0, ..., K-1} stored as the image array pi."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=int)
-        if pi.ndim != 1:
-            raise ValueError("pi must be a vector")
-        if sorted(pi.tolist()) != list(range(len(pi))):
-            raise ValueError("pi is not a bijection on [K]")
-        object.__setattr__(self, "pi", pi)
-
-    def inverse(self):
-        return Permutation(np.argsort(self.pi))
-
-
-@dataclass(frozen=True)
-class GraphSample:
-    """Graph featurization of an instance.
-
-    node_features[k] = (w_k, |h_kk|); edge_features[k, j] describes the
-    ordered pair (i, k) with i = neighbor_indices(K)[k, j]: the vector
-    (|h_{i,k}|, |h_{k,i}|).  The graph is fully connected, so there are
-    K*(K-1) ordered pairs.
-    """
-
-    K: int
-    node_features: np.ndarray
-    edge_features: np.ndarray
-
-    def __post_init__(self):
-        if self.node_features.shape != (self.K, 2):
-            raise ValueError("node_features must be (K, 2)")
-        if self.edge_features.shape != (self.K, self.K - 1, 2):
-            raise ValueError("edge_features must be (K, K-1, 2)")
-        for a in (self.node_features, self.edge_features):
-            if not np.all(np.isfinite(a)) or np.any(a < 0):
-                raise ValueError("graph features must be nonnegative and finite")
-
-
-@dataclass(frozen=True)
-class FlatSample:
-    """Flat featurization: row-major |H| entries followed by the weights."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        if self.x.ndim != 1 or not np.all(np.isfinite(self.x)):
-            raise ValueError("x must be a finite vector")
-
-
 @dataclass
 class Dataset:
-    """A collection of samples plus the cached feature arrays both
-    architectures consume.
+    """A batch of samples as the feature arrays both architectures consume.
 
-    Two kinds exist: 'channel' datasets hold NetworkInstances (node features
-    are (w_k, |h_kk|), n = K); 'gaussian-nodes' datasets hold synthetic
-    i.i.d. standard-Gaussian node clouds for the kernel/bound experiments.
+    Two kinds exist: 'channel' datasets hold channel instances (node
+    features are (w_k, |h_kk|), n = K, plus the mags/weights/sigma2s arrays
+    of the objective); 'gaussian-nodes' datasets hold synthetic i.i.d.
+    standard-Gaussian node clouds for the kernel/bound experiments.
+    Channel arrays are checked on construction: shapes, finite nonnegative
+    magnitudes, nonnegative weights, positive finite noise powers.
     """
 
     kind: str
@@ -158,9 +43,8 @@ class Dataset:
     seed: int | None
     node_features: np.ndarray                  # (m, n, d_node)
     flat_features: np.ndarray                  # (m, flat_dim)
-    instances: list = field(default_factory=list, repr=False)
     labels: np.ndarray | None = None
-    # channel-only caches used by the vectorized trainers
+    # channel-only arrays of the sum-rate objective
     mags: np.ndarray | None = field(default=None, repr=False)      # (m, K, K)
     weights: np.ndarray | None = field(default=None, repr=False)   # (m, K)
     sigma2s: np.ndarray | None = field(default=None, repr=False)   # (m, K)
@@ -168,10 +52,19 @@ class Dataset:
     def __post_init__(self):
         if self.labels is not None and len(self.labels) != self.m:
             raise ValueError("label count must equal sample count")
-
-    @property
-    def K(self):
-        return self.n
+        if self.mags is None:
+            return
+        m, K = self.m, self.n
+        if (np.shape(self.mags), np.shape(self.weights),
+                np.shape(self.sigma2s)) != ((m, K, K), (m, K), (m, K)):
+            raise ValueError("channel arrays must be mags (m, K, K) and "
+                             "weights, sigma2s (m, K)")
+        if not np.all(np.isfinite(self.mags)) or np.any(self.mags < 0):
+            raise ValueError("channel magnitudes must be nonnegative and finite")
+        if np.any(self.weights < 0):
+            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(self.sigma2s)) or np.any(self.sigma2s <= 0):
+            raise ValueError("noise powers must be positive and finite")
 
     def subset(self, idx):
         """A new Dataset restricted to the given sample indices."""
@@ -183,7 +76,6 @@ class Dataset:
             seed=self.seed,
             node_features=self.node_features[idx],
             flat_features=self.flat_features[idx],
-            instances=[self.instances[i] for i in idx] if self.instances else [],
             labels=None if self.labels is None else self.labels[idx],
             mags=None if self.mags is None else self.mags[idx],
             weights=None if self.weights is None else self.weights[idx],
@@ -198,16 +90,9 @@ def neighbor_indices(K):
         if K > 1 else np.zeros((1, 0), dtype=int)
 
 
-def _instance_from_stream(K, rng):
-    # Rayleigh fading: h ~ CN(0, 1); unit weights and unit noise power.
-    re = rng.standard_normal((K, K))
-    im = rng.standard_normal((K, K))
-    H = (re + 1j * im) / np.sqrt(2.0)
-    return NetworkInstance(K=K, H=H, w=np.ones(K), sigma2=np.ones(K))
-
-
 def generate_instances(K, m, seed):
-    """m i.i.d. Rayleigh-fading K-user instances.
+    """m i.i.d. Rayleigh-fading K-user instances (h ~ CN(0, 1)) with unit
+    weights and unit noise power.
 
     Deterministic in (K, m, seed); sample i is drawn from its own counter
     stream, so the first m samples coincide for any m' >= m (prefix
@@ -217,12 +102,14 @@ def generate_instances(K, m, seed):
         raise ValueError(f"K must be >= 1, got {K}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    instances = [
-        _instance_from_stream(K, stream(seed, DOMAIN_INSTANCE, K, i)) for i in range(m)
-    ]
-    mags = np.stack([np.abs(inst.H) for inst in instances])
-    weights = np.stack([inst.w for inst in instances])
-    sigma2s = np.stack([inst.sigma2 for inst in instances])
+    mags = np.empty((m, K, K))
+    for i in range(m):
+        rng = stream(seed, DOMAIN_INSTANCE, K, i)
+        re = rng.standard_normal((K, K))
+        im = rng.standard_normal((K, K))
+        mags[i] = np.abs((re + 1j * im) / np.sqrt(2.0))
+    weights = np.ones((m, K))
+    sigma2s = np.ones((m, K))
     node = np.stack([weights, np.einsum("mkk->mk", mags)], axis=-1)
     flat = np.concatenate([mags.reshape(m, K * K), weights], axis=1)
     return Dataset(
@@ -232,7 +119,6 @@ def generate_instances(K, m, seed):
         seed=seed,
         node_features=node,
         flat_features=flat,
-        instances=instances,
         mags=mags,
         weights=weights,
         sigma2s=sigma2s,
@@ -261,69 +147,21 @@ def gaussian_node_dataset(n, m, d, seed):
     )
 
 
-def sinr(inst, p):
-    """Per-receiver SINR: |h_kk|^2 p_k / (sum_{i != k} |h_ki|^2 p_i + sigma2_k)."""
-    pv = p.p if isinstance(p, PowerAllocation) else np.asarray(p, dtype=float)
-    if pv.shape != (inst.K,):
-        raise ValueError(f"power vector must have length {inst.K}, got {pv.shape}")
-    G = inst.gains
-    signal = np.diag(G) * pv
-    interference = G @ pv - signal
-    return signal / (interference + inst.sigma2)
-
-
-def weighted_sum_rate(inst, p):
-    """The objective: sum_k w_k log2(1 + SINR_k), in bits/s/Hz."""
-    return float(np.dot(inst.w, np.log2(1.0 + sinr(inst, p))))
+def _sinr_terms(mags, sigma2s, P):
+    """The SINR of receiver k, signal / denom, for a batch: gains
+    G = |H|^2 (m,K,K), signal |h_kk|^2 p_k and denom
+    sum_{i != k} |h_ki|^2 p_i + sigma2_k, both (m,K)."""
+    G = mags ** 2
+    signal = np.einsum("mkk,mk->mk", G, P)
+    denom = np.einsum("mki,mi->mk", G, P) - signal + sigma2s
+    return G, signal, denom
 
 
 def sum_rate_batch(mags, sigma2s, weights, P):
-    """Weighted sum rate for a batch: mags (m,K,K), P (m,K) -> (m,)."""
-    G = mags ** 2
-    signal = np.einsum("mkk,mk->mk", G, P)
-    interference = np.einsum("mki,mi->mk", G, P) - signal
-    rates = np.log2(1.0 + signal / (interference + sigma2s))
-    return np.einsum("mk,mk->m", weights, rates)
-
-
-def apply_permutation(inst, p, perm):
-    """Relabel users by pi: every primed quantity carries the old index k at
-    position pi(k), i.e. H'[pi(k), pi(i)] = H[k, i], w'[pi(k)] = w[k], and so
-    on.  Under this convention sinr(inst', p')[pi(k)] = sinr(inst, p)[k].
-    """
-    pi = perm.pi if isinstance(perm, Permutation) else Permutation(np.asarray(perm)).pi
-    if len(pi) != inst.K:
-        raise ValueError("permutation length does not match K")
-    Hp = np.empty_like(inst.H)
-    Hp[np.ix_(pi, pi)] = inst.H
-    wp = np.empty_like(inst.w)
-    wp[pi] = inst.w
-    s2p = np.empty_like(inst.sigma2)
-    s2p[pi] = inst.sigma2
-    pv = p.p if isinstance(p, PowerAllocation) else np.asarray(p, dtype=float)
-    pp = np.empty_like(pv)
-    pp[pi] = pv
-    return NetworkInstance(inst.K, Hp, wp, s2p), PowerAllocation(pp)
-
-
-def featurize(inst):
-    """(FlatSample, GraphSample) for one instance.
-
-    Only channel magnitudes enter either featurization — the objective
-    depends on |h| alone.
-    """
-    K = inst.K
-    A = np.abs(inst.H)
-    flat = FlatSample(np.concatenate([A.reshape(-1), inst.w]))
-    node = np.stack([inst.w, np.diag(A)], axis=-1)
-    nbr = neighbor_indices(K)
-    if K > 1:
-        h_ik = A[nbr, np.arange(K)[:, None]]   # |h_{i,k}| = |A[i, k]|
-        h_ki = A[np.arange(K)[:, None], nbr]   # |h_{k,i}| = |A[k, i]|
-        edge = np.stack([h_ik, h_ki], axis=-1)
-    else:
-        edge = np.zeros((1, 0, 2))
-    return flat, GraphSample(K=K, node_features=node, edge_features=edge)
+    """Weighted sum rate sum_k w_k log2(1 + SINR_k) in bits/s/Hz for a
+    batch: mags (m,K,K), P (m,K) -> (m,)."""
+    _, signal, denom = _sinr_terms(mags, sigma2s, P)
+    return np.einsum("mk,mk->m", weights, np.log2(1.0 + signal / denom))
 
 
 def synthetic_labels(ds, beta, p_degree):

@@ -6,7 +6,7 @@ generalization bound formulas, and the conditioning landscape comparing the
 flat and permutation-invariant architectures.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .netsim import gaussian_node_dataset
 
 __all__ = [
     "SpectralReport",
-    "BoundReport",
     "DynamicsResult",
     "LandscapeTable",
     "eig_sym",
@@ -56,18 +55,6 @@ class SpectralReport:
     condition_number: float
     trace: float
     alignment: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated bound curves plus the inputs that produced them."""
-
-    times: np.ndarray
-    thm2_bound: np.ndarray | None
-    thm3_gnn: np.ndarray | None
-    thm3_mlp: np.ndarray | None
-    thm4_value: float | None
-    inputs: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ losses and gradient norms are full-dataset quantities in evaluation mode, so
 a trace is a deterministic function of (net init, datasets, config).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import atomic_write, csv_text
 from .errors import DivergenceError
 from .netsim import sum_rate_batch
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, loss_value,
@@ -80,7 +81,6 @@ class TrainTrace:
     rows: list
     config: TrainConfig
     n_params: int
-    final_metrics: dict = field(default_factory=dict)
 
     @property
     def final_train_loss(self):
@@ -270,20 +270,21 @@ def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None,
 # ---------------------------------------------------------------------------
 # trace CSV
 
+_TRACE_HEADER = "epoch,train_loss,test_loss,grad_norm"
+
+
 def write_trace_csv(trace, path):
+    """A TrainTrace or a list of TraceRows as a CSV, one line per row."""
     rows = trace.rows if hasattr(trace, "rows") else trace
-    with open(path, "w") as fh:
-        fh.write("epoch,train_loss,test_loss,grad_norm\n")
-        for r in rows:
-            fh.write(f"{r.epoch},{r.train_loss:.17g},{r.test_loss:.17g},"
-                     f"{r.grad_norm:.17g}\n")
+    atomic_write(path, csv_text(_TRACE_HEADER, [
+        (r.epoch, r.train_loss, r.test_loss, r.grad_norm) for r in rows]))
 
 
 def read_trace_csv(path):
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "epoch,train_loss,test_loss,grad_norm":
+        if header != _TRACE_HEADER:
             raise ValueError(f"unrecognized trace header: {header!r}")
         for line in fh:
             e, tr, te, gn = line.strip().split(",")
@@ -295,10 +296,10 @@ def read_trace_csv(path):
 # checkpoints: sectioned text, one line per tensor (name, shape, 17-digit
 # values)
 
-def _write_tensor_line(fh, name, arr):
+def _tensor_line(name, arr):
     shape = "x".join(str(s) for s in arr.shape) if arr.ndim else "scalar"
     values = " ".join(f"{v:.17g}" for v in np.asarray(arr, dtype=float).reshape(-1))
-    fh.write(f"{name} {shape} {values}\n")
+    return f"{name} {shape} {values}"
 
 
 def _read_tensor_line(line):
@@ -311,29 +312,24 @@ def _read_tensor_line(line):
 
 
 def save_checkpoint(net, path):
-    with open(path, "w") as fh:
-        fh.write("[architecture]\n")
-        fh.write(f"kind = {net.kind}\n")
-        if isinstance(net, TwoLayerNet):
-            fh.write(f"activation = {net.activation}\n")
-            fh.write(f"width = {net.width}\n")
-            fh.write(f"input_dim = {net.d}\n")
-        elif isinstance(net, WcgcnNet):
-            fh.write(f"hidden = {net.hidden}\n")
-            fh.write(f"layers = {net.layers}\n")
-        elif isinstance(net, PowerMlp):
-            fh.write(f"dims = {','.join(str(d) for d in net.dims)}\n")
-        else:
-            raise ValueError(f"cannot checkpoint {type(net).__name__}")
-        fh.write("[parameters]\n")
-        for name in sorted(net.params):
-            _write_tensor_line(fh, name, net.params[name])
-        fh.write("[state]\n")
-        if isinstance(net, TwoLayerNet):
-            _write_tensor_line(fh, "a", net.a)
-        else:
-            for name in sorted(net.state):
-                _write_tensor_line(fh, name, net.state[name])
+    lines = ["[architecture]", f"kind = {net.kind}"]
+    if isinstance(net, TwoLayerNet):
+        lines += [f"activation = {net.activation}", f"width = {net.width}",
+                  f"input_dim = {net.d}"]
+    elif isinstance(net, WcgcnNet):
+        lines += [f"hidden = {net.hidden}", f"layers = {net.layers}"]
+    elif isinstance(net, PowerMlp):
+        lines.append(f"dims = {','.join(str(d) for d in net.dims)}")
+    else:
+        raise ValueError(f"cannot checkpoint {type(net).__name__}")
+    lines.append("[parameters]")
+    lines += [_tensor_line(name, net.params[name]) for name in sorted(net.params)]
+    lines.append("[state]")
+    if isinstance(net, TwoLayerNet):
+        lines.append(_tensor_line("a", net.a))
+    else:
+        lines += [_tensor_line(name, net.state[name]) for name in sorted(net.state)]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path):

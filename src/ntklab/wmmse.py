@@ -8,46 +8,18 @@ against.
 
 import numpy as np
 
-from .netsim import PowerAllocation, sum_rate_batch, weighted_sum_rate
-
-__all__ = ["wmmse", "wmmse_batch"]
-
-
-def wmmse(inst, max_iters=100, tol=1e-6):
-    """Run WMMSE on one instance.
-
-    Returns (PowerAllocation, trace) where trace[j] is the objective after
-    iteration j (trace[0] is the starting full-power objective).  The trace
-    is monotone non-decreasing up to floating-point slack; iteration stops
-    when the relative objective change drops below tol.
-    """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    A = np.abs(inst.H)
-    G = A ** 2
-    diag = np.diag(A)
-    alpha = inst.w
-    b = np.ones(inst.K)
-    trace = [weighted_sum_rate(inst, PowerAllocation(b ** 2))]
-    for _ in range(max_iters):
-        f = diag * b / (G @ (b ** 2) + inst.sigma2)
-        v = 1.0 / (1.0 - f * diag * b)
-        num = alpha * v * f * diag
-        den = (alpha * v * f ** 2) @ G
-        b = np.clip(num / den, 0.0, 1.0)
-        trace.append(weighted_sum_rate(inst, PowerAllocation(b ** 2)))
-        if abs(trace[-1] - trace[-2]) <= tol * max(abs(trace[-2]), 1e-30):
-            break
-    return PowerAllocation(b ** 2), np.asarray(trace)
+__all__ = ["wmmse_batch"]
 
 
 def wmmse_batch(mags, sigma2s, weights, max_iters=100):
-    """Vectorized WMMSE over a batch (fixed iteration count).
+    """Vectorized WMMSE over a batch (fixed iteration count, starting from
+    full power).  The objective is monotone non-decreasing in the iteration
+    count up to floating-point slack.
 
     mags (m,K,K), sigma2s (m,K), weights (m,K) -> powers (m,K).
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     G = mags ** 2
     diag = np.einsum("mkk->mk", mags)
     b = np.ones_like(diag)
@@ -58,10 +30,3 @@ def wmmse_batch(mags, sigma2s, weights, max_iters=100):
         den = np.einsum("mk,mki->mi", weights * v * f ** 2, G)
         b = np.clip(num / den, 0.0, 1.0)
     return b ** 2
-
-
-def wmmse_rates(ds, max_iters=100):
-    """Mean WMMSE objective and per-sample rates on a channel dataset."""
-    P = wmmse_batch(ds.mags, ds.sigma2s, ds.weights, max_iters=max_iters)
-    rates = sum_rate_batch(ds.mags, ds.sigma2s, ds.weights, P)
-    return rates, P

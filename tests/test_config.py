@@ -1,5 +1,8 @@
 """Config parsing, defaults merging, and typed getters."""
 
+import glob
+import os
+
 import pytest
 
 from ntklab.config import (
@@ -92,7 +95,7 @@ def test_validation_of_run_knobs():
 
 
 def test_typed_getters():
-    cfg = ExperimentConfig.build(
+    cfg = ExperimentConfig(
         "fig1", {"fig1": {"a": "3", "b": "2.5", "c": "1, 2,3", "d": "2e3"}})
     assert cfg.get_int("a") == 3
     assert cfg.get_float("b") == 2.5
@@ -104,7 +107,7 @@ def test_typed_getters():
 
 
 def test_get_batch():
-    cfg = ExperimentConfig.build(
+    cfg = ExperimentConfig(
         "fig3", {"fig3": {"b1": "full", "b2": "none", "b3": "500"}})
     assert cfg.get_batch("b1") is None
     assert cfg.get_batch("b2") is None
@@ -113,8 +116,8 @@ def test_get_batch():
 
 
 def test_cross_section_lookup():
-    cfg = ExperimentConfig.build("fig1", {"other": {"k": "11"}})
-    assert cfg.get_int("k", section="other") == 11
+    cfg = ExperimentConfig.build("fig1", {"fig3": {"k": "11"}})
+    assert cfg.get_int("k", section="fig3") == 11
 
 
 def test_scaled_sample_counts():
@@ -126,9 +129,42 @@ def test_scaled_sample_counts():
 
 
 def test_echo_lines_flatten_everything():
-    cfg = ExperimentConfig.build("fig1", {"fig1": {"zz_probe": "42"}})
+    cfg = ExperimentConfig.build("fig1", {"fig1": {"epochs": "42"}})
     lines = cfg.echo_lines()
     assert "experiment = fig1" in lines
-    assert "fig1.zz_probe = 42" in lines
+    assert "fig1.epochs = 42" in lines
     n_keys = sum(len(kv) for kv in cfg.sections.values())
     assert len(lines) == 4 + n_keys
+
+
+def test_build_rejects_keys_missing_from_defaults():
+    with pytest.raises(ValueError, match="m_trian"):
+        ExperimentConfig.build("fig1", {"fig1": {"m_trian": "500"}})
+    with pytest.raises(ValueError, match="fgi1"):
+        ExperimentConfig.build("fig1", {"fgi1": {"k_list": "5"}})
+    with pytest.raises(ValueError, match="seeed"):
+        ExperimentConfig.build("fig2", {"common": {"seeed": "1"}})
+
+
+def test_integer_getters_reject_non_integral_values():
+    cfg = ExperimentConfig.build(
+        "fig1", {"fig1": {"epochs": "2.9", "k_list": "5, 2.5",
+                          "m_train": "5O"}})
+    for key, getter in (("epochs", cfg.get_int), ("k_list", cfg.get_int_list),
+                        ("m_train", cfg.get_int)):
+        with pytest.raises(ValueError, match=key):
+            getter(key)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig.build("fig2", {"common": {"seed": "1.5"}})
+
+
+def test_benchmark_workload_configs_load():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "bench", "workloads", "*.cfg")))
+    assert len(paths) == 2
+    for path in paths:
+        user = load_config(path)
+        for experiment, overrides in user.items():
+            cfg = ExperimentConfig.build(experiment, user)
+            for key, value in overrides.items():
+                assert cfg.get_str(key) == value

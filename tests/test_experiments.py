@@ -11,10 +11,9 @@ import os
 import numpy as np
 import pytest
 
+from ntklab.artifacts import RunFiles, atomic_write, csv_text
 from ntklab.config import ExperimentConfig
 from ntklab.experiments import (
-    _atomic_write,
-    _csv_text,
     _matched_mlp_hidden,
     _power_mlp_count,
     run_bounds,
@@ -42,21 +41,21 @@ def load_csv(path):
 
 
 def test_csv_text_formatting():
-    text = _csv_text("a,b", [(1, 0.5), (None, "x")], comments=["note"])
+    text = csv_text("a,b", [(1, 0.5), (None, "x")], comments=["note"])
     assert text == "# note\na,b\n1,0.5\n,x\n"
 
 
 def test_csv_text_float_precision():
     v = 1 / 3
-    text = _csv_text("x", [(v,)])
+    text = csv_text("x", [(v,)])
     assert float(text.splitlines()[1]) == v     # 17 digits round-trip
 
 
 def test_atomic_write_creates_directories(tmp_path):
     target = tmp_path / "deep" / "nest" / "file.txt"
-    _atomic_write(str(target), "one")
+    atomic_write(str(target), "one")
     assert target.read_text() == "one"
-    _atomic_write(str(target), "two")           # and replaces in place
+    atomic_write(str(target), "two")           # and replaces in place
     assert target.read_text() == "two"
     assert os.listdir(target.parent) == ["file.txt"]   # no temp droppings
 
@@ -73,9 +72,11 @@ def test_matched_mlp_hidden_is_nearest():
 
 def test_manifest_covers_and_hashes_every_file(tmp_path):
     out = tmp_path / "run"
-    _atomic_write(str(out / "a.csv"), "x,y\n1,2\n")
-    _atomic_write(str(out / "sub" / "b.txt"), "hello\n")
-    write_manifest(str(out), ["probe = 1"], t0=0.0)
+    files = RunFiles(str(out))
+    files.write("a.csv", "x,y\n1,2\n")
+    files.write(os.path.join("sub", "b.txt"), b"hello\n")
+    atomic_write(str(out / "stale.csv"), "not written by this run\n")
+    write_manifest(files, ["probe = 1"], t0=0.0)
     lines = (out / "manifest.txt").read_text().splitlines()
     assert any(l == "# probe = 1" for l in lines)
     entries = dict(l.split("\t") for l in lines if not l.startswith("#"))
@@ -86,7 +87,15 @@ def test_manifest_covers_and_hashes_every_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fig2 (cheapest full pipeline): determinism
+# fig2 (cheapest full pipeline): determinism, manifest scope
+
+
+def test_manifest_lists_only_the_files_the_run_wrote(tmp_path):
+    (tmp_path / "trace_gnn_m999.csv").write_text("stale\n")
+    run_experiment(build("fig2", {"n_list": "1, 2", "samples": "12"}, tmp_path))
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    entries = {l.split("\t")[0] for l in lines if not l.startswith("#")}
+    assert entries == {"landscape.csv", "fig2_summary.csv", "fig2_plot.py"}
 
 
 def test_fig2_is_deterministic(tmp_path):

@@ -295,3 +295,17 @@ def test_csv_rejects_size_mismatch(tmp_path):
     path.write_text("3\n1,0\n0,1\n")
     with pytest.raises(ValueError):
         load_kernel_csv(path)
+
+
+def test_ntk1_rejects_wrong_file_length(tmp_path):
+    K = analytic_ntk_mlp(_flat(3, 2, 20))
+    path = tmp_path / "k.ntk1"
+    save_kernel_ntk1(K, path)
+    good = path.read_bytes()
+    assert len(good) == 12 + 8 * 3 * 3
+    for bad in (good + b"\x00" * 16, good[:-8], good[:10]):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=str(len(bad))) as err:
+            load_kernel_ntk1(path)
+        if len(bad) >= 12:
+            assert str(len(good)) in str(err.value)

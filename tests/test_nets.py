@@ -11,14 +11,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ntklab import NumericFailureError
 from ntklab.nets import (
     PowerMlp,
     TwoLayerNet,
     WcgcnNet,
-    forward_mlp,
-    forward_wcgcn,
     gradients,
     init_net,
     loss_value,
@@ -27,8 +26,6 @@ from ntklab.nets import (
     sum_rate_loss_grad,
 )
 from ntklab.netsim import (
-    apply_permutation,
-    Permutation,
     gaussian_node_dataset,
     generate_instances,
     sum_rate_batch,
@@ -81,20 +78,20 @@ class TestTwoLayerNet:
     def test_forward_hand_computed(self):
         net = TwoLayerNet(W=np.eye(2), a=np.array([1.0, -1.0]))
         # f(x) = (relu(x0) - relu(x1)) / sqrt(2)
-        assert forward_mlp(net, [2.0, 3.0]) == pytest.approx(-1.0 / np.sqrt(2))
-        assert forward_mlp(net, [-1.0, 4.0]) == pytest.approx(-4.0 / np.sqrt(2))
+        np.testing.assert_allclose(net.forward([[2.0, 3.0], [-1.0, 4.0]]),
+                                   [-1.0 / np.sqrt(2), -4.0 / np.sqrt(2)])
 
     def test_quadratic_forward(self):
         net = TwoLayerNet(W=np.array([[2.0, 0.0]]), a=np.array([1.0]),
                           activation="quadratic")
-        assert forward_mlp(net, [3.0, 5.0]) == pytest.approx(36.0)
+        assert net.forward([3.0, 5.0]) == pytest.approx([36.0])
 
     def test_node_set_forward_is_sum_of_nodes(self):
         rng = np.random.default_rng(0)
         net = TwoLayerNet(rng.standard_normal((16, 3)),
                           np.where(rng.random(16) < 0.5, -1.0, 1.0))
         X = rng.standard_normal((5, 4, 3))
-        per_node = np.array([[forward_mlp(net, X[i, j]) for j in range(4)]
+        per_node = np.array([[net.forward(X[i, j])[0] for j in range(4)]
                              for i in range(5)])
         np.testing.assert_allclose(net.forward(X), per_node.sum(axis=1),
                                    rtol=1e-12)
@@ -174,22 +171,30 @@ class TestWcgcn:
         P, _ = net.forward_batch(batch.mags, batch.weights)
         assert np.all(P > 0) and np.all(P < 1)
 
-    def test_permutation_equivariance(self):
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 10_000))
+    def test_permutation_equivariance(self, K, seed):
+        """Relabeling users by pi (old user pi[j] at slot j, so the channel
+        magnitudes become mags[:, pi][:, :, pi]) relabels the powers."""
         net = WcgcnNet.create(hidden=8, layers=2, seed=2)
-        batch = channel_batch(6, 3, seed=4)
-        perm = Permutation(np.array([3, 0, 5, 1, 4, 2]))
-        for inst in batch.instances:
-            p_base = forward_wcgcn(net, inst).p
-            inst_perm, _ = apply_permutation(inst, np.zeros(6), perm)
-            p_perm = forward_wcgcn(net, inst_perm).p
-            # relabeling convention: user k's power moves to slot pi(k)
-            np.testing.assert_allclose(p_perm[perm.pi], p_base, rtol=1e-10)
+        batch = channel_batch(K, 3, seed=seed)
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.5, 2.0, (3, K))
+        pi = rng.permutation(K)
+        P, _ = net.forward_batch(batch.mags, weights)
+        P_perm, _ = net.forward_batch(batch.mags[:, pi][:, :, pi], weights[:, pi])
+        np.testing.assert_allclose(P_perm, P[:, pi], rtol=1e-10)
 
     def test_forward_wcgcn_returns_allocation(self):
+        """A single instance (m = 1) gets a K-vector of powers in (0, 1):
+        in evaluation mode samples do not interact, so it is that sample's
+        row of any batch it sits in."""
         net = WcgcnNet.create(hidden=4, layers=2, seed=3)
-        inst = channel_batch(4, 1).instances[0]
-        alloc = forward_wcgcn(net, inst)
-        assert alloc.p.shape == (4,)
+        batch = channel_batch(4, 5)
+        P, _ = net.forward_batch(batch.mags, batch.weights)
+        p, _ = net.forward_batch(batch.mags[2:3], batch.weights[2:3])
+        assert p.shape == (1, 4) and np.all((p > 0) & (p < 1))
+        np.testing.assert_allclose(p[0], P[2], rtol=1e-12)
 
     def test_gradients_eval_mode(self):
         net = WcgcnNet.create(hidden=5, layers=2, seed=5)
@@ -295,23 +300,34 @@ class TestLosses:
     def test_sum_rate_loss_matches_batch_rates(self):
         batch = channel_batch(5, 7, seed=0)
         P = np.random.default_rng(1).random((7, 5))
-        loss, _ = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, P)
+        got, _ = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, P)
         rates = sum_rate_batch(batch.mags, batch.sigma2s, batch.weights, P)
-        assert loss == pytest.approx(-rates.mean(), rel=1e-12)
+        np.testing.assert_allclose(got, rates, rtol=1e-12)
+        net = WcgcnNet.create(hidden=4, layers=2, seed=0)
+        P, _ = net.forward_batch(batch.mags, batch.weights)
+        rates = sum_rate_batch(batch.mags, batch.sigma2s, batch.weights, P)
+        assert loss_value(net, batch, "negative-sum-rate") == -rates.mean()
+        _, loss = gradients(net, batch, "negative-sum-rate")
+        assert loss == -rates.mean()
 
     def test_sum_rate_grad_finite_difference(self):
         batch = channel_batch(3, 4, seed=2)
         rng = np.random.default_rng(3)
         P = 0.2 + 0.6 * rng.random((4, 3))
         _, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, P)
+
+        def loss(P):       # the mean negative sum rate dP differentiates
+            rates, _ = sum_rate_loss_grad(batch.mags, batch.sigma2s,
+                                          batch.weights, P)
+            return -rates.mean()
+
         h = 1e-7
         for i, k in [(0, 0), (2, 1), (3, 2)]:
             Pp, Pm = P.copy(), P.copy()
             Pp[i, k] += h
             Pm[i, k] -= h
-            lp, _ = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, Pp)
-            lm, _ = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, Pm)
-            assert dP[i, k] == pytest.approx((lp - lm) / (2 * h), rel=1e-5)
+            assert dP[i, k] == pytest.approx((loss(Pp) - loss(Pm)) / (2 * h),
+                                             rel=1e-5)
 
     def test_squared_loss_two_layer(self):
         ds = gaussian_node_dataset(1, 6, 3, seed=4)

@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntklab.netsim import (Dataset, NetworkInstance, Permutation,
-                           PowerAllocation, apply_permutation, featurize,
-                           gaussian_node_dataset, generate_instances,
-                           neighbor_indices, sinr, sum_rate_batch,
-                           synthetic_labels, weighted_sum_rate)
+from ntklab.netsim import (Dataset, _sinr_terms, gaussian_node_dataset,
+                           generate_instances, neighbor_indices,
+                           sum_rate_batch, synthetic_labels)
+from ntklab.nets import WcgcnNet
 
 
-def _instance(K, seed):
-    return generate_instances(K, 1, seed).instances[0]
+def _sinr(mags, sigma2s, P):
+    _, signal, denom = _sinr_terms(mags, sigma2s, P)
+    return signal / denom
 
 
-def _rand_powers(K, rng):
-    return PowerAllocation(rng.uniform(0.0, 1.0, K))
+def _channel(ds, **arrays):
+    """The channel dataset ``ds`` with some of its arrays replaced."""
+    fields = dict(mags=ds.mags, weights=ds.weights, sigma2s=ds.sigma2s)
+    fields.update(arrays)
+    return Dataset(kind=ds.kind, m=ds.m, n=ds.n, seed=ds.seed,
+                   node_features=ds.node_features,
+                   flat_features=ds.flat_features, **fields)
 
 
 # ---------------------------------------------------------------- validation
@@ -22,30 +27,23 @@ def _rand_powers(K, rng):
 
 class TestValidation:
     def test_rejects_bad_H_shape(self):
+        ds = generate_instances(2, 3, seed=0)
         with pytest.raises(ValueError):
-            NetworkInstance(K=2, H=np.ones((2, 3)), w=np.ones(2),
-                            sigma2=np.ones(2))
+            _channel(ds, mags=np.ones((3, 2, 3)))
+        with pytest.raises(ValueError):
+            _channel(ds, sigma2s=np.ones((3, 3)))
 
     def test_rejects_nonfinite_H(self):
-        H = np.ones((2, 2), dtype=complex)
-        H[0, 1] = np.nan
+        ds = generate_instances(2, 3, seed=0)
+        mags = ds.mags.copy()
+        mags[1, 0, 1] = np.nan
         with pytest.raises(ValueError):
-            NetworkInstance(K=2, H=H, w=np.ones(2), sigma2=np.ones(2))
+            _channel(ds, mags=mags)
 
     def test_rejects_zero_noise(self):
+        ds = generate_instances(2, 3, seed=0)
         with pytest.raises(ValueError):
-            NetworkInstance(K=2, H=np.ones((2, 2)), w=np.ones(2),
-                            sigma2=np.zeros(2))
-
-    def test_rejects_power_outside_box(self):
-        with pytest.raises(ValueError):
-            PowerAllocation(np.array([0.5, 1.5]))
-        with pytest.raises(ValueError):
-            PowerAllocation(np.array([-0.1, 0.5]))
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation(np.array([0, 0, 2]))
+            _channel(ds, sigma2s=np.zeros((3, 2)))
 
     def test_generate_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -60,86 +58,79 @@ class TestValidation:
 def test_sinr_matches_hand_computation():
     # 2-user channel small enough to do on paper:
     # gains [[4,1],[0.25,9]], p = (1, 0.5), unit noise.
-    H = np.array([[2.0, 1.0], [0.5, 3.0]], dtype=complex)
-    inst = NetworkInstance(K=2, H=H, w=np.array([1.0, 2.0]),
-                           sigma2=np.ones(2))
-    p = np.array([1.0, 0.5])
-    s = sinr(inst, p)
-    np.testing.assert_allclose(s, [4.0 / 1.5, 4.5 / 1.25])
+    mags = np.array([[[2.0, 1.0], [0.5, 3.0]]])
+    P = np.array([[1.0, 0.5]])
+    np.testing.assert_allclose(_sinr(mags, np.ones((1, 2)), P),
+                               [[4.0 / 1.5, 4.5 / 1.25]])
     expected = 1.0 * np.log2(1 + 4.0 / 1.5) + 2.0 * np.log2(1 + 4.5 / 1.25)
-    assert weighted_sum_rate(inst, p) == pytest.approx(expected, rel=1e-12)
+    rate = sum_rate_batch(mags, np.ones((1, 2)), np.array([[1.0, 2.0]]), P)
+    assert rate[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_sum_rate_batch_matches_scalar_loop():
+    """Oracle: the objective written out receiver by receiver."""
     ds = generate_instances(4, 12, seed=3)
     rng = np.random.default_rng(0)
     P = rng.uniform(0, 1, (12, 4))
     batch = sum_rate_batch(ds.mags, ds.sigma2s, ds.weights, P)
-    scalar = [weighted_sum_rate(inst, P[i])
-              for i, inst in enumerate(ds.instances)]
-    np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+    for i in range(12):
+        G = ds.mags[i] ** 2
+        total = 0.0
+        for k in range(4):
+            interference = sum(G[k, j] * P[i, j] for j in range(4) if j != k)
+            s = G[k, k] * P[i, k] / (interference + ds.sigma2s[i, k])
+            total += ds.weights[i, k] * np.log2(1 + s)
+        assert batch[i] == pytest.approx(total, rel=1e-12)
 
 
 def test_single_user_rate_is_point_to_point_capacity():
-    inst = _instance(1, seed=9)
-    g = inst.gains[0, 0]
-    assert weighted_sum_rate(inst, np.array([1.0])) == pytest.approx(
-        np.log2(1 + g / inst.sigma2[0]))
+    ds = generate_instances(1, 1, seed=9)
+    g = ds.mags[0, 0, 0] ** 2
+    rate = sum_rate_batch(ds.mags, ds.sigma2s, ds.weights, np.ones((1, 1)))
+    assert rate[0] == pytest.approx(np.log2(1 + g / ds.sigma2s[0, 0]))
 
 
 def test_rate_increases_when_interference_is_removed():
-    inst = _instance(6, seed=2)
-    full = weighted_sum_rate(inst, np.ones(6))
-    solo = weighted_sum_rate(inst, np.array([1.0] + [0.0] * 5))
-    k0 = inst.w[0] * np.log2(1 + inst.gains[0, 0] / inst.sigma2[0])
-    assert solo == pytest.approx(k0)
-    assert full > 0
+    ds = generate_instances(6, 1, seed=2)
+    full = sum_rate_batch(ds.mags, ds.sigma2s, ds.weights, np.ones((1, 6)))
+    solo = sum_rate_batch(ds.mags, ds.sigma2s, ds.weights,
+                          np.array([[1.0] + [0.0] * 5]))
+    k0 = ds.weights[0, 0] * np.log2(1 + ds.mags[0, 0, 0] ** 2 / ds.sigma2s[0, 0])
+    assert solo[0] == pytest.approx(k0)
+    assert full[0] > 0
 
 
 # --------------------------------------------------------------- permutations
+# Relabeling users by pi puts old user pi[j] at slot j: per-user arrays
+# become x[:, pi] and the channel magnitudes mags[:, pi][:, :, pi].
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 10_000))
-def test_sum_rate_is_permutation_invariant(K, seed):
+@given(st.integers(2, 8), st.integers(1, 4), st.integers(0, 10_000))
+def test_sum_rate_is_permutation_invariant(K, m, seed):
     """Relabeling users leaves the objective untouched."""
     rng = np.random.default_rng(seed)
-    inst = _instance(K, seed)
-    p = _rand_powers(K, rng)
-    perm = Permutation(rng.permutation(K))
-    inst2, p2 = apply_permutation(inst, p, perm)
-    assert weighted_sum_rate(inst2, p2) == pytest.approx(
-        weighted_sum_rate(inst, p), abs=1e-12)
+    ds = generate_instances(K, m, seed)
+    w = rng.uniform(0.5, 2.0, (m, K))
+    P = rng.uniform(0.0, 1.0, (m, K))
+    pi = rng.permutation(K)
+    permuted = sum_rate_batch(ds.mags[:, pi][:, :, pi], ds.sigma2s[:, pi],
+                              w[:, pi], P[:, pi])
+    np.testing.assert_allclose(
+        permuted, sum_rate_batch(ds.mags, ds.sigma2s, w, P), rtol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 10_000))
-def test_sinr_is_permutation_equivariant(K, seed):
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 10_000))
+def test_sinr_is_permutation_equivariant(K, m, seed):
     rng = np.random.default_rng(seed)
-    inst = _instance(K, seed)
-    p = _rand_powers(K, rng)
+    ds = generate_instances(K, m, seed)
+    s2 = rng.uniform(0.5, 2.0, (m, K))
+    P = rng.uniform(0.0, 1.0, (m, K))
     pi = rng.permutation(K)
-    inst2, p2 = apply_permutation(inst, p, Permutation(pi))
-    np.testing.assert_allclose(sinr(inst2, p2)[pi], sinr(inst, p),
+    permuted = _sinr(ds.mags[:, pi][:, :, pi], s2[:, pi], P[:, pi])
+    np.testing.assert_allclose(permuted, _sinr(ds.mags, s2, P)[:, pi],
                                rtol=1e-12, atol=1e-15)
-
-
-def test_apply_permutation_round_trip():
-    rng = np.random.default_rng(4)
-    inst = _instance(5, seed=4)
-    p = _rand_powers(5, rng)
-    perm = Permutation(rng.permutation(5))
-    inst2, p2 = apply_permutation(inst, p, perm)
-    inst3, p3 = apply_permutation(inst2, p2, perm.inverse())
-    np.testing.assert_allclose(inst3.H, inst.H)
-    np.testing.assert_allclose(p3.p, p.p)
-
-
-def test_identity_permutation_is_noop():
-    inst = _instance(3, seed=1)
-    inst2, p2 = apply_permutation(inst, np.full(3, 0.5), np.arange(3))
-    np.testing.assert_array_equal(inst2.H, inst.H)
-    np.testing.assert_array_equal(p2.p, np.full(3, 0.5))
 
 
 # ------------------------------------------------------------------- datasets
@@ -152,32 +143,37 @@ class TestDatasets:
         assert ds.node_features.shape == (7, 5, 2)
         assert ds.flat_features.shape == (7, 30)
         assert ds.mags.shape == (7, 5, 5)
-        assert len(ds.instances) == 7
+        assert ds.weights.shape == ds.sigma2s.shape == (7, 5)
 
     def test_flat_features_layout(self):
-        """Row-major |H| then the weights, matching featurize()."""
+        """Row-major |H| then the weights."""
         ds = generate_instances(3, 2, seed=5)
-        flat, _ = featurize(ds.instances[1])
-        np.testing.assert_allclose(ds.flat_features[1], flat.x)
+        np.testing.assert_array_equal(
+            ds.flat_features[1],
+            np.concatenate([ds.mags[1].reshape(-1), ds.weights[1]]))
 
     def test_node_features_are_weight_and_direct_gain(self):
         ds = generate_instances(4, 3, seed=8)
-        inst = ds.instances[2]
-        np.testing.assert_allclose(ds.node_features[2, :, 0], inst.w)
-        np.testing.assert_allclose(ds.node_features[2, :, 1],
-                                   np.abs(np.diag(inst.H)))
+        np.testing.assert_array_equal(ds.node_features[2, :, 0], ds.weights[2])
+        np.testing.assert_array_equal(ds.node_features[2, :, 1],
+                                      np.diag(ds.mags[2]))
 
     def test_generation_is_deterministic(self):
         a = generate_instances(4, 6, seed=11)
         b = generate_instances(4, 6, seed=11)
         np.testing.assert_array_equal(a.flat_features, b.flat_features)
 
-    def test_prefix_property(self):
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8),
+           st.integers(0, 10_000))
+    def test_prefix_property(self, K, m, extra, seed):
         """Sample i is the same no matter how many samples are requested."""
-        small = generate_instances(4, 5, seed=11)
-        big = generate_instances(4, 50, seed=11)
-        np.testing.assert_array_equal(small.flat_features,
-                                      big.flat_features[:5])
+        small = generate_instances(K, m, seed)
+        big = generate_instances(K, m + extra, seed)
+        for name in ("mags", "weights", "sigma2s", "node_features",
+                     "flat_features"):
+            np.testing.assert_array_equal(getattr(small, name),
+                                          getattr(big, name)[:m])
 
     def test_subset_matches_source(self):
         ds = generate_instances(3, 10, seed=2)
@@ -186,7 +182,7 @@ class TestDatasets:
         assert sub.m == 3
         np.testing.assert_array_equal(sub.mags, ds.mags[idx])
         np.testing.assert_array_equal(sub.node_features, ds.node_features[idx])
-        assert sub.instances[0] is ds.instances[7]
+        np.testing.assert_array_equal(sub.sigma2s, ds.sigma2s[idx])
 
     def test_gaussian_dataset_shapes_and_prefix(self):
         ds = gaussian_node_dataset(5, 8, 3, seed=1)
@@ -225,14 +221,20 @@ def test_neighbor_indices_enumerate_everyone_else():
 
 
 def test_featurize_edge_features_orientation():
-    inst = _instance(3, seed=6)
-    A = np.abs(inst.H)
-    _, graph = featurize(inst)
+    """The graph net's edge input for receiver k and neighbor
+    i = neighbor_indices(K)[k, j] is (p_i, |h_ik|, |h_ki|)."""
+    ds = generate_instances(3, 2, seed=6)
+    net = WcgcnNet.create(hidden=4, layers=1, seed=0)
+    _, caches = net.forward_batch(ds.mags, ds.weights)
+    edges = caches[0][0].reshape(2, 3, 2, 3)       # (m, k, j, feature)
     nbr = neighbor_indices(3)
-    for k in range(3):
-        for j, i in enumerate(nbr[k]):
-            assert graph.edge_features[k, j, 0] == pytest.approx(A[i, k])
-            assert graph.edge_features[k, j, 1] == pytest.approx(A[k, i])
+    for s in range(2):
+        A = ds.mags[s]
+        for k in range(3):
+            for j, i in enumerate(nbr[k]):
+                assert edges[s, k, j, 0] == 1.0             # full power
+                assert edges[s, k, j, 1] == A[i, k]
+                assert edges[s, k, j, 2] == A[k, i]
 
 
 # ------------------------------------------------------------ synthetic labels
