@@ -11,7 +11,11 @@ are the infinite-width limits:
                 H(x, z) = (x . z) * 4 E[(w.x)(w.z)] = 4 (x . z)^2
 
 The permutation-invariant (GNN) kernel is the same base network applied per
-node with a sum readout, giving the pairwise sum over node pairs.
+node with a sum readout, giving the pairwise sum over node pairs.  Node-set
+arrays are evaluated in square sample blocks of about ``_BLOCK_ENTRIES``
+base-kernel entries each, so memory stays bounded whatever m is; a symmetric
+call evaluates only the upper block triangle and fills each mirror block from
+its transposed base block.
 """
 
 import struct
@@ -40,6 +44,8 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-8
+# entries of one base-kernel block in gnn_kernel_function (8 MB of float64)
+_BLOCK_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -108,11 +114,34 @@ def mlp_kernel_function(X, Z=None, activation="relu"):
         Z, nz = _check_samples(np.atleast_2d(Z))
     G = X @ Z.T
     if activation == "relu":
-        rho = np.clip(G / np.outer(nx, nz), -1.0, 1.0)
-        return G * (np.pi - np.arccos(rho)) / (2.0 * np.pi)
+        # one buffer, in place, in the order G * (pi - arccos(rho)) / (2 pi)
+        K = np.multiply.outer(nx, nz)
+        np.divide(G, K, out=K)
+        np.clip(K, -1.0, 1.0, out=K)
+        np.arccos(K, out=K)
+        np.subtract(np.pi, K, out=K)
+        np.multiply(G, K, out=K)
+        K /= 2.0 * np.pi
+        return K
     if activation == "quadratic":
         return 4.0 * G ** 2
     raise ValueError(f"unknown activation {activation!r}")
+
+
+def _pair_sums(base):
+    """(s, na, s2, nb) base-kernel block -> (s, s2) sums over node pairs.
+
+    Each first node's row is summed over the second node (numpy's pairwise
+    sum along the contiguous axis), then the rows are added in order.  The
+    order is the same whatever the block's shape; a numpy reduction over
+    both node axes, or over the first alone, changes it where a size-1 axis
+    lets numpy merge axes.
+    """
+    rows = base.sum(axis=3)
+    out = np.zeros((base.shape[0], base.shape[2]))
+    for k in range(base.shape[1]):
+        out += rows[:, k]
+    return out
 
 
 def gnn_kernel_function(nodes_a, nodes_b=None, activation="relu"):
@@ -120,23 +149,37 @@ def gnn_kernel_function(nodes_a, nodes_b=None, activation="relu"):
 
     Accepts (m, n, d) arrays or lists of (n_i, d) arrays (node counts may
     vary).  H[a, b] = sum over node pairs of the base kernel.
+
+    Arrays are evaluated in square blocks of samples whose base kernel holds
+    about ``_BLOCK_ENTRIES`` entries (8 MB), so the temporaries stay a few
+    such blocks whatever the sample counts.  A symmetric call (``nodes_b``
+    None) evaluates only the blocks on and above the diagonal and fills each
+    mirror block from the transposed base block, summed in the order the
+    mirror's own evaluation would use.  Every entry is summed in the same
+    order whatever the block size; only the BLAS product that forms the
+    base Gram may round differently at different block shapes.
     """
-    if nodes_b is None:
+    symmetric = nodes_b is None
+    if symmetric:
         nodes_b = nodes_a
     if isinstance(nodes_a, np.ndarray) and nodes_a.ndim == 3 \
             and isinstance(nodes_b, np.ndarray) and nodes_b.ndim == 3:
         ma, na, d = nodes_a.shape
         mb, nb, _ = nodes_b.shape
-        flat_b = nodes_b.reshape(mb * nb, d)
-        # slab over samples of A so the base-kernel intermediate stays small
-        step = max(1, int(4e7 / max(na * mb * nb, 1)))
+        step = max(1, int(np.sqrt(_BLOCK_ENTRIES / max(na * nb, 1))))
         out = np.empty((ma, mb))
         for lo in range(0, ma, step):
             hi = min(lo + step, ma)
-            base = mlp_kernel_function(
-                nodes_a[lo:hi].reshape((hi - lo) * na, d), flat_b, activation
-            )
-            out[lo:hi] = base.reshape(hi - lo, na, mb, nb).sum(axis=(1, 3))
+            for lo2 in range(lo if symmetric else 0, mb, step):
+                hi2 = min(lo2 + step, mb)
+                base = mlp_kernel_function(
+                    nodes_a[lo:hi].reshape((hi - lo) * na, d),
+                    nodes_b[lo2:hi2].reshape((hi2 - lo2) * nb, d), activation,
+                ).reshape(hi - lo, na, hi2 - lo2, nb)
+                out[lo:hi, lo2:hi2] = _pair_sums(base)
+                if symmetric and lo2 > lo:
+                    out[lo2:hi2, lo:hi] = _pair_sums(
+                        np.ascontiguousarray(base.transpose(2, 3, 0, 1)))
         return out
     rows = []
     for ga in nodes_a:

@@ -252,12 +252,12 @@ def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None,
             if test_ds.node_features.shape[1] == 1:
                 Xtr = train_ds.flat_features
                 Xte = test_ds.flat_features
-                Ktr = mlp_kernel_function(Xtr, Xtr, activation)
+                Ktr = mlp_kernel_function(Xtr, None, activation)
                 Kte = mlp_kernel_function(Xte, Xtr, activation)
             else:
                 Xtr = train_ds.node_features
                 Xte = test_ds.node_features
-                Ktr = gnn_kernel_function(Xtr, Xtr, activation)
+                Ktr = gnn_kernel_function(Xtr, None, activation)
                 Kte = gnn_kernel_function(Xte, Xtr, activation)
             coef = np.linalg.pinv(Ktr, rcond=1e-12) @ train_ds.labels
             oracle_err = Kte @ coef - test_ds.labels

@@ -8,6 +8,8 @@ against.
 
 import numpy as np
 
+from .errors import DegenerateInputError
+
 __all__ = ["wmmse_batch"]
 
 
@@ -16,10 +18,16 @@ def wmmse_batch(mags, sigma2s, weights, max_iters=100):
     full power).  The objective is monotone non-decreasing in the iteration
     count up to floating-point slack.
 
-    mags (m,K,K), sigma2s (m,K), weights (m,K) -> powers (m,K).
+    mags (m,K,K), sigma2s (m,K), weights (m,K) -> powers (m,K).  A sample
+    whose weights are all zero has no objective (its update is 0/0) and
+    raises DegenerateInputError.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    unweighted = np.flatnonzero(~np.any(weights, axis=1))
+    if unweighted.size:
+        raise DegenerateInputError(
+            f"sample {unweighted[0]} has all-zero weights: WMMSE is undefined")
     G = mags ** 2
     diag = np.einsum("mkk->mk", mags)
     b = np.ones_like(diag)

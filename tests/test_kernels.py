@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ntklab import kernels
 from ntklab.errors import DegenerateInputError
 from ntklab.kernels import (ArchSpec, KernelMatrix, analytic_ntk_gnn,
                             analytic_ntk_mlp, empirical_ntk,
                             gnn_kernel_function, load_kernel_csv,
                             load_kernel_ntk1, mc_ntk, mlp_kernel_function,
                             save_kernel_csv, save_kernel_ntk1)
-from ntklab.netsim import gaussian_node_dataset
+from ntklab.netsim import gaussian_node_dataset, generate_instances
 from ntklab.nets import init_net, output_jacobians
 
 
@@ -101,12 +104,61 @@ def test_gnn_kernel_array_and_list_paths_agree():
     np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
 
-def test_gnn_kernel_slab_boundaries_are_invisible():
-    # enough samples that the blocked path runs several slabs
-    nodes = np.random.default_rng(7).standard_normal((40, 6, 3))
-    fast = gnn_kernel_function(nodes)
-    slow = gnn_kernel_function(list(nodes))
-    np.testing.assert_allclose(fast, slow, rtol=1e-12)
+def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
+    # small-integer features make every base Gram entry exact, so the blocked
+    # and one-block results differ only if the blocking changes which terms
+    # are summed or their order (not by how BLAS rounds at each block shape);
+    # 9 and 10 nodes put numpy's pairwise summation to work on both node axes
+    rng = np.random.default_rng(7)
+    nodes = rng.integers(1, 4, (40, 10, 3)) * rng.choice([-1.0, 1.0], (40, 10, 3))
+    other = rng.integers(1, 4, (25, 9, 3)) * rng.choice([-1.0, 1.0], (25, 9, 3))
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 10 ** 12)
+    whole = gnn_kernel_function(nodes)
+    whole_cross = gnn_kernel_function(other, nodes)
+    # 100 and 90 base entries per sample pair: 3-sample blocks (a last block
+    # of one sample) and 7-sample blocks (a last block of five or four)
+    for block_entries in (100 * 3 * 3, 100 * 7 * 7):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+        blocked = gnn_kernel_function(nodes)
+        blocked_cross = gnn_kernel_function(other, nodes)
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(blocked_cross, whole_cross)
+    np.testing.assert_allclose(blocked, gnn_kernel_function(list(nodes)),
+                               rtol=1e-12)
+    np.testing.assert_allclose(
+        blocked_cross, gnn_kernel_function(list(other), list(nodes)), rtol=1e-12)
+
+
+def test_gnn_kernel_peak_memory_is_bounded():
+    # tracemalloc sees numpy's buffers; one unblocked slab here took ~490 MB
+    nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
+    tracemalloc.start()
+    try:
+        gnn_kernel_function(nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("block_entries", [None, 25 * 7 * 7])
+def test_kernels_of_a_sample_prefix_are_leading_blocks(monkeypatch,
+                                                       block_entries):
+    # rtol 1e-8, not 1e-12: near rho = 1 (diagonal, near-parallel nodes) a
+    # one-ulp difference in a Gram entry, as BLAS rounds the m-sample and the
+    # 30-sample products differently, moves arccos(rho) by up to ~1.5e-8;
+    # measured worst cases over 20 seeds: 7e-9 diagonal, 4e-12 off-diagonal
+    if block_entries is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+    big = generate_instances(5, 30, seed=3)
+    H_gnn = analytic_ntk_gnn(big.node_features).entries
+    H_mlp = analytic_ntk_mlp(big.flat_features).entries
+    for m in (1, 7, 16, 30):
+        sub = big.subset(np.arange(m))
+        np.testing.assert_allclose(
+            H_gnn[:m, :m], analytic_ntk_gnn(sub.node_features).entries, rtol=1e-8)
+        np.testing.assert_allclose(
+            H_mlp[:m, :m], analytic_ntk_mlp(sub.flat_features).entries, rtol=1e-8)
 
 
 def test_single_node_gnn_equals_mlp():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ntklab.errors import DegenerateInputError
 from ntklab.netsim import generate_instances, sum_rate_batch
 from ntklab.wmmse import wmmse_batch
 
@@ -117,6 +118,18 @@ def test_validates_arguments():
     ds = generate_instances(2, 1, seed=0)
     with pytest.raises(ValueError):
         wmmse_batch(ds.mags, ds.sigma2s, ds.weights, max_iters=0)
+
+
+def test_rejects_sample_with_all_zero_weights():
+    ds = generate_instances(3, 4, seed=0)
+    weights = ds.weights.copy()
+    weights[2] = 0.0
+    weights[3] = 0.0
+    with pytest.raises(DegenerateInputError, match="sample 2 "):
+        wmmse_batch(ds.mags, ds.sigma2s, weights)
+    weights[2, 1] = 1.0     # one weighted user is enough
+    with pytest.raises(DegenerateInputError, match="sample 3 "):
+        wmmse_batch(ds.mags, ds.sigma2s, weights)
 
 
 def test_weighted_objective_respects_weights():
