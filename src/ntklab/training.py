@@ -15,7 +15,7 @@ from .artifacts import atomic_write, csv_text
 from .errors import DivergenceError
 from .netsim import sum_rate_batch
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, loss_value,
-                   sample_chunks, _power_forward)
+                   sample_chunks, _batch_features, _power_forward)
 from .rng import DOMAIN_TRAIN, stream
 from .wmmse import wmmse_batch
 
@@ -239,9 +239,7 @@ def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None,
         if test_ds.labels is None:
             raise ValueError("squared loss requires labels")
         if isinstance(net, TwoLayerNet):
-            X = test_ds.flat_features if test_ds.flat_features.shape[1] == net.d \
-                else test_ds.node_features
-            u = net.forward(X)
+            u = net.forward(_batch_features(net, test_ds))
         else:
             u, _ = _power_forward(net, test_ds, train=False)
         err = np.asarray(u) - test_ds.labels

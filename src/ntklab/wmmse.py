@@ -36,5 +36,8 @@ def wmmse_batch(mags, sigma2s, weights, max_iters=100):
         v = 1.0 / (1.0 - f * diag * b)
         num = weights * v * f * diag
         den = np.einsum("mk,mki->mi", weights * v * f ** 2, G)
-        b = np.clip(num / den, 0.0, 1.0)
+        # den is 0 only where num is 0 too, as for a zero-weight user with
+        # no cross gain to any weighted user; such a user gets power 0
+        b = np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0),
+                    0.0, 1.0)
     return b ** 2

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from ntklab import NumericFailureError
 from ntklab.nets import (
+    BN_EPS,
+    BN_MOMENTUM,
     PowerMlp,
     TwoLayerNet,
     WcgcnNet,
@@ -24,6 +26,8 @@ from ntklab.nets import (
     output_jacobians,
     sample_chunks,
     sum_rate_loss_grad,
+    _bn_backward,
+    _bn_forward,
 )
 from ntklab.netsim import (
     gaussian_node_dataset,
@@ -68,6 +72,95 @@ def fd_check(net, batch, loss_spec, train, n_coords=12, seed=0,
             fd_tight, rel=rel, abs=1e-8
         ), f"coordinate {key}[{idx}]"
     assert survived >= n_coords // 2
+
+
+# ---------------------------------------------------------------------------
+# BatchNorm
+
+
+class TestBatchNorm:
+    """The in-place kernels against the textbook two-pass formulas.  The
+    finite-difference checks above run at rel=3e-4 and would miss a small
+    algebra slip; these compare at rtol=1e-12."""
+
+    n, h = 200, 6
+
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        # ReLU outputs with per-column scale, as the nets feed them
+        A = np.maximum(rng.standard_normal((self.n, self.h)) + 0.3, 0.0)
+        A *= rng.uniform(0.1, 3.0, self.h)
+        gamma = rng.uniform(0.5, 2.0, self.h)
+        beta = rng.standard_normal(self.h)
+        dout = rng.standard_normal((self.n, self.h))
+        state = {"mux": rng.standard_normal(self.h),
+                 "vax": rng.uniform(0.5, 2.0, self.h)}
+        return A, gamma, beta, dout, state
+
+    @staticmethod
+    def _close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+    def test_train_mode_matches_two_pass(self):
+        A, gamma, beta, dout, state = self._inputs(0)
+        n = self.n
+        mu = A.sum(axis=0) / n
+        va = ((A - mu) ** 2).sum(axis=0) / n
+        sd = np.sqrt(va + BN_EPS)
+        xhat = (A - mu) / sd
+        # backward by the chain rule through mu and va
+        dxhat = dout * gamma
+        dva = (dxhat * (A - mu)).sum(axis=0) * -0.5 * sd ** -3
+        dmu = -(dxhat / sd).sum(axis=0) + dva * (-2.0 * (A - mu)).mean(axis=0)
+        dA_ref = dxhat / sd + dva * 2.0 * (A - mu) / n + dmu / n
+        mu_run = (1 - BN_MOMENTUM) * state["mux"] + BN_MOMENTUM * mu
+        va_run = (1 - BN_MOMENTUM) * state["vax"] + BN_MOMENTUM * va
+
+        buf = A.copy()
+        out, cache = _bn_forward(buf, gamma, beta, state, "", "x", train=True)
+        self._close(out, gamma * xhat + beta)
+        self._close(cache[0], xhat)
+        self._close(state["mux"], mu_run)
+        self._close(state["vax"], va_run)
+        dA, dgamma, dbeta = _bn_backward(dout.copy(), gamma, cache, train=True)
+        self._close(dA, dA_ref)
+        self._close(dgamma, (dout * xhat).sum(axis=0))
+        self._close(dbeta, dout.sum(axis=0))
+
+    def test_eval_mode_matches_two_pass_and_keeps_stats(self):
+        A, gamma, beta, dout, state = self._inputs(1)
+        before = {k: v.copy() for k, v in state.items()}
+        sd = np.sqrt(state["vax"] + BN_EPS)
+        xhat = (A - state["mux"]) / sd
+        out, cache = _bn_forward(A.copy(), gamma, beta, state, "", "x",
+                                 train=False)
+        self._close(out, gamma * xhat + beta)
+        for k in before:
+            np.testing.assert_array_equal(state[k], before[k])
+        dA, dgamma, dbeta = _bn_backward(dout.copy(), gamma, cache, train=False)
+        self._close(dA, dout * gamma / sd)
+        self._close(dgamma, (dout * xhat).sum(axis=0))
+        self._close(dbeta, dout.sum(axis=0))
+
+    def test_train_mode_gradient_invariants(self):
+        # shifting a column of A leaves the output unchanged, so dA sums to
+        # 0 down each column; scaling a column changes the output only
+        # through BN_EPS, so dA . xhat is that eps share of gamma*inv*dgamma
+        A, gamma, beta, dout, state = self._inputs(2)
+        _, (xhat, inv) = _bn_forward(A.copy(), gamma, beta, state, "", "x",
+                                     train=True)
+        dA, dgamma, _ = _bn_backward(dout, gamma, (xhat, inv), train=True)
+        scale = np.abs(dA).sum(axis=0)
+        assert np.all(np.abs(dA.sum(axis=0)) <= 1e-13 * scale)
+        eps_share = gamma * inv * dgamma * (1.0 - (xhat ** 2).mean(axis=0))
+        assert np.all(np.abs((dA * xhat).sum(axis=0) - eps_share) <= 1e-13 * scale)
+
+    def test_forward_overwrites_its_input_with_xhat(self):
+        A, gamma, beta, _, state = self._inputs(3)
+        buf = A.copy()
+        _, (xhat, _) = _bn_forward(buf, gamma, beta, state, "", "x", train=True)
+        assert xhat is buf
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +319,26 @@ class TestWcgcn:
         net.forward_batch(batch.mags, batch.weights, train=True)
         assert any(not np.array_equal(net.state[k], before[k]) for k in before)
 
+    def test_output_jacobians_match_full_batch_backward(self):
+        # the per-sample Jacobian against one full-batch backward pass per
+        # (sample, output), the O(m^2 K) form it replaced
+        net = WcgcnNet.create(hidden=4, layers=2, seed=16)
+        batch = channel_batch(4, 5, seed=17)
+        m, K = 5, 4
+        _, cache = net.forward_batch(batch.mags, np.ones((m, K)), train=False)
+        keys = sorted(net.params)
+        rows = []
+        for i in range(m):
+            for k in range(K):
+                dP = np.zeros((m, K))
+                dP[i, k] = 1.0
+                g = net.backward_batch(batch.mags, cache, dP, train=False)
+                rows.append(np.concatenate([g[key].reshape(-1) for key in keys]))
+        J_ref = np.asarray(rows)
+        J = output_jacobians(net, batch.mags)
+        np.testing.assert_allclose(J, J_ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(J_ref).max())
+
     def test_output_jacobian_directional_derivative(self):
         # directional derivatives reconstructed from J must match finite
         # differences of the power outputs under a parameter perturbation
@@ -238,7 +351,7 @@ class TestWcgcn:
                 net.params[f"l{j}.{b}"] += 5.0
         batch = channel_batch(3, 2, seed=14)
         _, caches = net.forward_batch(batch.mags, np.ones((2, 3)), train=False)
-        assert all(np.all(c[6] > 0) for c in caches)   # A2: nothing dead
+        assert all(np.all(c[4] > 0) for c in caches)   # Z2: nothing dead
         J = output_jacobians(net, batch.mags)
         assert J.shape == (2 * 3, net.n_params())
         rng = np.random.default_rng(15)

@@ -132,6 +132,15 @@ def test_rejects_sample_with_all_zero_weights():
         wmmse_batch(ds.mags, ds.sigma2s, weights)
 
 
+def test_isolated_zero_weight_user_is_silent():
+    # user 1 has zero weight and causes no interference at the weighted
+    # user 0, so its update is 0/0; it must get power 0 without turning
+    # the whole sample NaN
+    mags = np.array([[[1.0, 0.0], [0.5, 1.0]]])
+    P = wmmse_batch(mags, np.ones((1, 2)), np.array([[1.0, 0.0]]))
+    np.testing.assert_array_equal(P, [[1.0, 0.0]])
+
+
 def test_weighted_objective_respects_weights():
     # heavily weighting user 0 should never lower its allocated power
     mags = np.array([[[2.0, 0.8], [0.9, 1.5]]])
