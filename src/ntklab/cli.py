@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from .artifacts import RunFiles, csv_text
-from .config import EXPERIMENT_IDS, ExperimentConfig, load_config
+from .config import EXPERIMENT_IDS, TRAIN, ExperimentConfig, load_config
 from .errors import DivergenceError, NumericFailureError
 from .experiments import run_experiment, write_manifest
 from .kernels import (ArchSpec, analytic_ntk_gnn, analytic_ntk_mlp, mc_ntk,
@@ -202,25 +202,34 @@ def _cmd_train(args):
                           "usage: ntklab train --config PATH [--seed N] "
                           "[--out DIR]")
     t0 = time.perf_counter()
-    sections = load_config(args.config)
-    spec = sections.get("train")
-    if spec is None:
+    user = load_config(args.config)
+    if TRAIN not in user:
         raise ValueError("config file has no [train] section")
-    files = RunFiles(args.out or spec.get("out", "runs"))
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-
-    arch = spec.get("arch", "wcgcn")
-    loss = spec.get("loss", "negative-sum-rate")
-    k = int(spec.get("k", 5))
-    m_train = int(spec.get("m_train", 1000))
-    m_test = int(spec.get("m_test", 200))
+    spec = ExperimentConfig.build(TRAIN, user)
+    seed = args.seed if args.seed is not None else spec.get_int("seed")
+    out = args.out or spec.get_str("out")
+    arch = spec.get_str("arch")
+    loss = spec.get_str("loss")
+    k = spec.get_int("k")
+    m_train = spec.get_int("m_train")
+    m_test = spec.get_int("m_test")
+    hidden = spec.get_int("hidden")
+    cfg = TrainConfig(
+        optimizer=spec.get_str("optimizer"),
+        lr=spec.get_float("lr"),
+        epochs=spec.get_int("epochs"),
+        loss=loss,
+        seed=seed,
+        eval_every=spec.get_int("eval_every"),
+        batch_size=spec.get_batch(),
+    )
     if loss == "negative-sum-rate":
         train_ds = generate_instances(k, m_train, seed)
         test_ds = generate_instances(k, m_test, seed + 1)
     else:
-        n = int(spec.get("n", 1))
-        d = int(spec.get("d", 8))
-        degree = int(spec.get("label_degree", 2))
+        n = spec.get_int("n")
+        d = spec.get_int("d")
+        degree = spec.get_int("label_degree")
         beta = np.arange(1, d + 1, dtype=float) / d
         train_ds = gaussian_node_dataset(n, m_train, d, seed)
         train_ds = dataclasses.replace(
@@ -229,28 +238,18 @@ def _cmd_train(args):
         test_ds = dataclasses.replace(
             test_ds, labels=synthetic_labels(test_ds, beta, degree))
 
-    hidden = int(spec.get("hidden", 32))
     if arch == "wcgcn":
         net = init_net("wcgcn", None, hidden, seed,
-                       layers=int(spec.get("layers", 2)))
+                       layers=spec.get_int("layers"))
     elif arch == "power-mlp":
         net = init_net("power-mlp", (k * k + k, k), hidden, seed)
     elif arch == "two-layer":
         net = init_net("two-layer", train_ds.flat_features.shape[1],
-                       int(spec.get("width", 1024)), seed)
+                       spec.get_int("width"), seed)
     else:
         raise ValueError(f"unknown arch {arch!r}")
 
-    cfg = TrainConfig(
-        optimizer=spec.get("optimizer", "adam"),
-        lr=float(spec.get("lr", 1e-3)),
-        epochs=int(spec.get("epochs", 50)),
-        loss=loss,
-        seed=seed,
-        eval_every=int(spec.get("eval_every", 1)),
-        batch_size=None if spec.get("batch_size", "full").lower()
-        in ("full", "none") else int(spec.get("batch_size")),
-    )
+    files = RunFiles(out)
     try:
         trace = train(net, train_ds, test_ds, cfg)
     except DivergenceError as exc:

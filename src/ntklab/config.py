@@ -7,8 +7,8 @@ Files look like::
     lr = 1e-3
 
 Values stay strings until a typed getter asks for them; the checked-in
-``defaults.cfg`` carries every experiment's paper-mode defaults, and a user
-file merges on top of it key by key.
+``defaults.cfg`` carries every experiment's paper-mode defaults and those of
+the ``ntklab train`` job, and a user file merges on top of it key by key.
 """
 
 import importlib.resources
@@ -18,6 +18,8 @@ __all__ = ["ExperimentConfig", "parse_config", "load_config",
            "default_config", "EXPERIMENT_IDS"]
 
 EXPERIMENT_IDS = ("fig1", "fig2", "fig3", "ntk-regime", "thm3", "thm4-thm5")
+# ``ntklab train`` reads its one job from the [train] section
+TRAIN = "train"
 
 
 def parse_config(text):
@@ -85,7 +87,7 @@ class ExperimentConfig:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
+        if self.experiment not in EXPERIMENT_IDS + (TRAIN,):
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {', '.join(EXPERIMENT_IDS)}")
         if self.threads < 1:
@@ -99,6 +101,8 @@ class ExperimentConfig:
         """Defaults merged with ``user_sections``; a user key that its
         section of defaults.cfg does not declare is rejected as a typo."""
         defaults = default_config()
+        if experiment != TRAIN:
+            defaults.pop(TRAIN)     # only the training job reads [train]
         for section, kv in (user_sections or {}).items():
             unknown = sorted(set(kv) - set(defaults.get(section, {})))
             if unknown:

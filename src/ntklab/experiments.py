@@ -13,6 +13,7 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from multiprocessing import get_context
 
 import numpy as np
@@ -54,19 +55,42 @@ def write_manifest(files, echo_lines, t0):
     atomic_write(os.path.join(files.out, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def _dispatch(cell, kwargs):
-    return _CELL_FUNCS[cell](**kwargs)
+def _call(cell, kwargs):
+    return cell(**kwargs)
+
+
+# a worker process runs one cell at a time; a BLAS thread pool of its own
+# per worker would oversubscribe the cores the workers already share
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _single_thread_blas_env():
+    """os.environ with every BLAS thread variable at 1, restored on exit;
+    processes spawned inside inherit it."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def _run_cells(cell, jobs, threads):
     """One cell function over a list of keyword-argument jobs, in spawned
-    worker processes when threads > 1; results come back in job order."""
+    worker processes (one BLAS thread each) when threads > 1; results come
+    back in job order."""
     if threads <= 1 or len(jobs) <= 1:
-        return [_dispatch(cell, j) for j in jobs]
-    ctx = get_context("spawn")
-    with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
-                             mp_context=ctx) as ex:
-        return list(ex.map(_dispatch, [cell] * len(jobs), jobs))
+        return [_call(cell, j) for j in jobs]
+    with _single_thread_blas_env(), ProcessPoolExecutor(
+            max_workers=min(threads, len(jobs)),
+            mp_context=get_context("spawn")) as ex:
+        return list(ex.map(_call, [cell] * len(jobs), jobs))
 
 
 def _power_mlp_count(d_in, h, k):
@@ -159,7 +183,7 @@ def run_fig1(cfg):
             for k in k_list
             for model, hidden in (("gnn", gnn_hidden),
                                   ("mlp", _mlp_hidden(cfg, k, gnn_hidden, layers)))]
-    results = _run_cells("train", jobs, cfg.threads)
+    results = _run_cells(_train_cell, jobs, cfg.threads)
 
     files = RunFiles(cfg.out)
     rows, summaries = {}, []
@@ -308,7 +332,7 @@ def run_fig3(cfg):
                  batch_size=cfg.get_batch(f"{model}_batch_size"),
                  eval_every=cfg.get_int("eval_every"))
             for model in ("gnn", "mlp") for m in m_list]
-    results = _run_cells("train", jobs, cfg.threads)
+    results = _run_cells(_train_cell, jobs, cfg.threads)
 
     files = RunFiles(cfg.out)
     rows = {}
@@ -456,7 +480,7 @@ def run_ntk_regime(cfg):
     jobs = [dict(width=w, d=d, m=m, seed=cfg.seed, lr=lr, epochs=epochs,
                  eval_every=eval_every, label_degree=degree, loss_drop=loss_drop)
             for w in widths]
-    results = _run_cells("ntk", jobs, cfg.threads)
+    results = _run_cells(_ntk_cell, jobs, cfg.threads)
 
     files = RunFiles(cfg.out)
     for r in results:
@@ -601,8 +625,6 @@ def run_bounds(cfg):
     write_manifest(files, cfg.echo_lines(), t0)
     return thm45_rows
 
-
-_CELL_FUNCS = {"train": _train_cell, "ntk": _ntk_cell}
 
 _RUNNERS = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3,
             "ntk-regime": run_ntk_regime, "thm3": run_bounds,

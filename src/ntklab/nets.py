@@ -105,7 +105,13 @@ def _bn_backward(dout, gamma, cache, train):
 # TwoLayerNet
 
 class TwoLayerNet:
-    """f(x) = (1/sqrt(r)) sum_r a_r sigma(w_r . x); only W is trainable."""
+    """f(x) = (1/sqrt(r)) sum_r a_r sigma(w_r . x); only W is trainable.
+
+    ``forward``, ``grad_W`` and the squared-loss step in :func:`gradients`
+    share ``_preact`` (the pre-activation Z = X @ W.T), ``_readout``
+    (sigma(Z), read out through a) and ``_backprop`` (sigma'(Z) * a * dout,
+    contracted with X).  The step computes Z once and feeds both of the
+    others, so its bits are those of ``forward`` followed by ``grad_W``."""
 
     kind = "two-layer"
 
@@ -132,41 +138,58 @@ class TwoLayerNet:
     def params(self):
         return {"W": self.W}
 
-    def _act(self, Z):
-        return np.maximum(Z, 0.0) if self.activation == "relu" else Z ** 2
-
-    def _act_prime(self, Z):
-        return (Z > 0).astype(float) if self.activation == "relu" else 2.0 * Z
-
-    def forward(self, X):
-        """Flat (m, d) inputs -> (m,) outputs; node sets (m, n, d) -> sum
-        readout over nodes."""
+    def _preact(self, X):
+        """Input rows Xn (N, d), nodes per sample n (None for flat inputs)
+        and the pre-activation Z = Xn @ W.T (N, r), a fresh array."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
         if X.ndim == 2:
-            Z = X @ self.W.T
-            return self._act(Z) @ self.a / np.sqrt(self.width)
+            return X, None, X @ self.W.T
         if X.ndim == 3:
             m, n, d = X.shape
-            Z = X.reshape(m * n, d) @ self.W.T
-            per_node = self._act(Z) @ self.a / np.sqrt(self.width)
-            return per_node.reshape(m, n).sum(axis=1)
+            Xn = X.reshape(m * n, d)
+            return Xn, n, Xn @ self.W.T
         raise ValueError("inputs must be (d,), (m, d) or (m, n, d)")
+
+    def _readout(self, Z, n, out):
+        """Outputs (m,) from the pre-activation: sigma(Z) is written into
+        ``out`` (which may be ``Z`` itself), then read out through a and
+        summed over each sample's n nodes."""
+        if self.activation == "relu":
+            np.maximum(Z, 0.0, out=out)
+        else:
+            np.square(Z, out=out)
+        u = out @ self.a / np.sqrt(self.width)
+        return u if n is None else u.reshape(-1, n).sum(axis=1)
+
+    def _backprop(self, Xn, n, Z, dout):
+        """d(sum_i dout_i * f(x_i))/dW from the pre-activation: Z is
+        overwritten by the signal sigma'(Z) * a * dout reaching it, which is
+        then contracted with the inputs."""
+        g = np.asarray(dout, dtype=float)
+        if n is not None:
+            g = np.repeat(g, n)
+        if self.activation == "relu":
+            np.greater(Z, 0.0, out=Z)
+        else:
+            np.multiply(Z, 2.0, out=Z)
+        Z *= self.a
+        Z *= g[:, None]
+        dW = Z.T @ Xn
+        dW /= np.sqrt(self.width)
+        return dW
+
+    def forward(self, X):
+        """Flat (d,) or (m, d) inputs -> (m,) outputs; node sets (m, n, d)
+        -> sum readout over nodes."""
+        _, n, Z = self._preact(X)
+        return self._readout(Z, n, Z)
 
     def grad_W(self, X, dout):
         """d(sum_i dout_i * f(x_i))/dW for flat or node-set inputs."""
-        X = np.asarray(X, dtype=float)
-        dout = np.asarray(dout, dtype=float)
-        if X.ndim == 2:
-            Xn, g = X, dout
-        else:
-            m, n, d = X.shape
-            Xn = X.reshape(m * n, d)
-            g = np.repeat(dout, n)
-        Z = Xn @ self.W.T
-        S = self._act_prime(Z) * self.a                     # (N, r)
-        return (S * g[:, None]).T @ Xn / np.sqrt(self.width)
+        Xn, n, Z = self._preact(X)
+        return self._backprop(Xn, n, Z, dout)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +532,12 @@ def _check_finite_per_sample(values, what):
 def gradients(net, batch, loss_spec, train=False, chunk=None):
     """Exact parameter gradients of the batch loss.  Returns (grads, loss).
 
+    A TwoLayerNet's squared-loss step computes its pre-activation Z once:
+    the outputs come from it through a second buffer, then dW from it in
+    place, with the bits of ``forward`` followed by ``grad_W``.
+    Non-finite outputs raise NumericFailureError naming the first such
+    sample before any gradient is formed.
+
     ``chunk`` splits the pass over sample slices exactly as in
     :func:`loss_value`; gradients of the mean (or summed) loss accumulate
     across slices with the matching weights.
@@ -535,11 +564,12 @@ def gradients(net, batch, loss_spec, train=False, chunk=None):
         if y is None:
             raise ValueError("squared loss requires labels")
         if isinstance(net, TwoLayerNet):
-            X = _batch_features(net, batch)
-            u = net.forward(X)
+            Xn, n, Z = net._preact(_batch_features(net, batch))
+            u = net._readout(Z, n, np.empty_like(Z))
             _check_finite_per_sample(u, "output")
             resid = u - y
-            return {"W": net.grad_W(X, resid)}, 0.5 * float(np.sum(resid ** 2))
+            return ({"W": net._backprop(Xn, n, Z, resid)},
+                    0.5 * float(np.sum(resid ** 2)))
         P, cache = _power_forward(net, batch, train)
         _check_finite_per_sample(P.sum(axis=1), "output")
         resid = P - y

@@ -159,11 +159,12 @@ def train(net, train_ds, test_ds, cfg):
     bs = cfg.batch_size or m
     for epoch in range(1, cfg.epochs + 1):
         if bs >= m:
-            order = np.arange(m)
+            batches = (train_ds,)
         else:
             order = stream(cfg.seed, DOMAIN_TRAIN, epoch).permutation(m)
-        for start in range(0, m, bs):
-            batch = train_ds.subset(order[start:start + bs])
+            batches = (train_ds.subset(order[start:start + bs])
+                       for start in range(0, m, bs))
+        for batch in batches:
             grads, batch_loss = gradients(net, batch, cfg.loss, train=True)
             if not np.isfinite(batch_loss) or batch_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(

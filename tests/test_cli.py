@@ -151,6 +151,18 @@ def test_train_supervised_job(tmp_path):
     assert (out / "train_summary.csv").exists()
 
 
+@pytest.mark.parametrize("line, key", [("m_trian = 10", "m_trian"),
+                                       ("epochs = 2.9", "epochs")])
+def test_train_rejects_config_typos(tmp_path, capsys, line, key):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("[train]\narch = two-layer\nloss = squared\n"
+                   f"width = 16\nm_train = 12\nm_test = 6\n{line}\n")
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_divergence_exit_code(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(

@@ -146,6 +146,18 @@ def test_build_rejects_keys_missing_from_defaults():
         ExperimentConfig.build("fig2", {"common": {"seeed": "1"}})
 
 
+def test_train_section_belongs_to_the_training_job():
+    job = ExperimentConfig.build("train", {"train": {"epochs": "3"}})
+    assert job.get_int("epochs") == 3
+    assert job.get_batch() is None          # defaults.cfg: full batch
+    with pytest.raises(ValueError, match="m_trian"):
+        ExperimentConfig.build("train", {"train": {"m_trian": "10"}})
+    # experiments neither read nor echo it, and reject it as a typo
+    assert "train" not in ExperimentConfig.build("fig1").sections
+    with pytest.raises(ValueError, match="epochs"):
+        ExperimentConfig.build("fig1", {"train": {"epochs": "3"}})
+
+
 def test_integer_getters_reject_non_integral_values():
     cfg = ExperimentConfig.build(
         "fig1", {"fig1": {"epochs": "2.9", "k_list": "5, 2.5",

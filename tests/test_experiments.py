@@ -14,8 +14,10 @@ import pytest
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
 from ntklab.config import ExperimentConfig
 from ntklab.experiments import (
+    _BLAS_THREAD_VARS,
     _matched_mlp_hidden,
     _power_mlp_count,
+    _run_cells,
     run_bounds,
     run_experiment,
     run_fig1,
@@ -247,6 +249,19 @@ def test_ntk_regime_threads_do_not_change_results(tmp_path):
         run_ntk_regime(cfg)
         outputs.append({f: (out / f).read_bytes() for f in files})
     assert outputs[0] == outputs[1]
+
+
+def test_spawned_workers_run_one_blas_thread(monkeypatch):
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "3")
+    seen = _run_cells(os.getenv, [{"key": var} for var in _BLAS_THREAD_VARS],
+                      threads=2)
+    assert seen == ["1"] * len(_BLAS_THREAD_VARS)
+    # the parent's own environment is left as it was
+    assert all(os.environ[var] == "3" for var in _BLAS_THREAD_VARS)
+    monkeypatch.delenv("MKL_NUM_THREADS")
+    _run_cells(os.getenv, [{"key": "PATH"}] * 2, threads=2)
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def test_ntk_regime_kernel_error_shrinks_with_width(tmp_path):

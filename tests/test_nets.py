@@ -218,6 +218,52 @@ class TestTwoLayerNet:
                 fm = TwoLayerNet(Wm, net.a, activation).forward(X) @ dout
                 assert G[r, c] == pytest.approx((fp - fm) / (2 * h), rel=1e-5)
 
+    @pytest.mark.parametrize("activation", ["relu", "quadratic"])
+    @pytest.mark.parametrize("nodes", [None, 4])
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_fused_step_matches_forward_then_grad_w(self, activation, nodes,
+                                                    dead):
+        # gradients computes the pre-activation once; its outputs must be
+        # the bits of a forward pass followed by a separate grad_W pass
+        d, r, m = 3, 64, 9
+        ds = gaussian_node_dataset(nodes or 1, m, d, seed=12)
+        if dead:
+            # positive inputs, a negative and a zero weight row: two
+            # columns of Z that are <= 0 everywhere (one exactly 0), so
+            # under relu those neurons get no gradient
+            ds = replace(ds, node_features=np.abs(ds.node_features),
+                         flat_features=np.abs(ds.flat_features))
+        ds = replace(ds, labels=synthetic_labels(ds, np.ones(d), 2))
+        net = init_net("two-layer", d, r, seed=13)
+        net = TwoLayerNet(net.W, net.a, activation)
+        if dead:
+            net.W[0] = -np.abs(net.W[0])
+            net.W[1] = 0.0
+        X = ds.flat_features if nodes is None else ds.node_features
+        Xn = X.reshape(-1, d)
+
+        # the two-pass step, written out
+        Z = Xn @ net.W.T
+        if dead:
+            assert np.all(Z[:, :2] <= 0) and not Z[:, 1].any()
+        act = np.maximum(Z, 0.0) if activation == "relu" else Z ** 2
+        u = act @ net.a / np.sqrt(r)
+        if nodes is not None:
+            u = u.reshape(m, nodes).sum(axis=1)
+        resid = u - ds.labels
+        g = resid if nodes is None else np.repeat(resid, nodes)
+        Z = Xn @ net.W.T
+        S = ((Z > 0).astype(float) if activation == "relu" else 2.0 * Z) * net.a
+        want = (S * g[:, None]).T @ Xn / np.sqrt(r)
+
+        grads, loss = gradients(net, ds, "squared")
+        assert np.array_equal(grads["W"], want)
+        assert loss == 0.5 * float(np.sum(resid ** 2))
+        assert np.array_equal(net.forward(X), u)
+        assert np.array_equal(net.grad_W(X, resid), want)
+        if dead and activation == "relu":
+            assert not grads["W"][:2].any()
+
     def test_init_deterministic_in_seed(self):
         n1 = init_net("two-layer", 5, 32, seed=9)
         n2 = init_net("two-layer", 5, 32, seed=9)

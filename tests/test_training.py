@@ -104,6 +104,44 @@ def test_full_batch_explicit_and_default_agree():
         assert ra.grad_norm == rb.grad_norm
 
 
+def test_full_batch_gd_matches_two_pass_loop():
+    # full-batch steps train on the dataset itself through the fused
+    # TwoLayerNet step; the trace must equal the loop with a forward pass
+    # and a separate grad_W pass over a per-epoch copy of the batch
+    tr, te = labeled_gaussian(12, 0, d=4), labeled_gaussian(5, 1, d=4)
+    lr, epochs, eval_every = 2e-3, 30, 4
+    net = init_net("two-layer", 4, 32, seed=2)
+    W, a, r = net.W.copy(), net.a, net.width
+
+    def out(W, X):
+        return np.maximum(X @ W.T, 0.0) @ a / np.sqrt(r)
+
+    def grad(W, X, dout):
+        S = (X @ W.T > 0).astype(float) * a
+        return (S * dout[:, None]).T @ X / np.sqrt(r)
+
+    def row(epoch):
+        resid = out(W, tr.flat_features) - tr.labels
+        g = grad(W, tr.flat_features, resid)
+        test_resid = out(W, te.flat_features) - te.labels
+        return TraceRow(epoch, 0.5 * float(np.sum(resid ** 2)),
+                        0.5 * float(np.sum(test_resid ** 2)),
+                        float(np.sqrt(float(np.sum(g * g)))))
+
+    want = [row(0)]
+    for epoch in range(1, epochs + 1):
+        batch = tr.subset(np.arange(tr.m))
+        resid = out(W, batch.flat_features) - batch.labels
+        W -= lr * grad(W, batch.flat_features, resid)
+        if epoch % eval_every == 0 or epoch == epochs:
+            want.append(row(epoch))
+
+    cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, loss="squared",
+                      eval_every=eval_every)
+    assert train(net, tr, te, cfg).rows == want
+    assert np.array_equal(net.W, W)
+
+
 def test_minibatch_runs_are_deterministic():
     def run(seed):
         ds = generate_instances(3, 16, seed=9)
