@@ -15,7 +15,6 @@ NTKLAB_THREADS environment variable, then 1.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -25,11 +24,12 @@ import numpy as np
 from .artifacts import RunFiles, csv_text
 from .config import EXPERIMENT_IDS, TRAIN, ExperimentConfig, load_config
 from .errors import DivergenceError, NumericFailureError
-from .experiments import run_experiment, write_manifest
+from .experiments import _keep_heap_mapped, run_experiment, write_manifest
 from .kernels import (ArchSpec, analytic_ntk_gnn, analytic_ntk_mlp, mc_ntk,
                       save_kernel_csv, save_kernel_ntk1, load_kernel_csv,
                       load_kernel_ntk1)
-from .netsim import gaussian_node_dataset, generate_instances, synthetic_labels
+from .netsim import (gaussian_node_dataset, generate_instances,
+                     labelled_gaussian_dataset)
 from .nets import init_net
 from .spectral import eig_sym
 from .training import (TrainConfig, evaluate, save_checkpoint, train,
@@ -230,13 +230,8 @@ def _cmd_train(args):
         n = spec.get_int("n")
         d = spec.get_int("d")
         degree = spec.get_int("label_degree")
-        beta = np.arange(1, d + 1, dtype=float) / d
-        train_ds = gaussian_node_dataset(n, m_train, d, seed)
-        train_ds = dataclasses.replace(
-            train_ds, labels=synthetic_labels(train_ds, beta, degree))
-        test_ds = gaussian_node_dataset(n, m_test, d, seed + 1)
-        test_ds = dataclasses.replace(
-            test_ds, labels=synthetic_labels(test_ds, beta, degree))
+        train_ds = labelled_gaussian_dataset(n, m_train, d, seed, degree)
+        test_ds = labelled_gaussian_dataset(n, m_test, d, seed + 1, degree)
 
     if arch == "wcgcn":
         net = init_net("wcgcn", None, hidden, seed,
@@ -280,6 +275,7 @@ def _cmd_exp(args):
 
 def cli_main(argv=None):
     """Entry point; returns the process exit code."""
+    _keep_heap_mapped()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,6 +9,7 @@ files are written by the parent, atomically (temp file + rename), and the
 manifest lists exactly the files the run wrote.
 """
 
+import ctypes
 import hashlib
 import os
 import time
@@ -21,7 +22,8 @@ import numpy as np
 from . import __version__
 from .artifacts import RunFiles, atomic_write, csv_text
 from .kernels import analytic_ntk_gnn, analytic_ntk_mlp, empirical_ntk
-from .netsim import gaussian_node_dataset, generate_instances, synthetic_labels
+from .netsim import (gaussian_node_dataset, generate_instances,
+                     label_direction, labelled_gaussian_dataset)
 from .nets import init_net
 from .spectral import (activation_constant, condition_landscape,
                        generalization_bound, kernel_dynamics, thm3_bounds)
@@ -81,15 +83,43 @@ def _single_thread_blas_env():
                 os.environ[var] = value
 
 
+def _keep_heap_mapped():
+    """Set this process's malloc policy so that freed numpy buffers stay
+    mapped for the next training step.
+
+    glibc's default serves each large block with its own mmap and trims the
+    freed top of the heap after every burst of temporaries, so each step
+    faults its working set in again.  Blocks under 32 MiB (every hot-path
+    array; the largest, a 256 x 380 x 32 snapshot chunk, is 24.9 MB) now
+    come from the heap, which is trimmed only once 1 GiB is free at its
+    top; larger one-off arrays still go back to the kernel.  Both
+    thresholds must be set: setting either one turns off glibc's dynamic
+    thresholds, and the other then stays fixed, usually at its 128 KiB
+    default.  Does nothing without glibc's ``mallopt``; changes no
+    arithmetic.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        # no process-wide symbol table (TypeError on Windows) or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)            # M_TRIM_THRESHOLD
+
+
 def _run_cells(cell, jobs, threads):
     """One cell function over a list of keyword-argument jobs, in spawned
-    worker processes (one BLAS thread each) when threads > 1; results come
-    back in job order."""
+    worker processes (one BLAS thread each, the malloc policy of
+    ``_keep_heap_mapped``) when threads > 1; results come back in job
+    order."""
     if threads <= 1 or len(jobs) <= 1:
         return [_call(cell, j) for j in jobs]
     with _single_thread_blas_env(), ProcessPoolExecutor(
             max_workers=min(threads, len(jobs)),
-            mp_context=get_context("spawn")) as ex:
+            mp_context=get_context("spawn"),
+            initializer=_keep_heap_mapped) as ex:
         return list(ex.map(_call, [cell] * len(jobs), jobs))
 
 
@@ -400,15 +430,10 @@ def run_fig3(cfg):
 
 def _ntk_cell(width, d, m, seed, lr, epochs, eval_every, label_degree,
               loss_drop):
-    import dataclasses
-
-    ds = gaussian_node_dataset(1, m, d, seed)
-    beta = np.arange(1, d + 1, dtype=float) / d
-    y = synthetic_labels(ds, beta, label_degree)
-    ds = dataclasses.replace(ds, labels=y)
-    test = gaussian_node_dataset(1, max(m // 5, 2), d, seed + 1)
-    test = dataclasses.replace(
-        test, labels=synthetic_labels(test, beta, label_degree))
+    ds = labelled_gaussian_dataset(1, m, d, seed, label_degree)
+    y = ds.labels
+    test = labelled_gaussian_dataset(1, max(m // 5, 2), d, seed + 1,
+                                     label_degree)
 
     net = init_net("two-layer", d, width, seed)
     X = ds.flat_features
@@ -554,8 +579,7 @@ def run_bounds(cfg):
     t_min = cfg.get_float("t_min", section="bounds")
     t_max = cfg.get_float("t_max", section="bounds")
     target = cfg.get_float("residual_target", section="bounds")
-    beta = np.arange(1, d + 1, dtype=float) / d
-    beta_norm = float(np.linalg.norm(beta))
+    beta_norm = float(np.linalg.norm(label_direction(d)))
     times = np.geomspace(t_min, t_max, n_times)
 
     # Theorem 3 curves.  The n per-node constants lambda_1..lambda_n have no
@@ -585,8 +609,8 @@ def run_bounds(cfg):
     thm45_rows, resid_rows, race_rows = [], [], []
     for p, act in zip(p_list, acts):
         for n in n_list:
-            ds = gaussian_node_dataset(n, m, d, cfg.seed)
-            y = synthetic_labels(ds, beta, p)
+            ds = labelled_gaussian_dataset(n, m, d, cfg.seed, p)
+            y = ds.labels
             H_mlp = analytic_ntk_mlp(ds.flat_features, act)
             H_gnn = analytic_ntk_gnn(ds.node_features, act)
             bounds, notes = {}, {}

@@ -145,12 +145,11 @@ def _pair_sums(base):
 
 
 def gnn_kernel_function(nodes_a, nodes_b=None, activation="relu"):
-    """Pairwise-sum kernel between node-feature sets.
+    """Pairwise-sum kernel between node-feature sets: (ma, na, d) and
+    (mb, nb, d) arrays give H (ma, mb), H[a, b] = sum over node pairs of the
+    base kernel.  Input that is not a 3-D array raises ValueError.
 
-    Accepts (m, n, d) arrays or lists of (n_i, d) arrays (node counts may
-    vary).  H[a, b] = sum over node pairs of the base kernel.
-
-    Arrays are evaluated in square blocks of samples whose base kernel holds
+    The samples are evaluated in square blocks whose base kernel holds
     about ``_BLOCK_ENTRIES`` entries (8 MB), so the temporaries stay a few
     such blocks whatever the sample counts.  A symmetric call (``nodes_b``
     None) evaluates only the blocks on and above the diagonal and fills each
@@ -160,31 +159,27 @@ def gnn_kernel_function(nodes_a, nodes_b=None, activation="relu"):
     base Gram may round differently at different block shapes.
     """
     symmetric = nodes_b is None
-    if symmetric:
-        nodes_b = nodes_a
-    if isinstance(nodes_a, np.ndarray) and nodes_a.ndim == 3 \
-            and isinstance(nodes_b, np.ndarray) and nodes_b.ndim == 3:
-        ma, na, d = nodes_a.shape
-        mb, nb, _ = nodes_b.shape
-        step = max(1, int(np.sqrt(_BLOCK_ENTRIES / max(na * nb, 1))))
-        out = np.empty((ma, mb))
-        for lo in range(0, ma, step):
-            hi = min(lo + step, ma)
-            for lo2 in range(lo if symmetric else 0, mb, step):
-                hi2 = min(lo2 + step, mb)
-                base = mlp_kernel_function(
-                    nodes_a[lo:hi].reshape((hi - lo) * na, d),
-                    nodes_b[lo2:hi2].reshape((hi2 - lo2) * nb, d), activation,
-                ).reshape(hi - lo, na, hi2 - lo2, nb)
-                out[lo:hi, lo2:hi2] = _pair_sums(base)
-                if symmetric and lo2 > lo:
-                    out[lo2:hi2, lo:hi] = _pair_sums(
-                        np.ascontiguousarray(base.transpose(2, 3, 0, 1)))
-        return out
-    rows = []
-    for ga in nodes_a:
-        rows.append([mlp_kernel_function(ga, gb, activation).sum() for gb in nodes_b])
-    return np.asarray(rows)
+    nodes_a = np.asarray(nodes_a)
+    nodes_b = nodes_a if symmetric else np.asarray(nodes_b)
+    if nodes_a.ndim != 3 or nodes_b.ndim != 3:
+        raise ValueError("node features must be (samples, nodes, dim) arrays")
+    ma, na, d = nodes_a.shape
+    mb, nb, _ = nodes_b.shape
+    step = max(1, int(np.sqrt(_BLOCK_ENTRIES / max(na * nb, 1))))
+    out = np.empty((ma, mb))
+    for lo in range(0, ma, step):
+        hi = min(lo + step, ma)
+        for lo2 in range(lo if symmetric else 0, mb, step):
+            hi2 = min(lo2 + step, mb)
+            base = mlp_kernel_function(
+                nodes_a[lo:hi].reshape((hi - lo) * na, d),
+                nodes_b[lo2:hi2].reshape((hi2 - lo2) * nb, d), activation,
+            ).reshape(hi - lo, na, hi2 - lo2, nb)
+            out[lo:hi, lo2:hi2] = _pair_sums(base)
+            if symmetric and lo2 > lo:
+                out[lo2:hi2, lo:hi] = _pair_sums(
+                    np.ascontiguousarray(base.transpose(2, 3, 0, 1)))
+    return out
 
 
 def analytic_ntk_mlp(X, activation="relu"):

@@ -9,7 +9,7 @@ weighted-sum-rate objective, and synthetic polynomial labels for the
 supervised kernel experiments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,8 @@ __all__ = [
     "gaussian_node_dataset",
     "sum_rate_batch",
     "synthetic_labels",
+    "label_direction",
+    "labelled_gaussian_dataset",
     "neighbor_indices",
 ]
 
@@ -34,7 +36,7 @@ class Dataset:
     of the objective); 'gaussian-nodes' datasets hold synthetic i.i.d.
     standard-Gaussian node clouds for the kernel/bound experiments.
     Channel arrays are checked on construction: shapes, finite nonnegative
-    magnitudes, nonnegative weights, positive finite noise powers.
+    magnitudes, finite nonnegative weights, positive finite noise powers.
     """
 
     kind: str
@@ -61,8 +63,8 @@ class Dataset:
                              "weights, sigma2s (m, K)")
         if not np.all(np.isfinite(self.mags)) or np.any(self.mags < 0):
             raise ValueError("channel magnitudes must be nonnegative and finite")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
+            raise ValueError("weights must be nonnegative and finite")
         if not np.all(np.isfinite(self.sigma2s)) or np.any(self.sigma2s <= 0):
             raise ValueError("noise powers must be positive and finite")
 
@@ -178,3 +180,17 @@ def synthetic_labels(ds, beta, p_degree):
         raise ValueError(f"beta must have length {d}, got {beta.shape}")
     proj = ds.node_features @ beta          # (m, n)
     return np.sum(proj ** p_degree, axis=1)
+
+
+def label_direction(d):
+    """beta = (1, 2, ..., d) / d: the target direction of the labelled
+    Gaussian task."""
+    return np.arange(1, d + 1, dtype=float) / d
+
+
+def labelled_gaussian_dataset(n, m, d, seed, p_degree):
+    """The labelled Gaussian task of the kernel experiments: a
+    gaussian_node_dataset whose labels are the degree-p synthetic_labels
+    along label_direction(d)."""
+    ds = gaussian_node_dataset(n, m, d, seed)
+    return replace(ds, labels=synthetic_labels(ds, label_direction(d), p_degree))

@@ -5,14 +5,20 @@ the scientifically meaningful scales.
 """
 
 import csv
+import ctypes
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ntklab
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
 from ntklab.config import ExperimentConfig
+from ntklab.netsim import generate_instances
+from ntklab.nets import gradients, init_net
 from ntklab.experiments import (
     _BLAS_THREAD_VARS,
     _matched_mlp_hidden,
@@ -262,6 +268,84 @@ def test_spawned_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS")
     _run_cells(os.getenv, [{"key": "PATH"}] * 2, threads=2)
     assert "MKL_NUM_THREADS" not in os.environ
+
+
+# ---------------------------------------------------------------------------
+# the malloc policy: freed buffers stay mapped between training steps
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+needs_mallopt = pytest.mark.skipif(not _has_mallopt(),
+                                   reason="no glibc mallopt")
+
+_PATHS = [os.path.dirname(os.path.dirname(os.path.abspath(ntklab.__file__))),
+          os.path.dirname(os.path.abspath(__file__))]
+
+
+def _wcgcn_step_faults():
+    """Minor page faults of 10 train-mode WCGCN gradient steps (K = 20,
+    m = 100, hidden 8) after two warm-up steps.  Under glibc's default
+    policy every step maps and faults its temporaries afresh: about 94,600.
+    Under the policy the second step may still extend the heap once (29 to
+    145 pages, seen to depend on the process's earlier allocations); later
+    steps fault 0 or 1."""
+    import resource
+
+    ds = generate_instances(20, 100, 0)
+    net = init_net("wcgcn", None, 8, 0)
+    for _ in range(2):
+        gradients(net, ds, "negative-sum-rate", train=True)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        gradients(net, ds, "negative-sum-rate", train=True)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _step_faults_in_fresh_process(setup):
+    """_wcgcn_step_faults() in a new interpreter, after the ``setup`` code."""
+    code = (f"import sys; sys.path[:0] = {_PATHS!r}\n{setup}\n"
+            "from test_experiments import _wcgcn_step_faults\n"
+            "print(_wcgcn_step_faults())")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, check=True)
+    return int(done.stdout.split()[-1])
+
+
+@needs_mallopt
+def test_cli_entry_keeps_training_steps_fault_free():
+    # cli_main sets the policy first thing, even on a usage error
+    faults = _step_faults_in_fresh_process(
+        "from ntklab.cli import cli_main\nassert cli_main([]) == 1")
+    assert faults < 100
+
+
+@needs_mallopt
+def test_spawned_workers_keep_training_steps_fault_free():
+    faults = _run_cells(_wcgcn_step_faults, [{}, {}], threads=2)
+    assert all(f < 100 for f in faults), faults
+
+
+@needs_mallopt
+def test_policy_is_a_no_op_without_mallopt():
+    # a C library without mallopt, and a platform without a process-wide
+    # symbol table: the helper returns quietly, the allocator keeps its
+    # default policy and the steps fault as before
+    faults = _step_faults_in_fresh_process(
+        "import ctypes, types\n"
+        "from ntklab.experiments import _keep_heap_mapped\n"
+        "ctypes.CDLL = lambda name: types.SimpleNamespace()\n"
+        "_keep_heap_mapped()\n"
+        "def no_table(name):\n"
+        "    raise OSError(name)\n"
+        "ctypes.CDLL = no_table\n"
+        "_keep_heap_mapped()")
+    assert faults > 10_000
 
 
 def test_ntk_regime_kernel_error_shrinks_with_width(tmp_path):

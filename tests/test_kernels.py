@@ -97,11 +97,31 @@ def test_gnn_kernel_is_pairwise_sum():
             assert H[a, b] == pytest.approx(total, rel=1e-10)
 
 
-def test_gnn_kernel_array_and_list_paths_agree():
-    nodes = np.random.default_rng(6).standard_normal((5, 3, 2))
-    fast = gnn_kernel_function(nodes)
-    slow = gnn_kernel_function(list(nodes))
-    np.testing.assert_allclose(fast, slow, rtol=1e-12)
+def _per_sample_pair_sums(nodes_a, nodes_b):
+    """Oracle: one base-kernel block per sample pair, summed whole."""
+    return np.array([[mlp_kernel_function(ga, gb).sum() for gb in nodes_b]
+                     for ga in nodes_a])
+
+
+def test_gnn_kernel_matches_per_sample_loop():
+    rng = np.random.default_rng(6)
+    nodes = rng.standard_normal((5, 3, 2))
+    other = rng.standard_normal((4, 2, 2))
+    np.testing.assert_allclose(gnn_kernel_function(nodes),
+                               _per_sample_pair_sums(nodes, nodes), rtol=1e-12)
+    np.testing.assert_allclose(gnn_kernel_function(other, nodes),
+                               _per_sample_pair_sums(other, nodes), rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [
+    np.ones((4, 2)),                                 # flat features
+    [np.ones((2, 2)), np.ones((3, 2))],              # ragged node counts
+])
+def test_gnn_kernel_rejects_non_3d_input(bad):
+    with pytest.raises(ValueError):
+        gnn_kernel_function(bad)
+    with pytest.raises(ValueError):
+        gnn_kernel_function(np.ones((2, 3, 2)), bad)
 
 
 def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
@@ -123,10 +143,10 @@ def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
         blocked_cross = gnn_kernel_function(other, nodes)
         assert np.array_equal(blocked, whole)
         assert np.array_equal(blocked_cross, whole_cross)
-    np.testing.assert_allclose(blocked, gnn_kernel_function(list(nodes)),
+    np.testing.assert_allclose(blocked, _per_sample_pair_sums(nodes, nodes),
                                rtol=1e-12)
     np.testing.assert_allclose(
-        blocked_cross, gnn_kernel_function(list(other), list(nodes)), rtol=1e-12)
+        blocked_cross, _per_sample_pair_sums(other, nodes), rtol=1e-12)
 
 
 def test_gnn_kernel_peak_memory_is_bounded():
@@ -177,13 +197,6 @@ def test_gnn_kernel_permutation_invariant(n, seed):
     H = gnn_kernel_function(nodes)
     Hp = gnn_kernel_function(nodes[:, pi, :])
     np.testing.assert_allclose(Hp, H, rtol=1e-7, atol=1e-7 * np.abs(H).max())
-
-
-def test_gnn_kernel_mixed_node_counts():
-    a = [np.ones((2, 2)), np.ones((3, 2))]
-    H = gnn_kernel_function(a)
-    # all-ones features: base kernel value is (x.z)/2 = 1 per pair (rho=1)
-    np.testing.assert_allclose(H, [[4 * 1.0, 6 * 1.0], [6 * 1.0, 9 * 1.0]])
 
 
 # ------------------------------------------------------- KernelMatrix checks

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntklab.netsim import (Dataset, _sinr_terms, gaussian_node_dataset,
-                           generate_instances, neighbor_indices,
-                           sum_rate_batch, synthetic_labels)
+                           generate_instances, labelled_gaussian_dataset,
+                           neighbor_indices, sum_rate_batch, synthetic_labels)
 from ntklab.nets import WcgcnNet
 
 
@@ -39,6 +39,16 @@ class TestValidation:
         mags[1, 0, 1] = np.nan
         with pytest.raises(ValueError):
             _channel(ds, mags=mags)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_weights(self, bad):
+        # NaN slips past a `< 0` test, and WMMSE then returns all-zero
+        # powers for that sample without a word
+        ds = generate_instances(2, 3, seed=0)
+        weights = ds.weights.copy()
+        weights[0, 1] = bad
+        with pytest.raises(ValueError, match="weights"):
+            _channel(ds, weights=weights)
 
     def test_rejects_zero_noise(self):
         ds = generate_instances(2, 3, seed=0)
@@ -246,6 +256,16 @@ def test_synthetic_labels_formula():
     y = synthetic_labels(ds, beta, 2)
     expected = ((ds.node_features @ beta) ** 2).sum(axis=1)
     np.testing.assert_allclose(y, expected)
+
+
+def test_labelled_gaussian_task():
+    # beta = (1/3, 2/3, 1): the labels every kernel experiment trains on
+    ds = labelled_gaussian_dataset(2, 6, 3, 4, 3)
+    plain = gaussian_node_dataset(2, 6, 3, 4)
+    assert np.array_equal(ds.node_features, plain.node_features)
+    beta = np.array([1.0, 2.0, 3.0]) / 3.0
+    assert np.array_equal(ds.labels,
+                          np.sum((plain.node_features @ beta) ** 3, axis=1))
 
 
 @settings(max_examples=30, deadline=None)
