@@ -21,10 +21,8 @@ from .errors import (DegenerateInputError, DivergenceError,
 from .netsim import (Dataset, gaussian_node_dataset, generate_instances,
                      sum_rate_batch, synthetic_labels)
 from .wmmse import wmmse_batch
-from .kernels import (ArchSpec, KernelMatrix, analytic_ntk_gnn,
-                      analytic_ntk_mlp, empirical_ntk, load_kernel_csv,
-                      load_kernel_ntk1, mc_ntk, save_kernel_csv,
-                      save_kernel_ntk1)
+from .kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
+                      empirical_ntk, load_kernel_csv, mc_ntk, save_kernel_csv)
 from .spectral import (DynamicsResult, LandscapeTable, SpectralReport,
                        activation_constant, condition_landscape, eig_sym,
                        generalization_bound, kernel_dynamics, thm2_rate_bound,

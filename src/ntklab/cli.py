@@ -1,17 +1,21 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands, with the shared flags each one takes::
 
-    gen       draw a dataset and write its feature CSVs
-    ntk       compute a kernel matrix (analytic, optionally Monte Carlo)
-    spectral  eigendecompose a saved kernel (alignment if labels are given)
-    train     run one training job from a config file ([train] section)
-    exp ID    run an experiment pipeline (fig1 fig2 fig3 ntk-regime thm3
-              thm4-thm5)
+    gen       draw a dataset and write its feature CSVs       --seed --out
+    ntk       compute a kernel matrix (analytic, optionally   --seed --out
+              Monte Carlo) and write it as kernel.csv
+    spectral  eigendecompose a kernel.csv (alignment if       --out
+              labels are given)
+    train     run one training job from a config file         --config --seed
+              ([train] section)                               --out
+    exp ID    run an experiment pipeline (fig1 fig2 fig3      --config --seed
+              ntk-regime thm3 thm4-thm5)                      --out --threads
 
-Exit codes: 0 success, 1 invalid arguments or config, 2 numeric failure
-(divergence, non-finite values).  ``--threads`` falls back to the
-NTKLAB_THREADS environment variable, then 1.
+A flag that a subcommand does not take is a usage error.  Exit codes: 0
+success, 1 invalid arguments or config, 2 numeric failure (divergence,
+non-finite values).  ``--threads`` falls back to the NTKLAB_THREADS
+environment variable, then 1.
 """
 
 import argparse
@@ -24,10 +28,10 @@ import numpy as np
 from .artifacts import RunFiles, csv_text
 from .config import EXPERIMENT_IDS, TRAIN, ExperimentConfig, load_config
 from .errors import DivergenceError, NumericFailureError
-from .experiments import _keep_heap_mapped, run_experiment, write_manifest
-from .kernels import (ArchSpec, analytic_ntk_gnn, analytic_ntk_mlp, mc_ntk,
-                      save_kernel_csv, save_kernel_ntk1, load_kernel_csv,
-                      load_kernel_ntk1)
+from .experiments import (_keep_heap_mapped, _sum_rate_net, run_experiment,
+                          write_manifest)
+from .kernels import (analytic_ntk_gnn, analytic_ntk_mlp, mc_ntk,
+                      save_kernel_csv, load_kernel_csv)
 from .netsim import (gaussian_node_dataset, generate_instances,
                      labelled_gaussian_dataset)
 from .nets import init_net
@@ -52,14 +56,15 @@ def _build_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p):
-        p.add_argument("--config", help="sectioned key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
+    def common(p, *names):
+        flags = {"config": dict(help="sectioned key = value config file"),
+                 "seed": dict(type=int), "out": dict(help="output directory"),
+                 "threads": dict(type=int)}
+        for name in names:
+            p.add_argument(f"--{name}", **flags[name])
 
     g = sub.add_parser("gen", help="draw a dataset, write feature CSVs")
-    common(g)
+    common(g, "seed", "out")
     g.add_argument("--kind", choices=("channel", "gaussian"), default="channel")
     g.add_argument("--k", type=int, default=5, help="users (channel kind)")
     g.add_argument("--n", type=int, default=5, help="nodes (gaussian kind)")
@@ -67,7 +72,7 @@ def _build_parser():
     g.add_argument("--m", type=int, default=100, help="samples")
 
     n = sub.add_parser("ntk", help="compute a kernel matrix")
-    common(n)
+    common(n, "seed", "out")
     n.add_argument("--arch", choices=("mlp", "gnn"), default="mlp")
     n.add_argument("--activation", choices=("relu", "quadratic"),
                    default="relu")
@@ -84,17 +89,16 @@ def _build_parser():
                    help="width per Monte Carlo draw")
 
     s = sub.add_parser("spectral", help="eigendecompose a saved kernel")
-    common(s)
-    s.add_argument("--kernel", required=True,
-                   help="kernel file (.csv or .ntk1)")
+    common(s, "out")
+    s.add_argument("--kernel", required=True, help="kernel CSV file")
     s.add_argument("--labels", default=None,
                    help="optional label file, one value per line")
 
     t = sub.add_parser("train", help="run one training job from --config")
-    common(t)
+    common(t, "config", "seed", "out")
 
     e = sub.add_parser("exp", help="run an experiment pipeline")
-    common(e)
+    common(e, "config", "seed", "out", "threads")
     e.add_argument("id", choices=EXPERIMENT_IDS, metavar="ID",
                    help="|".join(EXPERIMENT_IDS))
     e.add_argument("--scale", type=float, default=None,
@@ -142,21 +146,18 @@ def _cmd_gen(args):
 def _cmd_ntk(args):
     t0 = time.perf_counter()
     files = RunFiles(args.out or "runs")
-    ds, _ = _dataset(args)
+    ds, meta = _dataset(args)
     if args.arch == "mlp":
-        family, X, analytic = "flat-mlp", ds.flat_features, analytic_ntk_mlp
+        X, analytic = ds.flat_features, analytic_ntk_mlp
     else:
-        family, X, analytic = "perminv-gnn", ds.node_features, analytic_ntk_gnn
+        X, analytic = ds.node_features, analytic_ntk_gnn
     kernel = analytic(X, args.activation)
     save_kernel_csv(kernel, files.path("kernel.csv"))
-    save_kernel_ntk1(kernel, files.path("kernel.ntk1"))
-    echo = ["command = ntk", f"arch = {args.arch}",
-            f"activation = {args.activation}", f"kind = {args.kind}",
-            f"m = {args.m}", f"seed = {_seed(args)}"]
+    echo = ["command = ntk"] + meta + [f"arch = {args.arch}",
+                                      f"activation = {args.activation}"]
     if args.mc_units:
         draws = max(1, args.mc_units // args.mc_width)
-        est = mc_ntk(ArchSpec(family, args.activation), X, draws,
-                     args.mc_width, _seed(args))
+        est = mc_ntk(X, draws, args.mc_width, _seed(args), args.activation)
         save_kernel_csv(est, files.path("mc_kernel.csv"))
         err = float(np.linalg.norm(est.entries - kernel.entries)
                     / np.linalg.norm(kernel.entries))
@@ -172,10 +173,7 @@ def _cmd_spectral(args):
     t0 = time.perf_counter()
     files = RunFiles(args.out or "runs")
     path = args.kernel
-    if path.endswith(".ntk1"):
-        kernel = load_kernel_ntk1(path)
-    else:
-        kernel = load_kernel_csv(path)
+    kernel = load_kernel_csv(path)
     y = None
     if args.labels:
         y = np.loadtxt(args.labels, ndmin=1)
@@ -233,16 +231,11 @@ def _cmd_train(args):
         train_ds = labelled_gaussian_dataset(n, m_train, d, seed, degree)
         test_ds = labelled_gaussian_dataset(n, m_test, d, seed + 1, degree)
 
-    if arch == "wcgcn":
-        net = init_net("wcgcn", None, hidden, seed,
-                       layers=spec.get_int("layers"))
-    elif arch == "power-mlp":
-        net = init_net("power-mlp", (k * k + k, k), hidden, seed)
-    elif arch == "two-layer":
+    if arch == "two-layer":
         net = init_net("two-layer", train_ds.flat_features.shape[1],
                        spec.get_int("width"), seed)
     else:
-        raise ValueError(f"unknown arch {arch!r}")
+        net = _sum_rate_net(arch, k, hidden, seed, spec.get_int("layers"))
 
     files = RunFiles(out)
     try:

@@ -121,40 +121,38 @@ class ExperimentConfig:
         )
 
     # -- typed getters over this experiment's section ----------------------
-    def _raw(self, key, default=None, section=None):
-        sec = self.sections.get(section or self.experiment, {})
-        if key in sec:
-            return sec[key]
-        if default is None:
-            raise KeyError(f"missing config key {key!r} in section "
-                           f"[{section or self.experiment}]")
-        return default
+    def _raw(self, key, section=None):
+        section = section or self.experiment
+        sec = self.sections.get(section, {})
+        if key not in sec:
+            raise KeyError(f"missing config key {key!r} in section [{section}]")
+        return sec[key]
 
-    def get_str(self, key, default=None, section=None):
-        return str(self._raw(key, default, section))
+    def get_str(self, key, section=None):
+        return str(self._raw(key, section))
 
-    def get_int(self, key, default=None, section=None):
-        return _integral(key, self._raw(key, default, section))
+    def get_int(self, key, section=None):
+        return _integral(key, self._raw(key, section))
 
-    def get_float(self, key, default=None, section=None):
-        return float(self._raw(key, default, section))
+    def get_float(self, key, section=None):
+        return float(self._raw(key, section))
 
-    def get_int_list(self, key, default=None, section=None):
-        raw = self._raw(key, default, section)
+    def get_int_list(self, key, section=None):
+        raw = self._raw(key, section)
         values = [_integral(key, v) for v in str(raw).split(",") if v.strip()]
         if not values:
             raise ValueError(f"config list {key!r} must be nonempty")
         return values
 
-    def get_str_list(self, key, default=None, section=None):
-        raw = self._raw(key, default, section)
+    def get_str_list(self, key, section=None):
+        raw = self._raw(key, section)
         values = [v.strip() for v in str(raw).split(",") if v.strip()]
         if not values:
             raise ValueError(f"config list {key!r} must be nonempty")
         return values
 
-    def get_batch(self, key="batch_size", default="full", section=None):
-        raw = str(self._raw(key, default, section)).lower()
+    def get_batch(self, key="batch_size", section=None):
+        raw = str(self._raw(key, section)).lower()
         return None if raw in ("full", "none") else _integral(key, raw)
 
     def scaled(self, value, minimum=1):

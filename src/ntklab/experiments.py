@@ -1,4 +1,4 @@
-"""Seeded experiment pipelines emitting CSV artifacts, plot scripts, and a
+"""Seeded experiment pipelines emitting CSV artifacts, a plot script, and a
 checksum manifest.
 
 Every pipeline is a pure function of (config, seed): re-running reproduces
@@ -139,13 +139,60 @@ def _matched_mlp_hidden(gnn_params, d_in, k):
     return h - 1 if h > 1 and gnn_params - below < here - gnn_params else h
 
 
+def _sum_rate_net(arch, k, hidden, seed, layers):
+    """A fresh net for the K-user sum-rate task: 'wcgcn' (the same net for
+    any K) or the flat 'power-mlp' over the K*K magnitudes and K weights."""
+    return init_net(arch, (k * k + k, k), hidden, seed, layers=layers)
+
+
 def _mlp_hidden(cfg, k, gnn_hidden, layers):
     """The flat net's hidden width: the configured one, or with
     ``mlp_hidden = auto`` the one matching the WCGCN's parameter count."""
     if cfg.get_str("mlp_hidden") != "auto":
         return cfg.get_int("mlp_hidden")
-    gnn_params = init_net("wcgcn", None, gnn_hidden, 0, layers=layers).n_params()
-    return _matched_mlp_hidden(gnn_params, k * k + k, k)
+    gnn = _sum_rate_net("wcgcn", k, gnn_hidden, 0, layers)
+    d_in = _sum_rate_net("power-mlp", k, 1, 0, layers).dims[0]
+    return _matched_mlp_hidden(gnn.n_params(), d_in, k)
+
+
+# The plot script every run writes beside its CSVs.  PLOT_DATA becomes the
+# PNG name and the panels: (CSV files, x column, y columns, group-by columns,
+# log y), one line per (file, group, y column).  The script reads only the
+# files listed, so stale CSVs in a reused directory never reach the figure.
+_PLOT = """\
+#!/usr/bin/env python3
+\"\"\"Render this run's figure from the CSVs next to this script.\"\"\"
+import csv, os
+import matplotlib.pyplot as plt
+
+PNG, PANELS = PLOT_DATA
+here = os.path.dirname(os.path.abspath(__file__))
+fig, axes = plt.subplots(1, len(PANELS), figsize=(5 * len(PANELS), 4),
+                         squeeze=False)
+for ax, (names, x, ys, group, logy) in zip(axes[0], PANELS):
+    for name in names:
+        with open(os.path.join(here, name)) as fh:
+            rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+        for key in sorted({tuple(r[g] for g in group) for r in rows}):
+            sel = [r for r in rows if tuple(r[g] for g in group) == key]
+            tag = " ".join(f"{g}={v}" for g, v in zip(group, key))
+            for y in ys:
+                pts = [(float(r[x]), float(r[y])) for r in sel if r[y]]
+                ax.plot([p[0] for p in pts], [p[1] for p in pts],
+                        label=f"{name[:-4]} {y} {tag}".rstrip())
+    ax.set_xlabel(x)
+    if logy:
+        ax.set_yscale("log")
+    ax.legend(fontsize=6)
+fig.tight_layout()
+fig.savefig(os.path.join(here, PNG), dpi=150)
+print("wrote", PNG)
+"""
+
+
+def _write_plot(files, script, png, panels):
+    """Write ``script``, the plot of ``panels`` into ``png``; see _PLOT."""
+    files.write(script, _PLOT.replace("PLOT_DATA", repr((png, panels))))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +202,8 @@ def _train_cell(k, model, m, m_test, seed, hidden, layers, optimizer, lr,
                 epochs, batch_size, eval_every):
     train_ds = generate_instances(k, m, seed)
     test_ds = generate_instances(k, m_test, seed + 1)
-    if model == "gnn":
-        net = init_net("wcgcn", None, hidden, seed, layers=layers)
-    else:
-        net = init_net("power-mlp", (k * k + k, k), hidden, seed)
+    net = _sum_rate_net("wcgcn" if model == "gnn" else "power-mlp", k, hidden,
+                        seed, layers)
     cfg = TrainConfig(optimizer=optimizer, lr=lr, epochs=epochs,
                       loss="negative-sum-rate", seed=seed,
                       eval_every=eval_every, batch_size=batch_size)
@@ -168,34 +213,6 @@ def _train_cell(k, model, m, m_test, seed, hidden, layers, optimizer, lr,
 
 # ---------------------------------------------------------------------------
 # Fig. 1: convergence and generalization on the power-control task
-
-_FIG1_PLOT = """\
-#!/usr/bin/env python3
-\"\"\"Render the convergence figure from the CSVs next to this script.\"\"\"
-import csv, os
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-fig, axes = plt.subplots(1, 2, figsize=(10, 4), sharey=False)
-for ax, kname in zip(axes, K_LIST):
-    with open(os.path.join(here, f"fig1_K{kname}.csv")) as fh:
-        rows = [r for r in csv.DictReader(
-            (l for l in fh if not l.startswith("#")))]
-    ep = [int(r["epoch"]) for r in rows]
-    for model, style in (("gnn", "-"), ("mlp", "--")):
-        ax.plot(ep, [float(r[f"{model}_train_loss"]) for r in rows],
-                style, label=f"{model} train")
-        ax.plot(ep, [float(r[f"{model}_test_loss"]) for r in rows],
-                style, alpha=0.5, label=f"{model} test")
-    ax.set_title(f"K = {kname}")
-    ax.set_xlabel("epoch")
-    ax.set_ylabel("negative sum rate")
-    ax.legend()
-fig.tight_layout()
-fig.savefig(os.path.join(here, "fig1.png"), dpi=150)
-print("wrote fig1.png")
-"""
-
 
 def run_fig1(cfg):
     """Trains matched MLP and WCGCN on the sum-rate objective at each K."""
@@ -238,37 +255,16 @@ def run_fig1(cfg):
              for g, m in zip(rows[(k, "gnn")], rows[(k, "mlp")])]))
     files.write("fig1_summary.csv", csv_text(
         ",".join(summaries[0]), [tuple(s.values()) for s in summaries]))
-    files.write("fig1_plot.py",
-                _FIG1_PLOT.replace("K_LIST", repr([str(k) for k in k_list])))
+    _write_plot(files, "fig1_plot.py", "fig1.png", [
+        ([f"fig1_K{k}.csv"], "epoch", ["gnn_train_loss", "gnn_test_loss",
+                                       "mlp_train_loss", "mlp_test_loss"],
+         [], False) for k in k_list])
     write_manifest(files, cfg.echo_lines(), t0)
     return summaries
 
 
 # ---------------------------------------------------------------------------
 # Fig. 2: kernel conditioning against graph size
-
-_FIG2_PLOT = """\
-#!/usr/bin/env python3
-\"\"\"Render the conditioning figure from landscape.csv next to this script.\"\"\"
-import csv, os
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-with open(os.path.join(here, "landscape.csv")) as fh:
-    rows = [r for r in csv.DictReader((l for l in fh if not l.startswith("#")))]
-n = [int(r["n"]) for r in rows]
-plt.figure(figsize=(5, 4))
-plt.plot(n, [float(r["cond_mlp"]) for r in rows], "o-", label="MLP")
-plt.plot(n, [float(r["cond_gnn"]) for r in rows], "s-", label="GNN")
-plt.xlabel("nodes n")
-plt.ylabel("condition number")
-plt.yscale("log")
-plt.legend()
-plt.tight_layout()
-plt.savefig(os.path.join(here, "fig2.png"), dpi=150)
-print("wrote fig2.png")
-"""
-
 
 def run_fig2(cfg):
     """Condition-number landscape over graph sizes (Gaussian node features)."""
@@ -296,47 +292,14 @@ def run_fig2(cfg):
         "metric,value,threshold,satisfied",
         [("cond_mlp_growth", mlp_growth, growth_min, int(mlp_growth >= growth_min)),
          ("cond_gnn_growth", gnn_growth, flat_max, int(gnn_growth <= flat_max))]))
-    files.write("fig2_plot.py", _FIG2_PLOT)
+    _write_plot(files, "fig2_plot.py", "fig2.png", [
+        (["landscape.csv"], "n", ["cond_mlp", "cond_gnn"], [], True)])
     write_manifest(files, cfg.echo_lines(), t0)
     return table
 
 
 # ---------------------------------------------------------------------------
 # Fig. 3: sample-size scaling — training slowdown and kernel lambda_min
-
-_FIG3_PLOT = """\
-#!/usr/bin/env python3
-\"\"\"Render training curves per sample size and the lambda_min table.\"\"\"
-import csv, os
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4))
-for name in sorted(os.listdir(here)):
-    if not (name.startswith("trace_") and name.endswith(".csv")):
-        continue
-    with open(os.path.join(here, name)) as fh:
-        rows = list(csv.DictReader(fh))
-    label = name[len("trace_"):-len(".csv")]
-    ax1.plot([int(r["epoch"]) for r in rows],
-             [float(r["train_loss"]) for r in rows], label=label)
-ax1.set_xlabel("epoch")
-ax1.set_ylabel("train loss (negative sum rate)")
-ax1.legend(fontsize=7)
-with open(os.path.join(here, "lambda_min.csv")) as fh:
-    rows = [r for r in csv.DictReader((l for l in fh if not l.startswith("#")))]
-m = [int(r["m"]) for r in rows]
-ax2.plot(m, [float(r["lambda_min_mlp"]) for r in rows], "o-", label="MLP")
-ax2.plot(m, [float(r["lambda_min_gnn"]) for r in rows], "s-", label="GNN")
-ax2.set_xlabel("training samples m")
-ax2.set_ylabel("kernel lambda_min")
-ax2.set_yscale("log")
-ax2.legend()
-fig.tight_layout()
-fig.savefig(os.path.join(here, "fig3.png"), dpi=150)
-print("wrote fig3.png")
-"""
-
 
 def run_fig3(cfg):
     """Per-(model, m) training traces plus analytic-kernel lambda_min table."""
@@ -370,6 +333,7 @@ def run_fig3(cfg):
         model, m = job["model"], job["m"]
         rows[(model, m)] = r["rows"]
         write_trace_csv(r["rows"], files.path(f"trace_{model}_m{m}.csv"))
+    traces = list(files.names)
 
     # One fixed train-loss threshold per model, shared by its sample sizes:
     # the highest of the runs' own progress levels, so every run crosses it.
@@ -420,7 +384,10 @@ def run_fig3(cfg):
                   "lambda_min_gnn: sum-readout kernel over the node "
                   "features (w_k, |h_kk|), which never see the "
                   "interference links"]))
-    files.write("fig3_plot.py", _FIG3_PLOT)
+    _write_plot(files, "fig3_plot.py", "fig3.png", [
+        (traces, "epoch", ["train_loss"], [], False),
+        (["lambda_min.csv"], "m", ["lambda_min_mlp", "lambda_min_gnn"], [],
+         True)])
     write_manifest(files, cfg.echo_lines(), t0)
     return summaries
 
@@ -463,33 +430,6 @@ def _ntk_cell(width, d, m, seed, lr, epochs, eval_every, label_degree,
             "rows": rows, "reached_drop": bool((~window).any())}
 
 
-_NTK_PLOT = """\
-#!/usr/bin/env python3
-\"\"\"Render wide-net trajectories against their kernel predictions.\"\"\"
-import csv, os
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-plt.figure(figsize=(6, 4))
-for name in sorted(os.listdir(here)):
-    if not (name.startswith("traj_w") and name.endswith(".csv")):
-        continue
-    with open(os.path.join(here, name)) as fh:
-        rows = list(csv.DictReader(fh))
-    w = name[len("traj_w"):-len(".csv")]
-    ep = [int(r["epoch"]) for r in rows]
-    plt.semilogy(ep, [float(r["train_loss"]) for r in rows], label=f"net w={w}")
-    plt.semilogy(ep, [float(r["predicted_loss"]) for r in rows], "--",
-                 label=f"kernel w={w}")
-plt.xlabel("epoch")
-plt.ylabel("squared loss")
-plt.legend(fontsize=7)
-plt.tight_layout()
-plt.savefig(os.path.join(here, "ntk_regime.png"), dpi=150)
-print("wrote ntk_regime.png")
-"""
-
-
 def run_ntk_regime(cfg):
     """Finite-width trajectories vs the empirical-kernel linear dynamics."""
     t0 = time.perf_counter()
@@ -519,48 +459,15 @@ def run_ntk_regime(cfg):
     files.write("kernel_convergence.csv", csv_text(
         "width,kernel_frobenius_error",
         [(r["width"], r["fro_error"]) for r in results]))
-    files.write("ntk_plot.py", _NTK_PLOT)
+    _write_plot(files, "ntk_plot.py", "ntk_regime.png", [
+        ([f"traj_w{r['width']}.csv" for r in results], "epoch",
+         ["train_loss", "predicted_loss"], [], True)])
     write_manifest(files, cfg.echo_lines(), t0)
     return results
 
 
 # ---------------------------------------------------------------------------
 # Theorem 3-5: bound curves, generalization-bound table, residual races
-
-_BOUNDS_PLOT = """\
-#!/usr/bin/env python3
-\"\"\"Render bound curves and the bound-ratio table.\"\"\"
-import csv, os
-import matplotlib.pyplot as plt
-
-here = os.path.dirname(os.path.abspath(__file__))
-fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(10, 4))
-with open(os.path.join(here, "thm3.csv")) as fh:
-    rows = [r for r in csv.DictReader((l for l in fh if not l.startswith("#")))]
-for key in sorted({(r["p"], r["n"]) for r in rows}):
-    sel = [r for r in rows if (r["p"], r["n"]) == key]
-    t = [float(r["t"]) for r in sel]
-    ax1.semilogy(t, [float(r["gnn_bound"]) for r in sel],
-                 label=f"gnn p={key[0]} n={key[1]}")
-    ax1.semilogy(t, [float(r["mlp_bound"]) for r in sel], "--",
-                 label=f"mlp p={key[0]} n={key[1]}")
-ax1.set_xlabel("t")
-ax1.set_ylabel("convergence bound")
-ax1.legend(fontsize=5)
-with open(os.path.join(here, "thm45.csv")) as fh:
-    rows = [r for r in csv.DictReader((l for l in fh if not l.startswith("#")))]
-for p in sorted({r["p"] for r in rows}):
-    sel = [r for r in rows if r["p"] == p and r["ratio"]]
-    ax2.plot([int(r["n"]) for r in sel], [float(r["ratio"]) for r in sel],
-             "o-", label=f"mlp/gnn bound ratio, p={p}")
-ax2.set_xlabel("nodes n")
-ax2.set_ylabel("bound ratio")
-ax2.legend()
-fig.tight_layout()
-fig.savefig(os.path.join(here, "bounds.png"), dpi=150)
-print("wrote bounds.png")
-"""
-
 
 def run_bounds(cfg):
     """Theorem 3 curves, Theorem 4/5 bound table, and kernel-regression
@@ -645,7 +552,9 @@ def run_bounds(cfg):
     files.write("residual_race.csv", csv_text(
         "p,activation,n,t_gnn_reach,t_mlp_reach", race_rows,
         comments=[f"first grid time with residual <= {target:g} * ||y||"]))
-    files.write("bounds_plot.py", _BOUNDS_PLOT)
+    _write_plot(files, "bounds_plot.py", "bounds.png", [
+        (["thm3.csv"], "t", ["gnn_bound", "mlp_bound"], ["p", "n"], True),
+        (["thm45.csv"], "n", ["ratio"], ["p"], False)])
     write_manifest(files, cfg.echo_lines(), t0)
     return thm45_rows
 

@@ -15,11 +15,14 @@ node with a sum readout, giving the pairwise sum over node pairs.  Node-set
 arrays are evaluated in square sample blocks of about ``_BLOCK_ENTRIES``
 base-kernel entries each, so memory stays bounded whatever m is; a symmetric
 call evaluates only the upper block triangle and fills each mirror block from
-its transposed base block.
+its transposed base block.  Flat (m, d) samples select the flat kernel and
+(m, n, d) node sets the sum-readout one wherever both are accepted.
+
+Kernels persist as one text format, ``save_kernel_csv``: 17 significant
+digits, so a saved kernel loads back bit for bit.
 """
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .rng import DOMAIN_MC, stream
 
 __all__ = [
     "KernelMatrix",
-    "ArchSpec",
     "analytic_ntk_mlp",
     "analytic_ntk_gnn",
     "mc_ntk",
@@ -38,8 +40,6 @@ __all__ = [
     "gnn_kernel_function",
     "save_kernel_csv",
     "load_kernel_csv",
-    "save_kernel_ntk1",
-    "load_kernel_ntk1",
 ]
 
 SYMMETRY_TOL = 1e-10
@@ -49,26 +49,10 @@ _BLOCK_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
-class ArchSpec:
-    """Which infinite-width architecture a kernel refers to."""
-
-    family: str                 # 'flat-mlp' | 'perminv-gnn'
-    activation: str = "relu"    # 'relu' | 'quadratic'
-
-    def __post_init__(self):
-        if self.family not in ("flat-mlp", "perminv-gnn"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.activation not in ("relu", "quadratic"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-@dataclass(frozen=True)
 class KernelMatrix:
-    """m x m symmetric PSD Gram matrix with provenance metadata."""
+    """m x m symmetric Gram matrix, checked finite and symmetric."""
 
     entries: np.ndarray
-    provenance: str             # analytic-mlp | analytic-gnn | monte-carlo | empirical
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         H = np.asarray(self.entries, dtype=float)
@@ -186,7 +170,7 @@ def analytic_ntk_mlp(X, activation="relu"):
     """Closed-form infinite-width kernel of the flat two-layer net."""
     H = mlp_kernel_function(X, None, activation)
     H = (H + H.T) / 2.0
-    return KernelMatrix(H, "analytic-mlp", {"activation": activation})
+    return KernelMatrix(H)
 
 
 def analytic_ntk_gnn(nodes, activation="relu"):
@@ -196,7 +180,7 @@ def analytic_ntk_gnn(nodes, activation="relu"):
     """
     H = gnn_kernel_function(nodes, None, activation)
     H = (H + H.T) / 2.0
-    return KernelMatrix(H, "analytic-gnn", {"activation": activation})
+    return KernelMatrix(H)
 
 
 def _sigma_prime(Z, activation):
@@ -221,32 +205,27 @@ def _first_layer_gram(X, W, activation):
     return np.einsum("ird,jrd->ij", T, T, optimize=True) / r
 
 
-def mc_ntk(arch, X, draws, width_per_draw, seed):
+def mc_ntk(X, draws, width_per_draw, seed, activation="relu"):
     """Monte-Carlo estimate of the NTK: average of per-draw Gram matrices
-    over Gaussian first layers.  Unbiased for the analytic kernel; exactly
-    symmetric PSD by construction; deterministic given seed (each draw has
-    its own counter stream, so the draw schedule is irrelevant).
+    over Gaussian first layers, of the flat kernel for (m, d) samples and
+    of the sum-readout kernel for (m, n, d) node sets.  Unbiased for the
+    analytic kernel; exactly symmetric PSD by construction; deterministic
+    given seed (each draw has its own counter stream, so the draw schedule
+    is irrelevant).
     """
     if draws < 1 or width_per_draw < 1:
         raise ValueError("draws and width_per_draw must be >= 1")
     X = np.asarray(X, dtype=float)
-    if arch.family == "flat-mlp":
+    if X.ndim == 2:
         X, _ = _check_samples(X)
-        if X.ndim != 2:
-            raise ValueError("flat-mlp expects (m, d) samples")
     elif X.ndim != 3:
-        raise ValueError("perminv-gnn expects (m, n, d) node features")
+        raise ValueError("expects (m, d) samples or (m, n, d) node features")
     acc = np.zeros((X.shape[0], X.shape[0]))
     for t in range(draws):
         W = stream(seed, DOMAIN_MC, t).standard_normal((width_per_draw, X.shape[-1]))
-        acc += _first_layer_gram(X, W, arch.activation)
+        acc += _first_layer_gram(X, W, activation)
     H = acc / draws
-    H = (H + H.T) / 2.0
-    return KernelMatrix(
-        H, "monte-carlo",
-        {"draws": draws, "width_per_draw": width_per_draw, "family": arch.family,
-         "activation": arch.activation, "seed": seed},
-    )
+    return KernelMatrix((H + H.T) / 2.0)
 
 
 def empirical_ntk(net, X):
@@ -266,13 +245,10 @@ def empirical_ntk(net, X):
         if X.ndim not in (2, 3):
             raise ValueError("TwoLayerNet expects (m, d) or (m, n, d) inputs")
         H = _first_layer_gram(X, net.W, net.activation)
-        width = net.width
     else:
         J = _nets.output_jacobians(net, X)      # (outputs, params)
         H = J @ J.T
-        width = getattr(net, "hidden", None)
-    H = (H + H.T) / 2.0
-    return KernelMatrix(H, "empirical", {"width": width, "net": type(net).__name__})
+    return KernelMatrix((H + H.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,38 +260,10 @@ def save_kernel_csv(kernel, path):
     atomic_write(path, csv_text(str(H.shape[0]), H))
 
 
-def load_kernel_csv(path, provenance="analytic-mlp"):
+def load_kernel_csv(path):
     with open(path) as fh:
         m = int(fh.readline())
         H = np.loadtxt(fh, delimiter=",", ndmin=2)
     if H.shape != (m, m):
         raise ValueError(f"expected {m}x{m} kernel, got {H.shape}")
-    return KernelMatrix(H, provenance, {"source": str(path)})
-
-
-MAGIC = b"NTK1"
-_HEADER = len(MAGIC) + 8
-
-
-def save_kernel_ntk1(kernel, path):
-    """Binary export: magic 'NTK1', little-endian u64 m, m*m little-endian
-    f64 entries in row-major order."""
-    H = np.ascontiguousarray(kernel.entries, dtype="<f8")
-    atomic_write(path, MAGIC + struct.pack("<Q", H.shape[0]) + H.tobytes())
-
-
-def load_kernel_ntk1(path, provenance="analytic-mlp"):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:len(MAGIC)] != MAGIC:
-        raise ValueError(f"bad magic {raw[:len(MAGIC)]!r}")
-    if len(raw) < _HEADER:
-        raise ValueError(f"truncated header: {len(raw)} bytes, "
-                         f"expected at least {_HEADER}")
-    (m,) = struct.unpack("<Q", raw[len(MAGIC):_HEADER])
-    expected = _HEADER + 8 * m * m
-    if len(raw) != expected:
-        raise ValueError(f"file length {len(raw)} bytes does not match "
-                         f"m = {m}: expected {expected}")
-    data = np.frombuffer(raw, dtype="<f8", offset=_HEADER).reshape(m, m)
-    return KernelMatrix(data.astype(float), provenance, {"source": str(path)})
+    return KernelMatrix(H)

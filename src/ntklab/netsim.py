@@ -6,7 +6,8 @@ and noise powers sigma2.  Only |H| enters the objective, so a batch of m
 instances is held as arrays: magnitudes (m, K, K), weights and noise powers
 (m, K).  The module provides instance generation, the batched SINR /
 weighted-sum-rate objective, and synthetic polynomial labels for the
-supervised kernel experiments.
+supervised kernel experiments.  A Dataset is only its arrays: the sample
+count m and node count n are read from them.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,18 +32,14 @@ __all__ = [
 class Dataset:
     """A batch of samples as the feature arrays both architectures consume.
 
-    Two kinds exist: 'channel' datasets hold channel instances (node
-    features are (w_k, |h_kk|), n = K, plus the mags/weights/sigma2s arrays
-    of the objective); 'gaussian-nodes' datasets hold synthetic i.i.d.
+    Channel datasets hold channel instances (node features are
+    (w_k, |h_kk|), n = K, plus the mags/weights/sigma2s arrays of the
+    objective); Gaussian node datasets hold synthetic i.i.d.
     standard-Gaussian node clouds for the kernel/bound experiments.
     Channel arrays are checked on construction: shapes, finite nonnegative
     magnitudes, finite nonnegative weights, positive finite noise powers.
     """
 
-    kind: str
-    m: int
-    n: int
-    seed: int | None
     node_features: np.ndarray                  # (m, n, d_node)
     flat_features: np.ndarray                  # (m, flat_dim)
     labels: np.ndarray | None = None
@@ -51,7 +48,17 @@ class Dataset:
     weights: np.ndarray | None = field(default=None, repr=False)   # (m, K)
     sigma2s: np.ndarray | None = field(default=None, repr=False)   # (m, K)
 
+    @property
+    def m(self):
+        return self.node_features.shape[0]
+
+    @property
+    def n(self):
+        return self.node_features.shape[1]
+
     def __post_init__(self):
+        if len(self.flat_features) != self.m:
+            raise ValueError("feature arrays must hold the same samples")
         if self.labels is not None and len(self.labels) != self.m:
             raise ValueError("label count must equal sample count")
         if self.mags is None:
@@ -72,10 +79,6 @@ class Dataset:
         """A new Dataset restricted to the given sample indices."""
         idx = np.asarray(idx)
         return Dataset(
-            kind=self.kind,
-            m=len(idx),
-            n=self.n,
-            seed=self.seed,
             node_features=self.node_features[idx],
             flat_features=self.flat_features[idx],
             labels=None if self.labels is None else self.labels[idx],
@@ -115,10 +118,6 @@ def generate_instances(K, m, seed):
     node = np.stack([weights, np.einsum("mkk->mk", mags)], axis=-1)
     flat = np.concatenate([mags.reshape(m, K * K), weights], axis=1)
     return Dataset(
-        kind="channel",
-        m=m,
-        n=K,
-        seed=seed,
         node_features=node,
         flat_features=flat,
         mags=mags,
@@ -140,10 +139,6 @@ def gaussian_node_dataset(n, m, d, seed):
         stream(seed, DOMAIN_NODES, n, d, i).standard_normal((n, d)) for i in range(m)
     ])
     return Dataset(
-        kind="gaussian-nodes",
-        m=m,
-        n=n,
-        seed=seed,
         node_features=nodes,
         flat_features=nodes.reshape(m, n * d),
     )

@@ -73,10 +73,6 @@ class LandscapeTable:
     """Conditioning-vs-graph-size table for the two architectures."""
 
     rows: list                      # (n, cond_mlp, cond_gnn)
-    samples: int
-    node_dim: int
-    seed: int
-    activation: str
     definition: str
 
 
@@ -258,9 +254,5 @@ def condition_landscape(n_list, samples=300, seed=0, node_dim=4, activation="rel
         rows.append((int(n), cond_mlp, cond_gnn))
     return LandscapeTable(
         rows=rows,
-        samples=samples,
-        node_dim=node_dim,
-        seed=seed,
-        activation=activation,
         definition="cond(Y^T H Y) over the architecture's natural linear target family",
     )

@@ -209,13 +209,14 @@ def epochs_to_threshold(trace, fraction=0.2):
     return epochs_to_level(trace, progress_level(trace, fraction))
 
 
-def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None,
-             activation="relu"):
+def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None):
     """Test-set metrics: mean loss, ratio-to-WMMSE (sum-rate tasks), and an
     excess-risk estimate vs the task oracle.
 
     The oracle is WMMSE for the sum-rate task and the exact kernel-regression
-    predictor (analytic kernel over ``train_ds``) for the supervised task.
+    predictor for the supervised task: the analytic kernel over
+    ``train_ds``, of the net's own activation for a TwoLayerNet and of relu
+    otherwise.
     Excess risk is the mean per-sample loss difference net - oracle; learned
     policies can beat the locally optimal WMMSE, so small negative values are
     legitimate.
@@ -248,6 +249,7 @@ def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None,
         metrics["ratio_to_wmmse"] = None
         if train_ds is not None:
             from .kernels import gnn_kernel_function, mlp_kernel_function
+            activation = net.activation if isinstance(net, TwoLayerNet) else "relu"
             if test_ds.node_features.shape[1] == 1:
                 Xtr = train_ds.flat_features
                 Xte = test_ds.flat_features

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ntklab.cli import cli_main
-from ntklab.kernels import load_kernel_csv, load_kernel_ntk1
+from ntklab.kernels import analytic_ntk_mlp, load_kernel_csv
+from ntklab.netsim import gaussian_node_dataset
 
 
 def read_lines(path):
@@ -22,6 +23,19 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_bad_flag_value(capsys):
     assert cli_main(["gen", "--m", "many"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--config", "x.cfg"], ["gen", "--threads", "2"],
+    ["ntk", "--config", "x.cfg"], ["ntk", "--threads", "2"],
+    ["spectral", "--kernel", "k.csv", "--seed", "1"],
+    ["spectral", "--kernel", "k.csv", "--threads", "2"],
+    ["train", "--config", "x.cfg", "--threads", "2"]])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys,
+                                                         argv):
+    assert cli_main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert "usage" in capsys.readouterr().err.lower()
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +66,29 @@ def test_gen_gaussian(tmp_path):
 
 
 def test_ntk_writes_matching_formats(tmp_path):
+    # kernel.csv is the one kernel file, and it holds the kernel bit for bit
     out = tmp_path / "run"
     assert cli_main(["ntk", "--arch", "mlp", "--kind", "gaussian", "--n", "1",
                      "--d", "4", "--m", "10", "--out", str(out)]) == 0
     a = load_kernel_csv(out / "kernel.csv")
-    b = load_kernel_ntk1(out / "kernel.ntk1")
-    assert a.m == b.m == 10
+    b = analytic_ntk_mlp(gaussian_node_dataset(1, 10, 4, 0).flat_features)
+    assert a.m == 10
     np.testing.assert_array_equal(a.entries, b.entries)
+    assert sorted(p.name for p in out.iterdir()) == ["kernel.csv",
+                                                      "manifest.txt"]
+
+
+def test_ntk_manifest_describes_its_dataset(tmp_path):
+    out = tmp_path / "run"
+    assert cli_main(["ntk", "--kind", "gaussian", "--n", "3", "--d", "2",
+                     "--m", "4", "--mc-units", "40", "--mc-width", "20",
+                     "--out", str(out)]) == 0
+    echo = [l[2:] for l in read_lines(out / "manifest.txt")
+            if l.startswith("# ")]
+    for line in ("command = ntk", "kind = gaussian", "n = 3", "d = 2",
+                 "m = 4", "seed = 0", "arch = mlp", "activation = relu",
+                 "mc_draws = 2", "mc_width = 20"):
+        assert line in echo, line
 
 
 def test_ntk_gnn_on_channel_data(tmp_path):
@@ -91,7 +121,7 @@ def test_spectral_pipeline(tmp_path):
     assert cli_main(["ntk", "--kind", "gaussian", "--n", "1", "--d", "4",
                      "--m", "6", "--out", str(kdir)]) == 0
     out = tmp_path / "spec"
-    assert cli_main(["spectral", "--kernel", str(kdir / "kernel.ntk1"),
+    assert cli_main(["spectral", "--kernel", str(kdir / "kernel.csv"),
                      "--out", str(out)]) == 0
     assert len(read_lines(out / "eigenvalues.csv")) == 7
     header, row = read_lines(out / "spectral_summary.csv")

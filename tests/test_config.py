@@ -101,9 +101,10 @@ def test_typed_getters():
     assert cfg.get_float("b") == 2.5
     assert cfg.get_int_list("c") == [1, 2, 3]
     assert cfg.get_int("d") == 2000        # scientific notation for counts
-    assert cfg.get_str("missing", default="x") == "x"
-    with pytest.raises(KeyError):
-        cfg.get_str("missing")
+    for getter in (cfg.get_str, cfg.get_int, cfg.get_float, cfg.get_int_list,
+                   cfg.get_str_list, cfg.get_batch):
+        with pytest.raises(KeyError):
+            getter("missing")
 
 
 def test_get_batch():
@@ -112,7 +113,8 @@ def test_get_batch():
     assert cfg.get_batch("b1") is None
     assert cfg.get_batch("b2") is None
     assert cfg.get_batch("b3") == 500
-    assert cfg.get_batch("absent") is None      # default is full batch
+    with pytest.raises(KeyError):               # no silent full batch
+        cfg.get_batch("absent")
 
 
 def test_cross_section_lookup():

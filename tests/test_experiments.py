@@ -8,6 +8,7 @@ import csv
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ import pytest
 
 import ntklab
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
-from ntklab.config import ExperimentConfig
+from ntklab.config import EXPERIMENT_IDS, ExperimentConfig, default_config
 from ntklab.netsim import generate_instances
 from ntklab.nets import gradients, init_net
 from ntklab.experiments import (
@@ -33,9 +34,13 @@ from ntklab.experiments import (
 )
 
 
+def section_of(experiment):
+    return "bounds" if experiment in ("thm3", "thm4-thm5") else experiment
+
+
 def build(experiment, overrides, out, threads=1, **kw):
     return ExperimentConfig.build(
-        experiment, {experiment if experiment != "thm3" else "bounds": overrides},
+        experiment, {section_of(experiment): overrides},
         out=str(out), threads=threads, **kw)
 
 
@@ -131,14 +136,16 @@ def test_fig2_different_seeds_differ(tmp_path):
 # fig1
 
 
+FIG1_TINY = {
+    "k_list": "3", "m_train": "40", "m_test": "16", "gnn_hidden": "4",
+    "gnn_layers": "2", "optimizer": "adam", "lr": "1e-2", "epochs": "2",
+    "batch_size": "20", "eval_every": "1", "mlp_hidden": "auto"}
+
+
 @pytest.fixture(scope="module")
 def fig1_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig1")
-    cfg = build("fig1", {
-        "k_list": "3", "m_train": "40", "m_test": "16", "gnn_hidden": "4",
-        "gnn_layers": "2", "optimizer": "adam", "lr": "1e-2", "epochs": "2",
-        "batch_size": "20", "eval_every": "1", "mlp_hidden": "auto"}, out)
-    summaries = run_fig1(cfg)
+    summaries = run_fig1(build("fig1", FIG1_TINY, out))
     return out, summaries
 
 
@@ -184,17 +191,19 @@ def test_fig1_manifest_covers_everything(fig1_run):
 # fig3
 
 
+FIG3_TINY = {
+    "k": "3", "m_list": "20, 40", "m_test": "10",
+    "lambda_m_list": "10, 20", "gnn_hidden": "4", "gnn_layers": "2",
+    "mlp_hidden": "4", "eval_every": "1", "threshold_fraction": "0.2",
+    "mlp_optimizer": "gd", "mlp_lr": "1.0", "mlp_epochs": "3",
+    "mlp_batch_size": "full", "gnn_optimizer": "adam", "gnn_lr": "1e-2",
+    "gnn_epochs": "3", "gnn_batch_size": "10"}
+
+
 @pytest.fixture(scope="module")
 def fig3_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig3")
-    cfg = build("fig3", {
-        "k": "3", "m_list": "20, 40", "m_test": "10",
-        "lambda_m_list": "10, 20", "gnn_hidden": "4", "gnn_layers": "2",
-        "mlp_hidden": "4", "eval_every": "1", "threshold_fraction": "0.2",
-        "mlp_optimizer": "gd", "mlp_lr": "1.0", "mlp_epochs": "3",
-        "mlp_batch_size": "full", "gnn_optimizer": "adam", "gnn_lr": "1e-2",
-        "gnn_epochs": "3", "gnn_batch_size": "10"}, out)
-    return out, run_fig3(cfg)
+    return out, run_fig3(build("fig3", FIG3_TINY, out))
 
 
 def test_fig3_artifacts(fig3_run):
@@ -241,7 +250,7 @@ def test_fig3_lambda_min_shrinks_with_m(fig3_run):
 
 def ntk_overrides():
     return {"d": "4", "m": "10", "widths": "8, 32", "label_degree": "2",
-            "optimizer": "gd", "lr": "2e-3", "epochs": "50",
+            "lr": "2e-3", "epochs": "50",
             "eval_every": "10", "loss_drop": "5.0"}
 
 
@@ -359,15 +368,17 @@ def test_ntk_regime_kernel_error_shrinks_with_width(tmp_path):
 # bounds
 
 
+BOUNDS_TINY = {
+    "n_list": "2, 4", "p_list": "1, 2", "m": "30", "node_dim": "3",
+    "delta": "0.05", "activations": "relu, quadratic",
+    "time_points": "10", "t_min": "0.01", "t_max": "10",
+    "residual_target": "0.1"}
+
+
 @pytest.fixture(scope="module")
 def bounds_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bounds")
-    cfg = build("thm3", {
-        "n_list": "2, 4", "p_list": "1, 2", "m": "30", "node_dim": "3",
-        "delta": "0.05", "activations": "relu, quadratic",
-        "time_points": "10", "t_min": "0.01", "t_max": "10",
-        "residual_target": "0.1"}, out)
-    return out, run_bounds(cfg)
+    return out, run_bounds(build("thm3", BOUNDS_TINY, out))
 
 
 def test_bounds_artifacts(bounds_run):
@@ -430,3 +441,99 @@ def test_thm_aliases_share_the_bounds_runner(tmp_path):
         out=str(tmp_path))
     run_experiment(cfg)
     assert (tmp_path / "thm45.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# every experiment at a tiny scale: declared keys, plot scripts
+
+
+def tiny_overrides(experiment):
+    return {"fig1": FIG1_TINY, "fig2": {"n_list": "1, 2", "samples": "12"},
+            "fig3": FIG3_TINY, "ntk-regime": ntk_overrides(),
+            "thm3": BOUNDS_TINY, "thm4-thm5": BOUNDS_TINY}[experiment]
+
+
+@pytest.fixture(scope="module")
+def recorded_runs(tmp_path_factory):
+    """{experiment: (run directory, {(section, key) the run read})}."""
+    raw = ExperimentConfig._raw
+    runs = {}
+    for experiment in EXPERIMENT_IDS:
+        read = set()
+
+        def recording(self, key, *rest):
+            # every getter passes the section last (None: the experiment's)
+            read.add((rest[-1] if rest and rest[-1] else self.experiment, key))
+            return raw(self, key, *rest)
+
+        out = tmp_path_factory.mktemp(experiment)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExperimentConfig, "_raw", recording)
+            run_experiment(build(experiment, tiny_overrides(experiment), out))
+        runs[experiment] = out, read
+    return runs
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_every_declared_key_is_read(recorded_runs, experiment):
+    section = section_of(experiment)
+    _, read = recorded_runs[experiment]
+    unread = set(default_config()[section]) - {k for s, k in read if s == section}
+    assert not unread, f"[{section}] declares keys nothing reads: {sorted(unread)}"
+
+
+_PYPLOT_STUB = """\
+\"\"\"Records every call; savefig writes the record to the figure's path.\"\"\"
+calls = []
+
+
+class Recorder:
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        def call(*args, **kwargs):
+            calls.append(f"{self.name}.{attr}{args}{kwargs}")
+            if attr == "savefig":
+                with open(args[0], "w") as fh:
+                    fh.write("\\n".join(calls) + "\\n")
+        return call
+
+
+def subplots(nrows, ncols, **kwargs):
+    calls.append(f"subplots({nrows}, {ncols})")
+    return Recorder("fig"), [[Recorder(f"ax{i}") for i in range(ncols)]]
+"""
+
+
+@pytest.mark.parametrize("experiment, script, png", [
+    ("fig1", "fig1_plot.py", "fig1.png"), ("fig2", "fig2_plot.py", "fig2.png"),
+    ("fig3", "fig3_plot.py", "fig3.png"),
+    ("ntk-regime", "ntk_plot.py", "ntk_regime.png"),
+    ("thm3", "bounds_plot.py", "bounds.png")])
+def test_plot_script_draws_only_its_own_run(recorded_runs, tmp_path,
+                                            experiment, script, png):
+    run = tmp_path / "run"
+    shutil.copytree(recorded_runs[experiment][0], run)
+    stale = ("trace_gnn_m999.csv", "traj_w999.csv")
+    for name in stale:
+        (run / name).write_text("epoch,train_loss,predicted_loss\n0,1,1\n")
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "pyplot.py").write_text(_PYPLOT_STUB)
+    code = ("import runpy, sys\n"
+            "sys.addaudithook(lambda event, args: event == 'open' and "
+            "print('opened', args[0], file=sys.stderr))\n"
+            f"runpy.run_path({str(run / script)!r}, run_name='__main__')")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(stub.parent)))
+    assert done.returncode == 0, done.stderr
+    assert ".plot(" in (run / png).read_text()
+    opened = {os.path.basename(line.split(" ", 1)[1])
+              for line in done.stderr.splitlines() if line.startswith("opened ")}
+    csvs = {name for name in opened if name.endswith(".csv")}
+    manifest = (run / "manifest.txt").read_text()
+    assert csvs and all(f"{name}\t" in manifest for name in csvs), csvs
+    assert not csvs & set(stale)

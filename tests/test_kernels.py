@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from ntklab import kernels
 from ntklab.errors import DegenerateInputError
-from ntklab.kernels import (ArchSpec, KernelMatrix, analytic_ntk_gnn,
-                            analytic_ntk_mlp, empirical_ntk,
-                            gnn_kernel_function, load_kernel_csv,
-                            load_kernel_ntk1, mc_ntk, mlp_kernel_function,
-                            save_kernel_csv, save_kernel_ntk1)
+from ntklab.kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
+                            empirical_ntk, gnn_kernel_function,
+                            load_kernel_csv, mc_ntk, mlp_kernel_function,
+                            save_kernel_csv)
 from ntklab.netsim import gaussian_node_dataset, generate_instances
 from ntklab.nets import init_net, output_jacobians
 
@@ -205,23 +204,23 @@ def test_gnn_kernel_permutation_invariant(n, seed):
 class TestKernelMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            KernelMatrix(np.ones((2, 3)), "analytic-mlp")
+            KernelMatrix(np.ones((2, 3)))
 
     def test_rejects_asymmetric(self):
         H = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(ValueError):
-            KernelMatrix(H, "analytic-mlp")
+            KernelMatrix(H)
 
     def test_rejects_nonfinite(self):
         H = np.eye(2)
         H[0, 0] = np.inf
         with pytest.raises(ValueError):
-            KernelMatrix(H, "analytic-mlp")
+            KernelMatrix(H)
 
     def test_check_psd_flags_indefinite(self):
         H = np.array([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3, -1
         with pytest.raises(ValueError):
-            KernelMatrix(H, "analytic-mlp").check_psd()
+            KernelMatrix(H).check_psd()
 
     def test_analytic_kernels_are_psd(self):
         X = _flat(12, 4, 8)
@@ -229,33 +228,25 @@ class TestKernelMatrix:
         nodes = np.random.default_rng(9).standard_normal((8, 3, 4))
         analytic_ntk_gnn(nodes).check_psd()
 
-    def test_arch_spec_validation(self):
-        with pytest.raises(ValueError):
-            ArchSpec("dense", "relu")
-        with pytest.raises(ValueError):
-            ArchSpec("flat-mlp", "tanh")
-
 
 # ------------------------------------------------------------- Monte Carlo
 
 
 def test_mc_ntk_is_deterministic_in_seed():
     X = _flat(6, 4, 10)
-    arch = ArchSpec("flat-mlp", "relu")
-    a = mc_ntk(arch, X, 8, 16, seed=3)
-    b = mc_ntk(arch, X, 8, 16, seed=3)
+    a = mc_ntk(X, 8, 16, seed=3)
+    b = mc_ntk(X, 8, 16, seed=3)
     np.testing.assert_array_equal(a.entries, b.entries)
-    c = mc_ntk(arch, X, 8, 16, seed=4)
+    c = mc_ntk(X, 8, 16, seed=4)
     assert not np.allclose(a.entries, c.entries)
 
 
 def test_mc_ntk_converges_to_analytic():
     X = _flat(10, 5, 11)
     H = analytic_ntk_mlp(X).entries
-    arch = ArchSpec("flat-mlp", "relu")
     err = {}
     for draws in (4, 400):
-        E = mc_ntk(arch, X, draws, 32, seed=0).entries
+        E = mc_ntk(X, draws, 32, seed=0).entries
         err[draws] = np.linalg.norm(E - H) / np.linalg.norm(H)
     assert err[400] < err[4]
     assert err[400] < 0.05
@@ -264,14 +255,14 @@ def test_mc_ntk_converges_to_analytic():
 def test_mc_ntk_quadratic_converges():
     X = _flat(8, 3, 12)
     H = analytic_ntk_mlp(X, activation="quadratic").entries
-    E = mc_ntk(ArchSpec("flat-mlp", "quadratic"), X, 600, 32, seed=0).entries
+    E = mc_ntk(X, 600, 32, seed=0, activation="quadratic").entries
     assert np.linalg.norm(E - H) / np.linalg.norm(H) < 0.08
 
 
 def test_mc_ntk_gnn_family_converges():
     nodes = np.random.default_rng(13).standard_normal((6, 3, 4))
     H = analytic_ntk_gnn(nodes).entries
-    E = mc_ntk(ArchSpec("perminv-gnn", "relu"), nodes, 400, 32, seed=1).entries
+    E = mc_ntk(nodes, 400, 32, seed=1).entries
     assert np.linalg.norm(E - H) / np.linalg.norm(H) < 0.08
 
 
@@ -282,7 +273,7 @@ def test_mc_ntk_single_draw_matches_empirical_of_same_width():
     from ntklab.rng import DOMAIN_MC, stream
 
     X = _flat(5, 4, 14)
-    E = mc_ntk(ArchSpec("flat-mlp", "relu"), X, 1, 64, seed=7).entries
+    E = mc_ntk(X, 1, 64, seed=7).entries
     W = stream(7, DOMAIN_MC, 0).standard_normal((64, 4))
     net = TwoLayerNet(W, np.ones(64), activation="relu")
     K = empirical_ntk(net, X).entries
@@ -292,9 +283,13 @@ def test_mc_ntk_single_draw_matches_empirical_of_same_width():
 def test_mc_ntk_validates_arguments():
     X = _flat(3, 2, 0)
     with pytest.raises(ValueError):
-        mc_ntk(ArchSpec("flat-mlp"), X, 0, 8, seed=0)
+        mc_ntk(X, 0, 8, seed=0)
     with pytest.raises(ValueError):
-        mc_ntk(ArchSpec("perminv-gnn"), X, 2, 8, seed=0)  # needs (m, n, d)
+        mc_ntk(X[0], 2, 8, seed=0)          # neither (m, d) nor (m, n, d)
+    with pytest.raises(ValueError):
+        mc_ntk(X, 2, 8, seed=0, activation="tanh")
+    with pytest.raises(ValueError):
+        mc_ntk(X[:, None, :], 2, 8, seed=0, activation="tanh")
 
 
 # --------------------------------------------------------------- empirical
@@ -339,38 +334,8 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(K2.entries, K.entries, rtol=0, atol=0)
 
 
-def test_ntk1_round_trip_bit_exact(tmp_path):
-    X = _flat(7, 4, 19)
-    K = analytic_ntk_mlp(X)
-    path = tmp_path / "k.ntk1"
-    save_kernel_ntk1(K, path)
-    K2 = load_kernel_ntk1(path)
-    np.testing.assert_array_equal(K2.entries, K.entries)
-
-
-def test_ntk1_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.ntk1"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_kernel_ntk1(path)
-
-
 def test_csv_rejects_size_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("3\n1,0\n0,1\n")
     with pytest.raises(ValueError):
         load_kernel_csv(path)
-
-
-def test_ntk1_rejects_wrong_file_length(tmp_path):
-    K = analytic_ntk_mlp(_flat(3, 2, 20))
-    path = tmp_path / "k.ntk1"
-    save_kernel_ntk1(K, path)
-    good = path.read_bytes()
-    assert len(good) == 12 + 8 * 3 * 3
-    for bad in (good + b"\x00" * 16, good[:-8], good[:10]):
-        path.write_bytes(bad)
-        with pytest.raises(ValueError, match=str(len(bad))) as err:
-            load_kernel_ntk1(path)
-        if len(bad) >= 12:
-            assert str(len(good)) in str(err.value)

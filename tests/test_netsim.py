@@ -17,8 +17,7 @@ def _channel(ds, **arrays):
     """The channel dataset ``ds`` with some of its arrays replaced."""
     fields = dict(mags=ds.mags, weights=ds.weights, sigma2s=ds.sigma2s)
     fields.update(arrays)
-    return Dataset(kind=ds.kind, m=ds.m, n=ds.n, seed=ds.seed,
-                   node_features=ds.node_features,
+    return Dataset(node_features=ds.node_features,
                    flat_features=ds.flat_features, **fields)
 
 
@@ -149,7 +148,7 @@ def test_sinr_is_permutation_equivariant(K, m, seed):
 class TestDatasets:
     def test_channel_dataset_shapes(self):
         ds = generate_instances(5, 7, seed=0)
-        assert ds.kind == "channel"
+        assert (ds.m, ds.n) == (7, 5)
         assert ds.node_features.shape == (7, 5, 2)
         assert ds.flat_features.shape == (7, 30)
         assert ds.mags.shape == (7, 5, 5)
@@ -196,7 +195,7 @@ class TestDatasets:
 
     def test_gaussian_dataset_shapes_and_prefix(self):
         ds = gaussian_node_dataset(5, 8, 3, seed=1)
-        assert ds.kind == "gaussian-nodes"
+        assert (ds.m, ds.n) == (8, 5)
         assert ds.node_features.shape == (8, 5, 3)
         assert ds.flat_features.shape == (8, 15)
         big = gaussian_node_dataset(5, 20, 3, seed=1)
@@ -216,10 +215,12 @@ class TestDatasets:
     def test_labels_length_checked(self):
         ds = generate_instances(2, 4, seed=0)
         with pytest.raises(ValueError):
-            Dataset(kind=ds.kind, m=4, n=2, seed=0,
-                    node_features=ds.node_features,
+            Dataset(node_features=ds.node_features,
                     flat_features=ds.flat_features,
                     labels=np.zeros(3))
+        with pytest.raises(ValueError):     # features of different samples
+            Dataset(node_features=ds.node_features,
+                    flat_features=ds.flat_features[:3])
 
 
 def test_neighbor_indices_enumerate_everyone_else():
@@ -276,8 +277,7 @@ def test_synthetic_labels_are_permutation_invariant(n, p_degree, seed):
     y = synthetic_labels(ds, beta, p_degree)
     rng = np.random.default_rng(seed)
     pi = rng.permutation(n)
-    shuffled = Dataset(kind=ds.kind, m=ds.m, n=ds.n, seed=ds.seed,
-                       node_features=ds.node_features[:, pi, :],
+    shuffled = Dataset(node_features=ds.node_features[:, pi, :],
                        flat_features=ds.node_features[:, pi, :].reshape(ds.m, -1))
     np.testing.assert_allclose(synthetic_labels(shuffled, beta, p_degree), y,
                                rtol=1e-12)

@@ -80,7 +80,7 @@ def test_eig_sym_alignment():
 
 def test_eig_sym_accepts_kernel_matrix():
     H = random_psd(5, seed=6)
-    wrapped = KernelMatrix(entries=H, provenance="analytic-mlp")
+    wrapped = KernelMatrix(entries=H)
     np.testing.assert_allclose(
         eig_sym(wrapped).eigenvalues, eig_sym(H).eigenvalues
     )
@@ -352,15 +352,6 @@ def test_landscape_flat_conditioning_grows():
     conds = {n: (cm, cg) for n, cm, cg in table.rows}
     assert conds[4][0] > conds[1][0]          # flat kernel degrades with n
     assert conds[4][1] < conds[4][0]          # invariant kernel stays better
-
-
-def test_landscape_metadata():
-    table = condition_landscape([2], samples=25, seed=3, node_dim=3)
-    assert table.samples == 25
-    assert table.node_dim == 3
-    assert table.seed == 3
-    assert table.activation == "relu"
-    assert len(table.rows) == 1
 
 
 def test_landscape_rejects_bad_n():

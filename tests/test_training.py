@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ntklab import DivergenceError
-from ntklab.nets import WcgcnNet, init_net, loss_value
+from ntklab.nets import TwoLayerNet, WcgcnNet, init_net, loss_value
 from ntklab.netsim import gaussian_node_dataset, generate_instances, synthetic_labels
 from ntklab.training import (
     TraceRow,
@@ -261,6 +261,21 @@ def test_evaluate_squared_metrics():
     assert metrics["e_gen"] == pytest.approx(
         metrics["mean_loss"] - metrics["oracle_loss"], rel=1e-9
     )
+
+
+def test_evaluate_oracle_uses_the_nets_activation():
+    # a quadratic net's oracle is quadratic-kernel regression, which fits the
+    # degree-2 targets exactly; a relu-kernel oracle would miss by about 1.3
+    train_ds = labeled_gaussian(12, seed=22)
+    test_ds = labeled_gaussian(8, seed=23)
+    relu = init_net("two-layer", 3, 16, seed=24)
+    net = TwoLayerNet(relu.W, relu.a, activation="quadratic")
+    metrics = evaluate(net, test_ds, loss="squared", train_ds=train_ds)
+    Xtr, Xte = train_ds.flat_features, test_ds.flat_features
+    coef = np.linalg.pinv(4.0 * (Xtr @ Xtr.T) ** 2, rcond=1e-12) @ train_ds.labels
+    oracle = np.mean(((4.0 * (Xte @ Xtr.T) ** 2) @ coef - test_ds.labels) ** 2)
+    assert metrics["oracle_loss"] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+    assert metrics["oracle_loss"] < 1e-12 * np.mean(test_ds.labels ** 2)
 
 
 def test_evaluate_validation():
