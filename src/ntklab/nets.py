@@ -59,7 +59,7 @@ def _bn_forward(A, gamma, beta, state, prefix, tag, train):
 
     ``A`` is overwritten: it becomes the normalized ``xhat`` kept in the
     cache, so callers must pass a fresh buffer (the ReLU output) that they
-    do not read again."""
+    do not read again.  ``out`` is the one new buffer."""
     mk, vk = prefix + "mu" + tag, prefix + "va" + tag
     if train:
         mu = A.mean(axis=0)
@@ -77,28 +77,41 @@ def _bn_forward(A, gamma, beta, state, prefix, tag, train):
     return out, (xhat, inv)
 
 
+def _block(x, params, state, prefix, tag, train):
+    """One Linear -> ReLU -> BatchNorm block on ``params`` under
+    ``{prefix}W{tag}``, ``b``, ``g`` (gamma) and ``be`` (beta).  Returns
+    (out, mask, bn cache).  Backward needs the pre-activation Z = x @ W + b
+    only as ``mask = Z > 0``, a bool array an eighth of Z's size; Z's own
+    buffer becomes the ReLU output in place, then BatchNorm's xhat."""
+    Z = x @ params[prefix + "W" + tag]
+    Z += params[prefix + "b" + tag]
+    mask = Z > 0
+    np.maximum(Z, 0.0, out=Z)
+    out, cache = _bn_forward(Z, params[prefix + "g" + tag],
+                             params[prefix + "be" + tag], state, prefix, tag, train)
+    return out, mask, cache
+
+
 def _bn_backward(dout, gamma, cache, train):
     """Gradients (dA, dgamma, dbeta) of sum(dout * out) through
     :func:`_bn_forward`.  In train mode the batch statistics depend on
     ``A``, which gives dA = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
     * inv with dxhat = dout * gamma.
 
-    ``dout`` is overwritten (it becomes dxhat), so callers must pass a fresh
-    buffer that they do not read again.  The operations run in the order of
-    the formula above: training trajectories amplify last-bit differences,
-    so a reordered form would move the experiment CSVs."""
+    dA is returned in ``dout``'s buffer, so callers must pass a fresh buffer
+    that they do not read again.  The operations run in the order of the
+    formula above: training trajectories amplify last-bit differences, so a
+    reordered form would move the experiment CSVs."""
     xhat, inv = cache
     dgamma = np.einsum("ij,ij->j", dout, xhat)
     dbeta = dout.sum(axis=0)
     dxhat = np.multiply(dout, gamma, out=dout)
     if train:
-        dA = xhat * (np.einsum("ij,ij->j", dxhat, xhat) / dout.shape[0])
+        proj = xhat * (np.einsum("ij,ij->j", dxhat, xhat) / dout.shape[0])
         dxhat -= dxhat.mean(axis=0)
-        dA = np.subtract(dxhat, dA, out=dA)
-    else:
-        dA = dxhat
-    dA *= inv
-    return dA, dgamma, dbeta
+        dxhat -= proj
+    dxhat *= inv
+    return dxhat, dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +211,14 @@ class TwoLayerNet:
 class WcgcnNet:
     """Weight-tied message-passing power-control net (MAX aggregation,
     sigmoid head).  Parameter count is independent of K, so one net serves
-    any user count."""
+    any user count.
+
+    ``forward_batch`` caches per layer (X, M1, B1, c1, M2, c2, arg, U, M3,
+    c3, B3, p): edge inputs X, node inputs U, each block's bool ReLU mask M
+    and BatchNorm cache c = (xhat, inv), the outputs B1 and B3 that the
+    next gemm's weight gradient reads, the MAX argmax and the powers p.
+    Its edge-sized float arrays, (m K (K - 1), hidden) each, are B1 and
+    the two xhat; backward frees each of its own as soon as it is dead."""
 
     kind = "wcgcn"
 
@@ -215,23 +235,15 @@ class WcgcnNet:
         params, state = {}, {}
         for j in range(layers):
             p = f"l{j}."
-            params[p + "W1a"] = _he(rng, 3, (3, hidden))
-            params[p + "b1a"] = np.zeros(hidden)
-            params[p + "g1a"] = np.ones(hidden)
-            params[p + "be1a"] = np.zeros(hidden)
-            params[p + "W1b"] = _he(rng, hidden, (hidden, hidden))
-            params[p + "b1b"] = np.zeros(hidden)
-            params[p + "g1b"] = np.ones(hidden)
-            params[p + "be1b"] = np.zeros(hidden)
-            params[p + "W2a"] = _he(rng, hidden + 2, (hidden + 2, hidden))
-            params[p + "b2a"] = np.zeros(hidden)
-            params[p + "g2a"] = np.ones(hidden)
-            params[p + "be2a"] = np.zeros(hidden)
-            params[p + "W2b"] = _he(rng, hidden, (hidden, 1))
-            params[p + "b2b"] = np.zeros(1)
-            for key in ("1a", "1b", "2a"):
+            for key, fan_in in (("1a", 3), ("1b", hidden), ("2a", hidden + 2)):
+                params[p + "W" + key] = _he(rng, fan_in, (fan_in, hidden))
+                params[p + "b" + key] = np.zeros(hidden)
+                params[p + "g" + key] = np.ones(hidden)
+                params[p + "be" + key] = np.zeros(hidden)
                 state[p + "mu" + key] = np.zeros(hidden)
                 state[p + "va" + key] = np.ones(hidden)
+            params[p + "W2b"] = _he(rng, hidden, (hidden, 1))
+            params[p + "b2b"] = np.zeros(1)
         return cls(params, state, hidden, layers)
 
     def n_params(self):
@@ -240,10 +252,8 @@ class WcgcnNet:
     def _nbr(self, K):
         if K not in self._nbr_cache:
             nbr = neighbor_indices(K)
-            E = K * (K - 1)
-            scatter = np.zeros((E, K))
-            if E:
-                scatter[np.arange(E), nbr.reshape(-1)] = 1.0
+            scatter = np.zeros((K * (K - 1), K))
+            scatter[np.arange(len(scatter)), nbr.reshape(-1)] = 1.0
             self._nbr_cache[K] = (nbr, scatter)
         return self._nbr_cache[K]
 
@@ -261,32 +271,27 @@ class WcgcnNet:
             h_ki = mags[:, np.arange(K)[:, None], nbr]
         for j in range(self.layers):
             pf = f"l{j}."
-            P = self.params
             if K > 1:
-                pi = p[:, nbr]
-                X = np.stack([pi, h_ik, h_ki], axis=-1).reshape(m * E, 3)
-                Z1 = X @ P[pf + "W1a"] + P[pf + "b1a"]
-                B1, c1 = _bn_forward(np.maximum(Z1, 0.0), P[pf + "g1a"],
-                                     P[pf + "be1a"], self.state, pf, "1a", train)
-                Z2 = B1 @ P[pf + "W1b"] + P[pf + "b1b"]
-                B2, c2 = _bn_forward(np.maximum(Z2, 0.0), P[pf + "g1b"],
-                                     P[pf + "be1b"], self.state, pf, "1b", train)
-                B2v = B2.reshape(m, K, K - 1, h)
-                y = B2v.max(axis=2)
-                arg = B2v.argmax(axis=2)
+                X = np.stack([p[:, nbr], h_ik, h_ki], axis=-1).reshape(m * E, 3)
+                B1, M1, c1 = _block(X, self.params, self.state, pf, "1a", train)
+                B2, M2, c2 = _block(B1, self.params, self.state, pf, "1b", train)
+                B2 = B2.reshape(m, K, K - 1, h)
+                y = B2.max(axis=2)
+                # the first neighbor attaining the max, as B2.argmax(axis=2)
+                # gives, but from a bool array: argmax off the last axis
+                # makes a transposed copy of its operand
+                arg = (B2 == y[:, :, None, :]).argmax(axis=2)
+                del B2
             else:
                 # empty neighborhood: aggregated message is the zero vector
-                X = Z1 = B1 = Z2 = c1 = c2 = arg = None
+                X = M1 = B1 = c1 = M2 = c2 = arg = None
                 y = np.zeros((m, 1, h))
             U = np.concatenate([y, weights[..., None], diag[..., None]],
                                axis=-1).reshape(m * K, h + 2)
-            Z3 = U @ P[pf + "W2a"] + P[pf + "b2a"]
-            B3, c3 = _bn_forward(np.maximum(Z3, 0.0), P[pf + "g2a"],
-                                 P[pf + "be2a"], self.state, pf, "2a", train)
-            Z4 = (B3 @ P[pf + "W2b"] + P[pf + "b2b"]).reshape(m, K)
-            pnew = _sigmoid(Z4)
-            caches.append((X, Z1, B1, c1, Z2, c2, arg, U, Z3, c3, B3, pnew))
-            p = pnew
+            B3, M3, c3 = _block(U, self.params, self.state, pf, "2a", train)
+            Z4 = B3 @ self.params[pf + "W2b"] + self.params[pf + "b2b"]
+            p = _sigmoid(Z4.reshape(m, K))
+            caches.append((X, M1, B1, c1, M2, c2, arg, U, M3, c3, B3, p))
         return p, caches
 
     def backward_batch(self, mags, caches, dP, train=False):
@@ -298,47 +303,47 @@ class WcgcnNet:
         for j in range(self.layers - 1, -1, -1):
             pf = f"l{j}."
             P = self.params
-            X, Z1, B1, c1, Z2, c2, arg, U, Z3, c3, B3, pnew = caches[j]
+            X, M1, B1, c1, M2, c2, arg, U, M3, c3, B3, pnew = caches[j]
             dZ4 = (dP * pnew * (1.0 - pnew)).reshape(m * K, 1)
             grads[pf + "W2b"] += B3.T @ dZ4
             grads[pf + "b2b"] += dZ4.sum(axis=0)
-            dB3 = dZ4 @ P[pf + "W2b"].T
-            dA3, dg, dbe = _bn_backward(dB3, P[pf + "g2a"], c3, train)
+            dZ3, dg, dbe = _bn_backward(dZ4 @ P[pf + "W2b"].T, P[pf + "g2a"], c3, train)
             grads[pf + "g2a"] += dg
             grads[pf + "be2a"] += dbe
-            dZ3 = np.multiply(dA3, Z3 > 0, out=dA3)
+            np.multiply(dZ3, M3, out=dZ3)
             grads[pf + "W2a"] += U.T @ dZ3
             grads[pf + "b2a"] += dZ3.sum(axis=0)
             if K == 1:
                 dP = np.zeros((m, K))
                 continue
             E = K * (K - 1)
-            dU = dZ3 @ P[pf + "W2a"].T
-            dy = dU[:, :h].reshape(m, K, h)
+            dy = (dZ3 @ P[pf + "W2a"].T)[:, :h].reshape(m, K, h)
             # MAX routes gradient to the first-attained argmax neighbor
-            dB2 = np.zeros((m, K, K - 1, h))
-            np.put_along_axis(dB2, arg[:, :, None, :], dy[:, :, None, :], axis=2)
-            dB2 = dB2.reshape(m * E, h)
-            dA2, dg, dbe = _bn_backward(dB2, P[pf + "g1b"], c2, train)
+            dZ2 = np.zeros((m, K, K - 1, h))
+            np.put_along_axis(dZ2, arg[:, :, None, :], dy[:, :, None, :], axis=2)
+            dZ2, dg, dbe = _bn_backward(dZ2.reshape(m * E, h), P[pf + "g1b"], c2, train)
             grads[pf + "g1b"] += dg
             grads[pf + "be1b"] += dbe
-            dZ2 = np.multiply(dA2, Z2 > 0, out=dA2)
+            np.multiply(dZ2, M2, out=dZ2)
             grads[pf + "W1b"] += B1.T @ dZ2
             grads[pf + "b1b"] += dZ2.sum(axis=0)
             # a C-ordered copy of W1b.T gives the same bits as the
             # transposed view and is about 5x faster in OpenBLAS
-            dB1 = dZ2 @ np.ascontiguousarray(P[pf + "W1b"].T)
-            dA1, dg, dbe = _bn_backward(dB1, P[pf + "g1a"], c1, train)
+            dZ1 = dZ2 @ np.ascontiguousarray(P[pf + "W1b"].T)
+            del dZ2      # dead: freed before _bn_backward's edge-sized temporary
+            dZ1, dg, dbe = _bn_backward(dZ1, P[pf + "g1a"], c1, train)
             grads[pf + "g1a"] += dg
             grads[pf + "be1a"] += dbe
-            dZ1 = np.multiply(dA1, Z1 > 0, out=dA1)
+            np.multiply(dZ1, M1, out=dZ1)
             grads[pf + "W1a"] += X.T @ dZ1
             grads[pf + "b1a"] += dZ1.sum(axis=0)
-            # only the p_i input (row 0 of W1a) carries gradient to the
-            # previous layer's powers.  W1a @ dZ1.T gives the same bits as
-            # dZ1 @ W1a.T and is several times faster in OpenBLAS; a gemv on
-            # row 0 alone rounds differently.
-            dP = (P[pf + "W1a"] @ dZ1.T)[0].reshape(m, E) @ scatter
+            if j:
+                # powers reach a layer only through row 0 of W1a (the p_i
+                # input); layer 0's are constant.  W1a @ dZ1.T has the bits of
+                # dZ1 @ W1a.T and is several times faster in OpenBLAS; a gemv
+                # on row 0 alone rounds differently.
+                dP = (P[pf + "W1a"] @ dZ1.T)[0].reshape(m, E) @ scatter
+            del dZ1      # not carried into the next layer down
         return grads
 
 
@@ -370,30 +375,22 @@ class PowerMlp:
                 state[f"va{l}"] = np.ones(dims[l + 1])
         return cls(params, state, dims)
 
-    @property
-    def hidden(self):
-        return self.dims[1]
-
     def n_params(self):
         return sum(v.size for v in self.params.values())
 
     def forward_batch(self, X, train=False):
         L = len(self.dims) - 1
-        acts, caches = [X], []
-        for l in range(L):
-            Z = acts[-1] @ self.params[f"W{l}"] + self.params[f"b{l}"]
-            if l < L - 1:
-                A = np.maximum(Z, 0.0)
-                B, c = _bn_forward(A, self.params[f"g{l}"], self.params[f"be{l}"],
-                                   self.state, "", f"{l}", train)
-                caches.append((Z, c))
-                acts.append(B)
-            else:
-                acts.append(_sigmoid(Z))
-        return acts[-1], (acts, caches)
+        acts, blocks = [X], []
+        for l in range(L - 1):
+            B, M, c = _block(acts[-1], self.params, self.state, "", f"{l}", train)
+            blocks.append((M, c))
+            acts.append(B)
+        Z = acts[-1] @ self.params[f"W{L-1}"] + self.params[f"b{L-1}"]
+        acts.append(_sigmoid(Z))
+        return acts[-1], (acts, blocks)
 
     def backward_batch(self, cache, dP, train=False):
-        acts, caches = cache
+        acts, blocks = cache
         L = len(self.dims) - 1
         grads = {}
         P = acts[-1]
@@ -402,12 +399,12 @@ class PowerMlp:
             grads[f"W{l}"] = acts[l].T @ delta
             grads[f"b{l}"] = delta.sum(axis=0)
             if l > 0:
-                dB = delta @ self.params[f"W{l}"].T
-                Z, c = caches[l - 1]
-                dA, dg, dbe = _bn_backward(dB, self.params[f"g{l-1}"], c, train)
+                M, c = blocks[l - 1]
+                delta, dg, dbe = _bn_backward(delta @ self.params[f"W{l}"].T,
+                                              self.params[f"g{l-1}"], c, train)
                 grads[f"g{l-1}"] = dg
                 grads[f"be{l-1}"] = dbe
-                delta = np.multiply(dA, Z > 0, out=dA)
+                np.multiply(delta, M, out=delta)
         return grads
 
 
@@ -595,9 +592,13 @@ def output_jacobians(net, X):
     """Explicit per-output parameter Jacobian (outputs x n_params), used by
     the generic empirical-kernel path.  Multi-output nets are flattened over
     (sample, output); evaluation-mode statistics are used so the net is a
-    deterministic per-sample function."""
+    deterministic per-sample function.  Non-finite input raises ValueError
+    naming the first such sample: MAX routing needs finite maxima."""
+    X = np.asarray(X, dtype=float)
+    bad = ~np.isfinite(X.reshape(len(X), -1)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite input at sample {int(bad.argmax())}")
     if isinstance(net, TwoLayerNet):
-        X = np.asarray(X, dtype=float)
         rows = []
         for i in range(X.shape[0]):
             g = net.grad_W(X[i][None], np.ones(1))
@@ -606,12 +607,11 @@ def output_jacobians(net, X):
     if isinstance(net, WcgcnNet):
         # eval-mode BatchNorm acts on each sample alone, so one single-sample
         # forward pass and K backward passes give that sample's rows
-        mags = np.asarray(X, dtype=float)
-        m, K, _ = mags.shape
+        m, K, _ = X.shape
         keys = sorted(net.params)
         rows = []
         for i in range(m):
-            sample = mags[i:i + 1]
+            sample = X[i:i + 1]
             _, cache = net.forward_batch(sample, np.ones((1, K)), train=False)
             for k in range(K):
                 dP = np.zeros((1, K))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntklab import NumericFailureError
+from ntklab.kernels import empirical_ntk
 from ntklab.nets import (
     BN_EPS,
     BN_MOMENTUM,
@@ -161,6 +162,14 @@ class TestBatchNorm:
         buf = A.copy()
         _, (xhat, _) = _bn_forward(buf, gamma, beta, state, "", "x", train=True)
         assert xhat is buf
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_backward_returns_its_gradient_in_dout(self, train):
+        A, gamma, beta, dout, state = self._inputs(4)
+        _, cache = _bn_forward(A.copy(), gamma, beta, state, "", "x", train=train)
+        buf = dout.copy()
+        dA, _, _ = _bn_backward(buf, gamma, cache, train=train)
+        assert dA is buf
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +424,26 @@ class TestWcgcn:
                 net.params[k] -= sign * eps * direction[k]
         fd = (p_out[0] - p_out[1]) / (2 * eps)
         np.testing.assert_allclose(J @ dvec, fd, rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["two-layer", "wcgcn"])
+def test_output_jacobians_reject_non_finite_input(kind, bad):
+    # MAX routing is defined only for finite maxima: the first bad sample
+    # is named up front, not found later as a non-finite kernel
+    if kind == "wcgcn":
+        net = WcgcnNet.create(hidden=3, layers=2, seed=1)
+        X = channel_batch(3, 4, seed=2).mags.copy()
+        X[2, 0, 1] = X[3, 1, 1] = bad
+    else:
+        net = init_net("two-layer", 3, width=8, seed=1)
+        X = np.ones((4, 3))
+        X[2, 1] = X[3, 0] = bad
+    with pytest.raises(ValueError, match="non-finite input at sample 2"):
+        output_jacobians(net, X)
+    if kind == "wcgcn":
+        with pytest.raises(ValueError, match="non-finite input at sample 2"):
+            empirical_ntk(net, X)
 
 
 # ---------------------------------------------------------------------------
