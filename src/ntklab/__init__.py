@@ -17,7 +17,7 @@ Submodules:
 
 from .errors import (DegenerateInputError, DivergenceError,
                      NumericFailureError, RangeViolationError,
-                     SingularKernelError, UnsupportedConstantError)
+                     UnsupportedConstantError)
 from .netsim import (Dataset, gaussian_node_dataset, generate_instances,
                      sum_rate_batch, synthetic_labels)
 from .wmmse import wmmse_batch
@@ -25,11 +25,10 @@ from .kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
                       empirical_ntk, load_kernel_csv, mc_ntk, save_kernel_csv)
 from .spectral import (DynamicsResult, LandscapeTable, SpectralReport,
                        activation_constant, condition_landscape, eig_sym,
-                       generalization_bound, kernel_dynamics, thm2_rate_bound,
-                       thm3_bounds)
+                       generalization_bound, kernel_dynamics, thm3_bounds)
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, init_net,
-                   loss_value, output_jacobians)
-from .training import (TrainConfig, TrainTrace, epochs_to_level,
+                   loss_value, n_params, output_jacobians)
+from .training import (TrainConfig, epochs_to_level,
                        epochs_to_threshold, evaluate, load_checkpoint,
                        progress_level, save_checkpoint, train,
                        write_trace_csv)

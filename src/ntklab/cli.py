@@ -8,7 +8,10 @@ Subcommands, with the shared flags each one takes::
     spectral  eigendecompose a kernel.csv (alignment if       --out
               labels are given)
     train     run one training job from a config file         --config --seed
-              ([train] section)                               --out
+              ([train] section); its arch fixes the task:     --out
+              the sum rate on channel instances (wcgcn,
+              power-mlp), squared loss on labelled Gaussian
+              node sets (two-layer)
     exp ID    run an experiment pipeline (fig1 fig2 fig3      --config --seed
               ntk-regime thm3 thm4-thm5)                      --out --threads
 
@@ -28,8 +31,8 @@ import numpy as np
 from .artifacts import RunFiles, csv_text
 from .config import EXPERIMENT_IDS, TRAIN, ExperimentConfig, load_config
 from .errors import DivergenceError, NumericFailureError
-from .experiments import (_keep_heap_mapped, _sum_rate_net, run_experiment,
-                          write_manifest)
+from .experiments import (_keep_heap_mapped, _sum_rate_data, _sum_rate_net,
+                          run_experiment, write_manifest)
 from .kernels import (analytic_ntk_gnn, analytic_ntk_mlp, mc_ntk,
                       save_kernel_csv, load_kernel_csv)
 from .netsim import (gaussian_node_dataset, generate_instances,
@@ -144,6 +147,8 @@ def _cmd_gen(args):
 
 
 def _cmd_ntk(args):
+    if args.mc_units < 0 or args.mc_width < 1:
+        raise _UsageError("ntk requires --mc-units >= 0 and --mc-width >= 1")
     t0 = time.perf_counter()
     files = RunFiles(args.out or "runs")
     ds, meta = _dataset(args)
@@ -207,53 +212,46 @@ def _cmd_train(args):
     seed = args.seed if args.seed is not None else spec.get_int("seed")
     out = args.out or spec.get_str("out")
     arch = spec.get_str("arch")
-    loss = spec.get_str("loss")
-    k = spec.get_int("k")
     m_train = spec.get_int("m_train")
     m_test = spec.get_int("m_test")
-    hidden = spec.get_int("hidden")
     cfg = TrainConfig(
         optimizer=spec.get_str("optimizer"),
         lr=spec.get_float("lr"),
         epochs=spec.get_int("epochs"),
-        loss=loss,
         seed=seed,
         eval_every=spec.get_int("eval_every"),
         batch_size=spec.get_batch(),
     )
-    if loss == "negative-sum-rate":
-        train_ds = generate_instances(k, m_train, seed)
-        test_ds = generate_instances(k, m_test, seed + 1)
-    else:
+    if arch == "two-layer":
         n = spec.get_int("n")
         d = spec.get_int("d")
         degree = spec.get_int("label_degree")
         train_ds = labelled_gaussian_dataset(n, m_train, d, seed, degree)
         test_ds = labelled_gaussian_dataset(n, m_test, d, seed + 1, degree)
-
-    if arch == "two-layer":
         net = init_net("two-layer", train_ds.flat_features.shape[1],
                        spec.get_int("width"), seed)
     else:
-        net = _sum_rate_net(arch, k, hidden, seed, spec.get_int("layers"))
+        k = spec.get_int("k")
+        train_ds, test_ds = _sum_rate_data(k, m_train, m_test, seed)
+        net = _sum_rate_net(arch, k, spec.get_int("hidden"), seed,
+                            spec.get_int("layers"))
 
     files = RunFiles(out)
     try:
         trace = train(net, train_ds, test_ds, cfg)
     except DivergenceError as exc:
-        if exc.trace is not None and exc.trace.rows:
+        if exc.trace:
             write_trace_csv(exc.trace, files.path("trace.csv"))
             write_manifest(files, ["command = train (diverged)"], t0)
         raise
     write_trace_csv(trace, files.path("trace.csv"))
     save_checkpoint(net, files.path("checkpoint.txt"))
-    metrics = evaluate(net, test_ds, loss=loss,
-                       train_ds=train_ds if loss == "squared" else None)
+    metrics = evaluate(net, test_ds, train_ds=train_ds)
     rows = [(key, float(v)) for key, v in sorted(metrics.items())
             if v is not None]
     files.write("train_summary.csv", csv_text("metric,value", rows))
     write_manifest(files, ["command = train", f"arch = {arch}",
-                           f"loss = {loss}", f"seed = {seed}"], t0)
+                           f"seed = {seed}"], t0)
     return 0
 
 

@@ -12,12 +12,8 @@ class DegenerateInputError(ValueError):
     where the kernel's angular factor is undefined)."""
 
 
-class SingularKernelError(ValueError):
-    """A kernel that must be positive definite has lambda_min <= 0."""
-
-
 class UnsupportedConstantError(ValueError):
-    """No table entry or user override for a requested (p, activation) pair."""
+    """No table entry for a requested (p, activation) pair."""
 
 
 class RangeViolationError(ValueError):
@@ -36,7 +32,7 @@ class NumericFailureError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Training diverged.  Carries the trace accumulated so far."""
+    """Training diverged.  ``trace`` holds the TraceRows recorded so far."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

@@ -24,7 +24,7 @@ from .artifacts import RunFiles, atomic_write, csv_text
 from .kernels import analytic_ntk_gnn, analytic_ntk_mlp, empirical_ntk
 from .netsim import (gaussian_node_dataset, generate_instances,
                      label_direction, labelled_gaussian_dataset)
-from .nets import init_net
+from .nets import init_net, n_params
 from .spectral import (activation_constant, condition_landscape,
                        generalization_bound, kernel_dynamics, thm3_bounds)
 from .errors import RangeViolationError, UnsupportedConstantError
@@ -123,36 +123,35 @@ def _run_cells(cell, jobs, threads):
         return list(ex.map(_call, [cell] * len(jobs), jobs))
 
 
-def _power_mlp_count(d_in, h, k):
-    # two Linear->ReLU->BN blocks plus the sigmoid output layer
-    return (d_in * h + h + 2 * h) + (h * h + h + 2 * h) + (h * k + k)
-
-
-def _matched_mlp_hidden(gnn_params, d_in, k):
-    """Hidden width whose PowerMlp parameter count is nearest the WCGCN's
-    (they land within a few tenths of a percent near the crossover)."""
-    h = 1
-    while _power_mlp_count(d_in, h, k) < gnn_params:
-        h += 1
-    below = _power_mlp_count(d_in, h - 1, k)
-    here = _power_mlp_count(d_in, h, k)
-    return h - 1 if h > 1 and gnn_params - below < here - gnn_params else h
-
-
 def _sum_rate_net(arch, k, hidden, seed, layers):
     """A fresh net for the K-user sum-rate task: 'wcgcn' (the same net for
     any K) or the flat 'power-mlp' over the K*K magnitudes and K weights."""
     return init_net(arch, (k * k + k, k), hidden, seed, layers=layers)
 
 
+def _sum_rate_data(k, m, m_test, seed):
+    """The train/test pair of a K-user sum-rate run: m channel instances
+    drawn at ``seed`` and m_test at ``seed + 1``."""
+    return generate_instances(k, m, seed), generate_instances(k, m_test, seed + 1)
+
+
 def _mlp_hidden(cfg, k, gnn_hidden, layers):
     """The flat net's hidden width: the configured one, or with
-    ``mlp_hidden = auto`` the one matching the WCGCN's parameter count."""
+    ``mlp_hidden = auto`` the one whose PowerMlp parameter count is nearest
+    the WCGCN's: the smallest h at or above that count, or h - 1 if that
+    one is nearer (they land within a few tenths of a percent near the
+    crossover)."""
     if cfg.get_str("mlp_hidden") != "auto":
         return cfg.get_int("mlp_hidden")
-    gnn = _sum_rate_net("wcgcn", k, gnn_hidden, 0, layers)
-    d_in = _sum_rate_net("power-mlp", k, 1, 0, layers).dims[0]
-    return _matched_mlp_hidden(gnn.n_params(), d_in, k)
+    target = n_params(_sum_rate_net("wcgcn", k, gnn_hidden, 0, layers))
+
+    def count(h):
+        return n_params(_sum_rate_net("power-mlp", k, h, 0, layers))
+
+    h = 1
+    while count(h) < target:
+        h += 1
+    return h - 1 if h > 1 and target - count(h - 1) < count(h) - target else h
 
 
 # The plot script every run writes beside its CSVs.  PLOT_DATA becomes the
@@ -200,15 +199,13 @@ def _write_plot(files, script, png, panels):
 
 def _train_cell(k, model, m, m_test, seed, hidden, layers, optimizer, lr,
                 epochs, batch_size, eval_every):
-    train_ds = generate_instances(k, m, seed)
-    test_ds = generate_instances(k, m_test, seed + 1)
+    train_ds, test_ds = _sum_rate_data(k, m, m_test, seed)
     net = _sum_rate_net("wcgcn" if model == "gnn" else "power-mlp", k, hidden,
                         seed, layers)
-    cfg = TrainConfig(optimizer=optimizer, lr=lr, epochs=epochs,
-                      loss="negative-sum-rate", seed=seed,
+    cfg = TrainConfig(optimizer=optimizer, lr=lr, epochs=epochs, seed=seed,
                       eval_every=eval_every, batch_size=batch_size)
-    trace = train(net, train_ds, test_ds, cfg)
-    return {"rows": trace.rows, "params": trace.n_params, **evaluate(net, test_ds)}
+    rows = train(net, train_ds, test_ds, cfg)
+    return {"rows": rows, "params": n_params(net), **evaluate(net, test_ds)}
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +407,13 @@ def _ntk_cell(width, d, m, seed, lr, epochs, eval_every, label_degree,
                 / np.linalg.norm(H_true.entries))
 
     u0 = net.forward(X)
-    cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, loss="squared",
-                      seed=seed, eval_every=eval_every, batch_size=None)
+    cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, seed=seed,
+                      eval_every=eval_every, batch_size=None)
     trace = train(net, ds, test, cfg)
-    epochs_grid = np.array([r.epoch for r in trace.rows], dtype=float)
+    epochs_grid = np.array([r.epoch for r in trace], dtype=float)
     dyn = kernel_dynamics(H_emp.entries, y - u0, lr * epochs_grid)
     loss_pred = 0.5 * dyn.residual_norms ** 2
-    loss_net = np.array([r.train_loss for r in trace.rows])
+    loss_net = np.array([r.train_loss for r in trace])
     L0 = loss_net[0]
     window = loss_net >= L0 / loss_drop
     if window.any():

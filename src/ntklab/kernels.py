@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-10
-PSD_TOL = 1e-8
 # entries of one base-kernel block in gnn_kernel_function (8 MB of float64)
 _BLOCK_ENTRIES = 1_000_000
 
@@ -69,14 +68,6 @@ class KernelMatrix:
     @property
     def m(self):
         return self.entries.shape[0]
-
-    def check_psd(self):
-        """Raise if lambda_min < -PSD_TOL * lambda_max."""
-        vals = np.linalg.eigvalsh((self.entries + self.entries.T) / 2.0)
-        lo, hi = vals[0], max(vals[-1], 0.0)
-        if lo < -PSD_TOL * max(hi, 1e-300):
-            raise ValueError(f"kernel is not PSD within tolerance: lambda_min={lo}")
-        return self
 
 
 def _check_samples(X):

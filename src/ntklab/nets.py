@@ -11,6 +11,9 @@ Three architectures:
 * PowerMlp — the flat baseline: |H| magnitudes and weights in, K sigmoid
   powers out.
 
+Each net fixes its loss (:func:`loss_value`): squared loss on labels for
+the TwoLayerNet, the mean negative weighted sum rate for the other two.
+
 MLP blocks in the two trained-from-scratch nets are Linear -> ReLU ->
 BatchNorm, following the reference message-passing implementations for this
 problem; without the normalization the sigmoid head saturates at the
@@ -29,6 +32,7 @@ __all__ = [
     "WcgcnNet",
     "PowerMlp",
     "init_net",
+    "n_params",
     "gradients",
     "loss_value",
     "output_jacobians",
@@ -246,9 +250,6 @@ class WcgcnNet:
             params[p + "b2b"] = np.zeros(1)
         return cls(params, state, hidden, layers)
 
-    def n_params(self):
-        return sum(v.size for v in self.params.values())
-
     def _nbr(self, K):
         if K not in self._nbr_cache:
             nbr = neighbor_indices(K)
@@ -375,9 +376,6 @@ class PowerMlp:
                 state[f"va{l}"] = np.ones(dims[l + 1])
         return cls(params, state, dims)
 
-    def n_params(self):
-        return sum(v.size for v in self.params.values())
-
     def forward_batch(self, X, train=False):
         L = len(self.dims) - 1
         acts, blocks = [X], []
@@ -418,10 +416,10 @@ def init_net(arch, dims, width, seed, layers=2):
     first layer, frozen +-1 signs, 1/sqrt(r) output scale).
     arch 'wcgcn': width = hidden size; dims is ignored (weight tying makes
     the net K-independent).
-    arch 'power-mlp': dims = (d_in, K); width = hidden size or tuple.
+    arch 'power-mlp': dims = (d_in, K); width = the size of both hidden
+    layers.
     """
-    widths = (width,) if np.isscalar(width) else tuple(width)
-    if not widths or any(w < 1 for w in widths):
+    if width < 1:
         raise ValueError("width must be >= 1")
     if arch == "two-layer":
         rng = stream(seed, DOMAIN_INIT, 0)
@@ -432,9 +430,13 @@ def init_net(arch, dims, width, seed, layers=2):
         return WcgcnNet.create(width, layers, seed)
     if arch == "power-mlp":
         d_in, K = dims
-        hs = (width, width) if np.isscalar(width) else tuple(width)
-        return PowerMlp.create((d_in, *hs, K), seed)
+        return PowerMlp.create((d_in, width, width, K), seed)
     raise ValueError(f"unknown architecture {arch!r}")
+
+
+def n_params(net):
+    """The number of trainable parameters of a net."""
+    return sum(v.size for v in net.params.values())
 
 
 def sum_rate_loss_grad(mags, sigma2s, weights, P):
@@ -467,16 +469,23 @@ def _batch_features(net, batch):
     return None
 
 
+def _labels(batch):
+    if batch.labels is None:
+        raise ValueError("squared loss requires labels")
+    return batch.labels
+
+
 def sample_chunks(batch, chunk):
     """Consecutive sample slices of a dataset, each at most ``chunk`` wide."""
     for lo in range(0, batch.m, chunk):
         yield batch.subset(np.arange(lo, min(lo + chunk, batch.m)))
 
 
-def loss_value(net, batch, loss_spec, train=False, chunk=None):
-    """Loss of a net on a batch (Dataset).  'squared' is the summed
-    0.5 * ||u - y||^2 of the NTK analysis; 'negative-sum-rate' is the mean
-    negative weighted sum rate.
+def loss_value(net, batch, train=False, chunk=None):
+    """Loss of a net on a batch (Dataset); the net fixes which one.  A
+    TwoLayerNet has the summed 0.5 * ||u - y||^2 of the NTK analysis on the
+    batch's labels; WcgcnNet and PowerMlp have the mean negative weighted
+    sum rate.
 
     ``chunk`` bounds how many samples are materialized at once (the graph
     net's layer activations grow with batch * K^2, so full-dataset passes at
@@ -490,33 +499,27 @@ def loss_value(net, batch, loss_spec, train=False, chunk=None):
             raise ValueError("chunked evaluation requires train=False")
         total = 0.0
         for sub in sample_chunks(batch, chunk):
-            part = loss_value(net, sub, loss_spec, train=False)
-            if loss_spec == "negative-sum-rate":
+            part = loss_value(net, sub, train=False)
+            if not isinstance(net, TwoLayerNet):
                 part *= sub.m / batch.m
             total += part
         return total
-    if loss_spec == "squared":
-        if isinstance(net, TwoLayerNet):
-            u = net.forward(_batch_features(net, batch))
-        else:
-            u, _ = _power_forward(net, batch, train)
-        y = batch.labels
-        if y is None:
-            raise ValueError("squared loss requires labels")
-        return 0.5 * float(np.sum((u - y) ** 2))
-    if loss_spec == "negative-sum-rate":
-        P, _ = _power_forward(net, batch, train)
-        return -float(sum_rate_batch(batch.mags, batch.sigma2s,
-                                     batch.weights, P).mean())
-    raise ValueError(f"unknown loss {loss_spec!r}")
+    if isinstance(net, TwoLayerNet):
+        u = net.forward(_batch_features(net, batch))
+        return 0.5 * float(np.sum((u - _labels(batch)) ** 2))
+    P, _ = _power_forward(net, batch, train)
+    return -float(sum_rate_batch(batch.mags, batch.sigma2s,
+                                 batch.weights, P).mean())
 
 
 def _power_forward(net, batch, train):
+    if not isinstance(net, (WcgcnNet, PowerMlp)):
+        raise ValueError(f"{type(net).__name__} does not produce power vectors")
+    if batch.mags is None:
+        raise ValueError("the sum-rate loss needs channel instances")
     if isinstance(net, WcgcnNet):
         return net.forward_batch(batch.mags, batch.weights, train=train)
-    if isinstance(net, PowerMlp):
-        return net.forward_batch(_batch_features(net, batch), train=train)
-    raise ValueError(f"{type(net).__name__} does not produce power vectors")
+    return net.forward_batch(_batch_features(net, batch), train=train)
 
 
 def _check_finite_per_sample(values, what):
@@ -526,12 +529,13 @@ def _check_finite_per_sample(values, what):
         raise NumericFailureError(f"non-finite {what} at sample {idx}", sample_index=idx)
 
 
-def gradients(net, batch, loss_spec, train=False, chunk=None):
-    """Exact parameter gradients of the batch loss.  Returns (grads, loss).
+def gradients(net, batch, train=False, chunk=None):
+    """Exact parameter gradients of the net's batch loss (the one
+    :func:`loss_value` gives).  Returns (grads, loss).
 
-    A TwoLayerNet's squared-loss step computes its pre-activation Z once:
-    the outputs come from it through a second buffer, then dW from it in
-    place, with the bits of ``forward`` followed by ``grad_W``.
+    A TwoLayerNet's step computes its pre-activation Z once: the outputs
+    come from it through a second buffer, then dW from it in place, with
+    the bits of ``forward`` followed by ``grad_W``.
     Non-finite outputs raise NumericFailureError naming the first such
     sample before any gradient is formed.
 
@@ -547,8 +551,8 @@ def gradients(net, batch, loss_spec, train=False, chunk=None):
         acc = None
         total = 0.0
         for sub in sample_chunks(batch, chunk):
-            g, part = gradients(net, sub, loss_spec, train=False)
-            w = sub.m / batch.m if loss_spec == "negative-sum-rate" else 1.0
+            g, part = gradients(net, sub, train=False)
+            w = 1.0 if isinstance(net, TwoLayerNet) else sub.m / batch.m
             total += part * w
             if acc is None:
                 acc = {key: w * val for key, val in g.items()}
@@ -556,30 +560,20 @@ def gradients(net, batch, loss_spec, train=False, chunk=None):
                 for key, val in g.items():
                     acc[key] += w * val
         return acc, total
-    if loss_spec == "squared":
-        y = batch.labels
-        if y is None:
-            raise ValueError("squared loss requires labels")
-        if isinstance(net, TwoLayerNet):
-            Xn, n, Z = net._preact(_batch_features(net, batch))
-            u = net._readout(Z, n, np.empty_like(Z))
-            _check_finite_per_sample(u, "output")
-            resid = u - y
-            return ({"W": net._backprop(Xn, n, Z, resid)},
-                    0.5 * float(np.sum(resid ** 2)))
-        P, cache = _power_forward(net, batch, train)
-        _check_finite_per_sample(P.sum(axis=1), "output")
-        resid = P - y
-        grads = _power_backward(net, batch, cache, resid, train)
-        return grads, 0.5 * float(np.sum(resid ** 2))
-    if loss_spec == "negative-sum-rate":
-        P, cache = _power_forward(net, batch, train)
-        rates, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,
-                                       batch.weights, P)
-        _check_finite_per_sample(rates, "sum rate")
-        grads = _power_backward(net, batch, cache, dP, train)
-        return grads, -float(rates.mean())
-    raise ValueError(f"unknown loss {loss_spec!r}")
+    if isinstance(net, TwoLayerNet):
+        y = _labels(batch)
+        Xn, n, Z = net._preact(_batch_features(net, batch))
+        u = net._readout(Z, n, np.empty_like(Z))
+        _check_finite_per_sample(u, "output")
+        resid = u - y
+        return ({"W": net._backprop(Xn, n, Z, resid)},
+                0.5 * float(np.sum(resid ** 2)))
+    P, cache = _power_forward(net, batch, train)
+    rates, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,
+                                   batch.weights, P)
+    _check_finite_per_sample(rates, "sum rate")
+    grads = _power_backward(net, batch, cache, dP, train)
+    return grads, -float(rates.mean())
 
 
 def _power_backward(net, batch, cache, dP, train):

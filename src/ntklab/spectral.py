@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeViolationError, SingularKernelError, UnsupportedConstantError
+from .errors import RangeViolationError, UnsupportedConstantError
 from .kernels import KernelMatrix, gnn_kernel_function, mlp_kernel_function
 from .netsim import gaussian_node_dataset
 
@@ -20,7 +20,6 @@ __all__ = [
     "LandscapeTable",
     "eig_sym",
     "kernel_dynamics",
-    "thm2_rate_bound",
     "activation_constant",
     "thm3_bounds",
     "generalization_bound",
@@ -31,7 +30,7 @@ PINV_CUTOFF = 1e-10
 RANGE_TOL = 1e-6
 
 # c_{p, sigma} lookup: (degree, activation) -> constant.  Only the two pairs
-# with published values are built in; anything else must be user-supplied.
+# with published values exist; callers decide what a missing pair means.
 _ACTIVATION_CONSTANTS = {
     (2, "quadratic"): 1.0,
     (2, "relu"): 1.0 / (2.0 * np.pi),
@@ -62,10 +61,8 @@ class DynamicsResult:
     """Closed-form kernel gradient-flow trajectory under squared loss."""
 
     times: np.ndarray
-    outputs: np.ndarray             # u(t), shape (T, m)
     residuals: np.ndarray           # y - u(t), shape (T, m)
     residual_norms: np.ndarray      # ||y - u(t)||, shape (T,)
-    mode_coefficients: np.ndarray   # (v_i . y) exp(-lambda_i t), shape (T, m)
 
 
 @dataclass(frozen=True)
@@ -125,44 +122,20 @@ def kernel_dynamics(H, y, times):
     decay = np.exp(-np.outer(times, lam))              # (T, m)
     coeffs = decay * c0
     residuals = coeffs @ V.T
-    outputs = y - residuals
     return DynamicsResult(
         times=times,
-        outputs=outputs,
         residuals=residuals,
         residual_norms=np.linalg.norm(residuals, axis=1),
-        mode_coefficients=coeffs,
     )
 
 
-def thm2_rate_bound(H, u0, ustar, t):
-    """Convergence-rate bound ||u0 - u*||^2 / (2 kappa t), with kappa taken
-    at its certified upper bound lambda_max/lambda_min."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    rep = eig_sym(H)
-    lam_min, lam_max = rep.eigenvalues[-1], rep.eigenvalues[0]
-    if lam_min <= 0:
-        raise SingularKernelError("lambda_min <= 0: rate bound undefined")
-    kappa = lam_max / lam_min
-    diff = np.asarray(u0, dtype=float) - np.asarray(ustar, dtype=float)
-    return float(np.dot(diff, diff) / (2.0 * kappa * t))
-
-
-def activation_constant(p_degree, activation, overrides=None):
-    """c_{p, sigma} from the built-in table or the caller's overrides."""
+def activation_constant(p_degree, activation):
+    """c_{p, sigma} from the built-in table."""
     key = (int(p_degree), activation)
-    if overrides and key in overrides:
-        value = overrides[key]
-    elif key in _ACTIVATION_CONSTANTS:
-        value = _ACTIVATION_CONSTANTS[key]
-    else:
+    if key not in _ACTIVATION_CONSTANTS:
         raise UnsupportedConstantError(
-            f"no constant for (p={p_degree}, {activation}); supply an override"
-        )
-    if value <= 0:
-        raise ValueError("activation constants must be positive")
-    return float(value)
+            f"no constant for (p={p_degree}, {activation})")
+    return float(_ACTIVATION_CONSTANTS[key])
 
 
 def thm3_bounds(lambdas, beta_norm, p_degree, c, times):

@@ -15,19 +15,17 @@ from .artifacts import atomic_write, csv_text
 from .errors import DivergenceError
 from .netsim import sum_rate_batch
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, loss_value,
-                   sample_chunks, _batch_features, _power_forward)
+                   sample_chunks, _batch_features, _labels, _power_forward)
 from .rng import DOMAIN_TRAIN, stream
 from .wmmse import wmmse_batch
 
 __all__ = [
     "TrainConfig",
     "TraceRow",
-    "TrainTrace",
     "train",
     "evaluate",
     "epochs_to_threshold",
     "write_trace_csv",
-    "read_trace_csv",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -39,7 +37,6 @@ DIVERGENCE_LIMIT = 1e6
 # one-shot pass at K=20, m=20000 would need several GB.
 SNAPSHOT_CHUNK = 256
 
-LOSSES = ("squared", "negative-sum-rate")
 OPTIMIZERS = ("gd", "adam")
 
 
@@ -48,7 +45,6 @@ class TrainConfig:
     optimizer: str = "adam"
     lr: float = 1e-3
     epochs: int = 100
-    loss: str = "negative-sum-rate"
     seed: int = 0
     eval_every: int = 1
     batch_size: int | None = None    # None = full batch
@@ -56,8 +52,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
         if self.lr < 0 or not np.isfinite(self.lr):
             raise ValueError("lr must be finite and nonnegative")
         if self.epochs < 0:
@@ -74,21 +68,6 @@ class TraceRow:
     train_loss: float
     test_loss: float
     grad_norm: float
-
-
-@dataclass
-class TrainTrace:
-    rows: list
-    config: TrainConfig
-    n_params: int
-
-    @property
-    def final_train_loss(self):
-        return self.rows[-1].train_loss
-
-    @property
-    def final_test_loss(self):
-        return self.rows[-1].test_loss
 
 
 class _Adam:
@@ -128,31 +107,29 @@ def _grad_norm(grads):
 
 
 def train(net, train_ds, test_ds, cfg):
-    """Train ``net`` in place; returns the TrainTrace.
+    """Train ``net`` in place on its own loss (see nets.loss_value: squared
+    loss on labels for a TwoLayerNet, the negative sum rate otherwise);
+    returns the trace, a list of TraceRows.
 
     Losses recorded in the trace are full-dataset values in evaluation mode
     (batch-normalization running statistics, no updates), so rows are
     comparable across batch sizes.  Aborts with DivergenceError — carrying
-    the partial trace — if any step loss exceeds 1e6 or goes non-finite.
+    the rows recorded so far — if any step loss exceeds 1e6 or goes
+    non-finite.
     """
     if train_ds.m == 0 or test_ds.m == 0:
         raise ValueError("datasets must be nonempty")
-    if cfg.loss == "squared" and train_ds.labels is None:
-        raise ValueError("squared loss requires labels")
     opt = _Adam(cfg.lr) if cfg.optimizer == "adam" else _Gd(cfg.lr)
     rows = []
-    n_params = int(sum(v.size for v in net.params.values()))
-    trace = TrainTrace(rows=rows, config=cfg, n_params=n_params)
 
     def snapshot(epoch):
-        g, train_loss = gradients(net, train_ds, cfg.loss, train=False,
+        g, train_loss = gradients(net, train_ds, train=False,
                                   chunk=SNAPSHOT_CHUNK)
-        test_loss = loss_value(net, test_ds, cfg.loss, train=False,
-                               chunk=SNAPSHOT_CHUNK)
+        test_loss = loss_value(net, test_ds, train=False, chunk=SNAPSHOT_CHUNK)
         rows.append(TraceRow(epoch, float(train_loss), float(test_loss),
                              _grad_norm(g)))
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}", trace=trace)
+            raise DivergenceError(f"non-finite loss at epoch {epoch}", trace=rows)
 
     snapshot(0)
     m = train_ds.m
@@ -165,20 +142,20 @@ def train(net, train_ds, test_ds, cfg):
             batches = (train_ds.subset(order[start:start + bs])
                        for start in range(0, m, bs))
         for batch in batches:
-            grads, batch_loss = gradients(net, batch, cfg.loss, train=True)
+            grads, batch_loss = gradients(net, batch, train=True)
             if not np.isfinite(batch_loss) or batch_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(
                     f"loss diverged at epoch {epoch} ({batch_loss:.3g})",
-                    trace=trace)
+                    trace=rows)
             opt.step(net.params, grads)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             snapshot(epoch)
-    return trace
+    return rows
 
 
-def progress_level(trace, fraction=0.2):
-    """The train-loss level at which a run has covered (1 - fraction) of its
-    total decrease.
+def progress_level(rows, fraction=0.2):
+    """The train-loss level at which a run (its TraceRows) has covered
+    (1 - fraction) of its total decrease.
 
     For a positive loss decaying toward zero this is the classic "loss fell
     to ``fraction`` of its initial value" level; phrasing it in terms of the
@@ -187,36 +164,34 @@ def progress_level(trace, fraction=0.2):
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
-    rows = trace.rows if hasattr(trace, "rows") else list(trace)
     start = rows[0].train_loss
     best = min(r.train_loss for r in rows)
     return best + fraction * (start - best)
 
 
-def epochs_to_level(trace, level):
+def epochs_to_level(rows, level):
     """First recorded epoch whose train loss is at or below ``level``; None
     if the run never gets there."""
-    rows = trace.rows if hasattr(trace, "rows") else list(trace)
     for r in rows:
         if r.train_loss <= level:
             return r.epoch
     return None
 
 
-def epochs_to_threshold(trace, fraction=0.2):
+def epochs_to_threshold(rows, fraction=0.2):
     """First recorded epoch at or below the run's own progress level; see
     progress_level.  Always defined (the best epoch qualifies)."""
-    return epochs_to_level(trace, progress_level(trace, fraction))
+    return epochs_to_level(rows, progress_level(rows, fraction))
 
 
-def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None):
-    """Test-set metrics: mean loss, ratio-to-WMMSE (sum-rate tasks), and an
-    excess-risk estimate vs the task oracle.
+def evaluate(net, test_ds, train_ds=None):
+    """Test-set metrics of the net's own task: mean loss, ratio-to-WMMSE
+    (sum-rate nets), and an excess-risk estimate vs the task oracle.
 
-    The oracle is WMMSE for the sum-rate task and the exact kernel-regression
-    predictor for the supervised task: the analytic kernel over
-    ``train_ds``, of the net's own activation for a TwoLayerNet and of relu
-    otherwise.
+    The oracle is WMMSE for the sum-rate nets (WcgcnNet, PowerMlp).  For a
+    TwoLayerNet, whose task is the labelled regression, it is the exact
+    kernel-regression predictor: the analytic kernel of the net's own
+    activation over ``train_ds``; without ``train_ds`` there is no oracle.
     Excess risk is the mean per-sample loss difference net - oracle; learned
     policies can beat the locally optimal WMMSE, so small negative values are
     legitimate.
@@ -224,7 +199,7 @@ def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None):
     if test_ds.m == 0:
         raise ValueError("test set must be nonempty")
     metrics = {}
-    if loss == "negative-sum-rate":
+    if not isinstance(net, TwoLayerNet):
         P = np.concatenate([_power_forward(net, sub, train=False)[0]
                             for sub in sample_chunks(test_ds, SNAPSHOT_CHUNK)])
         rates = sum_rate_batch(test_ds.mags, test_ds.sigma2s, test_ds.weights, P)
@@ -237,35 +212,26 @@ def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None):
         metrics["ratio_to_wmmse"] = float(rates.mean() / oracle_rates.mean())
         metrics["e_gen"] = float(np.mean(-rates - (-oracle_rates)))
         return metrics
-    if loss == "squared":
-        if test_ds.labels is None:
-            raise ValueError("squared loss requires labels")
-        if isinstance(net, TwoLayerNet):
-            u = net.forward(_batch_features(net, test_ds))
+    err = net.forward(_batch_features(net, test_ds)) - _labels(test_ds)
+    metrics["mean_loss"] = float(np.mean(err ** 2))
+    metrics["ratio_to_wmmse"] = None
+    if train_ds is not None:
+        from .kernels import gnn_kernel_function, mlp_kernel_function
+        if test_ds.node_features.shape[1] == 1:
+            Xtr = train_ds.flat_features
+            Xte = test_ds.flat_features
+            Ktr = mlp_kernel_function(Xtr, None, net.activation)
+            Kte = mlp_kernel_function(Xte, Xtr, net.activation)
         else:
-            u, _ = _power_forward(net, test_ds, train=False)
-        err = np.asarray(u) - test_ds.labels
-        metrics["mean_loss"] = float(np.mean(err ** 2))
-        metrics["ratio_to_wmmse"] = None
-        if train_ds is not None:
-            from .kernels import gnn_kernel_function, mlp_kernel_function
-            activation = net.activation if isinstance(net, TwoLayerNet) else "relu"
-            if test_ds.node_features.shape[1] == 1:
-                Xtr = train_ds.flat_features
-                Xte = test_ds.flat_features
-                Ktr = mlp_kernel_function(Xtr, None, activation)
-                Kte = mlp_kernel_function(Xte, Xtr, activation)
-            else:
-                Xtr = train_ds.node_features
-                Xte = test_ds.node_features
-                Ktr = gnn_kernel_function(Xtr, None, activation)
-                Kte = gnn_kernel_function(Xte, Xtr, activation)
-            coef = np.linalg.pinv(Ktr, rcond=1e-12) @ train_ds.labels
-            oracle_err = Kte @ coef - test_ds.labels
-            metrics["oracle_loss"] = float(np.mean(oracle_err ** 2))
-            metrics["e_gen"] = float(np.mean(err ** 2 - oracle_err ** 2))
-        return metrics
-    raise ValueError(f"unknown loss {loss!r}")
+            Xtr = train_ds.node_features
+            Xte = test_ds.node_features
+            Ktr = gnn_kernel_function(Xtr, None, net.activation)
+            Kte = gnn_kernel_function(Xte, Xtr, net.activation)
+        coef = np.linalg.pinv(Ktr, rcond=1e-12) @ train_ds.labels
+        oracle_err = Kte @ coef - test_ds.labels
+        metrics["oracle_loss"] = float(np.mean(oracle_err ** 2))
+        metrics["e_gen"] = float(np.mean(err ** 2 - oracle_err ** 2))
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +240,10 @@ def evaluate(net, test_ds, loss="negative-sum-rate", train_ds=None):
 _TRACE_HEADER = "epoch,train_loss,test_loss,grad_norm"
 
 
-def write_trace_csv(trace, path):
-    """A TrainTrace or a list of TraceRows as a CSV, one line per row."""
-    rows = trace.rows if hasattr(trace, "rows") else trace
+def write_trace_csv(rows, path):
+    """A list of TraceRows as a CSV, one line per row."""
     atomic_write(path, csv_text(_TRACE_HEADER, [
         (r.epoch, r.train_loss, r.test_loss, r.grad_norm) for r in rows]))
-
-
-def read_trace_csv(path):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _TRACE_HEADER:
-            raise ValueError(f"unrecognized trace header: {header!r}")
-        for line in fh:
-            e, tr, te, gn = line.strip().split(",")
-            rows.append(TraceRow(int(e), float(tr), float(te), float(gn)))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -65,3 +65,41 @@ def test_no_unused_imports():
                    for name, line in _imported_names(tree).items()
                    if name not in used]
     assert not unused, "\n".join(unused)
+
+
+# Exported names that nothing in src/ calls, each with the reason it stays.
+UNCALLED_EXPORTS = {
+    # the reader of the checkpoint.txt that `ntklab train` writes; its
+    # round-trip tests are what check the writer
+    "training.load_checkpoint",
+}
+
+
+def _references(module):
+    """Every name ``module`` reads, as a bare name or an attribute, except
+    the reads inside the top-level definition of that same name."""
+    refs = set()
+    for top in _tree(module).body:
+        here = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+        here.discard(getattr(top, "name", None))
+        refs |= here
+    return refs
+
+
+def test_every_exported_name_has_a_caller():
+    # __init__ only re-exports; a name's own definition and its __all__
+    # entry are not reads of it
+    modules = [m for m in MODULES if m != "__init__"]
+    referenced = set().union(*map(_references, modules))
+    uncalled = []
+    for module in modules:
+        exported = getattr(importlib.import_module(f"ntklab.{module}"),
+                           "__all__", ())
+        uncalled += [f"{module}.{name}" for name in exported
+                     if name not in referenced]
+    assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)

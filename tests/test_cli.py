@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, config plumbing."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,17 @@ def test_ntk_monte_carlo_artifacts(tmp_path):
     assert 0 < float(err) < 0.5
 
 
+@pytest.mark.parametrize("flags", [["--mc-units", "100", "--mc-width", "0"],
+                                   ["--mc-units", "-7"]])
+def test_ntk_rejects_bad_monte_carlo_flags(tmp_path, capsys, flags):
+    # a zero width once divided by zero after kernel.csv was written, and a
+    # negative unit count silently ran a one-draw estimate
+    out = tmp_path / "run"
+    assert cli_main(["ntk", "--m", "6", *flags, "--out", str(out)]) == 1
+    assert "--mc-units >= 0 and --mc-width >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectral
 
@@ -174,7 +187,7 @@ def test_train_supervised_job(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(
         "[train]\n"
-        "arch = two-layer\nloss = squared\nn = 1\nd = 4\nwidth = 64\n"
+        "arch = two-layer\nn = 1\nd = 4\nwidth = 64\n"
         "m_train = 20\nm_test = 10\nepochs = 3\nlr = 1e-3\noptimizer = gd\n")
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
@@ -185,7 +198,7 @@ def test_train_supervised_job(tmp_path):
                                        ("epochs = 2.9", "epochs")])
 def test_train_rejects_config_typos(tmp_path, capsys, line, key):
     cfg = tmp_path / "t.cfg"
-    cfg.write_text("[train]\narch = two-layer\nloss = squared\n"
+    cfg.write_text("[train]\narch = two-layer\n"
                    f"width = 16\nm_train = 12\nm_test = 6\n{line}\n")
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 1
@@ -197,12 +210,60 @@ def test_train_divergence_exit_code(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(
         "[train]\n"
-        "arch = two-layer\nloss = squared\nn = 1\nd = 4\nwidth = 16\n"
+        "arch = two-layer\nn = 1\nd = 4\nwidth = 16\n"
         "m_train = 12\nm_test = 6\nepochs = 10\nlr = 1e9\noptimizer = gd\n")
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     # the partial trace still lands on disk for post-mortems
     assert (out / "trace.csv").exists()
+
+
+def test_train_and_exp_fig1_share_their_bits(tmp_path):
+    # `ntklab train` and `exp fig1` build their sum-rate runs through the
+    # same data, net and training calls, so equal settings give equal bytes
+    shared = "m_train = 40\nm_test = 20\nepochs = 3\nbatch_size = 20\neval_every = 1\n"
+    fig1_cfg = tmp_path / "fig1.cfg"
+    fig1_cfg.write_text("[fig1]\nk_list = 4\ngnn_hidden = 6\nmlp_hidden = 7\n"
+                        + shared)
+    fig1 = tmp_path / "fig1"
+    assert cli_main(["exp", "fig1", "--config", str(fig1_cfg),
+                     "--out", str(fig1)]) == 0
+    with open(fig1 / "fig1_summary.csv") as fh:
+        summary = {row["model"]: row for row in csv.DictReader(fh)}
+    for arch, model, hidden in (("wcgcn", "gnn", 6), ("power-mlp", "mlp", 7)):
+        cfg = tmp_path / f"{arch}.cfg"
+        cfg.write_text(f"[train]\narch = {arch}\nk = 4\nhidden = {hidden}\n"
+                       + shared)
+        out = tmp_path / arch
+        assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "trace.csv").read_bytes() == \
+            (fig1 / f"trace_{model}_K4.csv").read_bytes()
+        metrics = dict(line.split(",") for line in
+                       read_lines(out / "train_summary.csv")[1:])
+        for key in ("mean_sum_rate", "ratio_to_wmmse", "e_gen"):
+            assert float(metrics[key]) == float(summary[model][key]), key
+
+
+def test_train_rejects_the_loss_key(tmp_path, capsys):
+    # the arch fixes the task, so [train] has no loss to choose
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("[train]\narch = wcgcn\nloss = negative-sum-rate\n")
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "unknown config key(s) in [train]: loss" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arch", ["wcgcn", "power-mlp", "two-layer"])
+def test_train_runs_every_arch(tmp_path, arch):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"[train]\narch = {arch}\nk = 3\nn = 2\nd = 3\nhidden = 4\n"
+                   "width = 16\nm_train = 12\nm_test = 6\nepochs = 2\n")
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("trace.csv", "checkpoint.txt", "train_summary.csv"):
+        assert (out / name).exists()
+    assert f"# arch = {arch}" in (out / "manifest.txt").read_text()
 
 
 # ---------------------------------------------------------------------------

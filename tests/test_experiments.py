@@ -19,11 +19,10 @@ import ntklab
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
 from ntklab.config import EXPERIMENT_IDS, ExperimentConfig, default_config
 from ntklab.netsim import generate_instances
-from ntklab.nets import gradients, init_net
+from ntklab.nets import gradients, init_net, n_params
 from ntklab.experiments import (
     _BLAS_THREAD_VARS,
-    _matched_mlp_hidden,
-    _power_mlp_count,
+    _mlp_hidden,
     _run_cells,
     run_bounds,
     run_experiment,
@@ -73,14 +72,17 @@ def test_atomic_write_creates_directories(tmp_path):
     assert os.listdir(target.parent) == ["file.txt"]   # no temp droppings
 
 
-def test_matched_mlp_hidden_is_nearest():
-    d_in, k = 30, 5
-    for target in (200, 1000, 5000):
-        h = _matched_mlp_hidden(target, d_in, k)
-        best = min(range(1, 300),
-                   key=lambda hh: abs(_power_mlp_count(d_in, hh, k) - target))
-        assert abs(_power_mlp_count(d_in, h, k) - target) == \
-            abs(_power_mlp_count(d_in, best, k) - target)
+def test_matched_mlp_hidden_is_nearest(tmp_path):
+    auto = build("fig1", {"mlp_hidden": "auto"}, tmp_path)
+    for k, gnn_hidden in ((5, 4), (5, 32), (20, 32)):
+        target = n_params(init_net("wcgcn", None, gnn_hidden, 0))
+        count = {h: n_params(init_net("power-mlp", (k * k + k, k), h, 0))
+                 for h in range(1, 80)}
+        h = _mlp_hidden(auto, k, gnn_hidden, 2)
+        best = min(count, key=lambda hh: abs(count[hh] - target))
+        assert abs(count[h] - target) == abs(count[best] - target)
+    fixed = build("fig1", {"mlp_hidden": "9"}, tmp_path)
+    assert _mlp_hidden(fixed, 5, 32, 2) == 9
 
 
 def test_manifest_covers_and_hashes_every_file(tmp_path):
@@ -309,10 +311,10 @@ def _wcgcn_step_faults():
     ds = generate_instances(20, 100, 0)
     net = init_net("wcgcn", None, 8, 0)
     for _ in range(2):
-        gradients(net, ds, "negative-sum-rate", train=True)
+        gradients(net, ds, train=True)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(10):
-        gradients(net, ds, "negative-sum-rate", train=True)
+        gradients(net, ds, train=True)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 

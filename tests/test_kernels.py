@@ -18,6 +18,13 @@ def _flat(m, d, seed):
     return np.random.default_rng(seed).standard_normal((m, d))
 
 
+def _assert_psd(kernel):
+    """lambda_min >= -1e-8 lambda_max: PSD up to eigensolver rounding."""
+    vals = np.linalg.eigvalsh((kernel.entries + kernel.entries.T) / 2.0)
+    assert vals[0] >= -1e-8 * max(vals[-1], 1e-300), \
+        f"kernel is not PSD within tolerance: lambda_min={vals[0]}"
+
+
 # ------------------------------------------------------------ closed forms
 
 
@@ -218,15 +225,16 @@ class TestKernelMatrix:
             KernelMatrix(H)
 
     def test_check_psd_flags_indefinite(self):
+        # the PSD check below must be able to fail
         H = np.array([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3, -1
-        with pytest.raises(ValueError):
-            KernelMatrix(H).check_psd()
+        with pytest.raises(AssertionError, match="not PSD"):
+            _assert_psd(KernelMatrix(H))
 
     def test_analytic_kernels_are_psd(self):
         X = _flat(12, 4, 8)
-        analytic_ntk_mlp(X).check_psd()
+        _assert_psd(analytic_ntk_mlp(X))
         nodes = np.random.default_rng(9).standard_normal((8, 3, 4))
-        analytic_ntk_gnn(nodes).check_psd()
+        _assert_psd(analytic_ntk_gnn(nodes))
 
 
 # ------------------------------------------------------------- Monte Carlo

@@ -24,6 +24,7 @@ from ntklab.nets import (
     gradients,
     init_net,
     loss_value,
+    n_params,
     output_jacobians,
     sample_chunks,
     sum_rate_loss_grad,
@@ -43,11 +44,10 @@ def channel_batch(K, m, seed=0):
     return generate_instances(K, m, seed)
 
 
-def fd_check(net, batch, loss_spec, train, n_coords=12, seed=0,
-             rel=3e-4, h_scale=1e-5):
+def fd_check(net, batch, train, n_coords=12, seed=0, rel=3e-4, h_scale=1e-5):
     """Compare analytic gradients with central differences on random
     parameter coordinates, skipping coordinates near a derivative kink."""
-    grads, _ = gradients(net, batch, loss_spec, train=train)
+    grads, _ = gradients(net, batch, train=train)
     rng = np.random.default_rng(seed)
     keys = sorted(net.params)
     survived = 0
@@ -60,7 +60,7 @@ def fd_check(net, batch, loss_spec, train, n_coords=12, seed=0,
 
         def f(val):
             flat[idx] = val
-            out = loss_value(net, batch, loss_spec, train=train)
+            out = loss_value(net, batch, train=train)
             flat[idx] = base
             return out
 
@@ -265,7 +265,7 @@ class TestTwoLayerNet:
         S = ((Z > 0).astype(float) if activation == "relu" else 2.0 * Z) * net.a
         want = (S * g[:, None]).T @ Xn / np.sqrt(r)
 
-        grads, loss = gradients(net, ds, "squared")
+        grads, loss = gradients(net, ds)
         assert np.array_equal(grads["W"], want)
         assert loss == 0.5 * float(np.sum(resid ** 2))
         assert np.array_equal(net.forward(X), u)
@@ -307,7 +307,7 @@ class TestWcgcn:
     def test_param_count_independent_of_k(self):
         net = WcgcnNet.create(hidden=8, layers=2, seed=0)
         # parameters never mention K, so one net serves every user count
-        assert net.n_params() == 2 * (2 * 8 ** 2 + 15 * 8 + 1)
+        assert n_params(net) == 2 * (2 * 8 ** 2 + 15 * 8 + 1)
         for K in (1, 3, 6):
             batch = channel_batch(K, 4)
             P, _ = net.forward_batch(batch.mags, batch.weights)
@@ -347,7 +347,7 @@ class TestWcgcn:
     def test_gradients_eval_mode(self):
         net = WcgcnNet.create(hidden=5, layers=2, seed=5)
         batch = channel_batch(4, 6, seed=6)
-        fd_check(net, batch, "negative-sum-rate", train=False)
+        fd_check(net, batch, train=False)
 
     def test_gradients_train_mode(self):
         # train-mode BatchNorm normalizes by batch statistics, which are
@@ -355,14 +355,14 @@ class TestWcgcn:
         # account for that.
         net = WcgcnNet.create(hidden=5, layers=2, seed=7)
         batch = channel_batch(4, 6, seed=8)
-        fd_check(net, batch, "negative-sum-rate", train=True, seed=1)
+        fd_check(net, batch, train=True, seed=1)
 
     def test_single_user_forward_and_gradient(self):
         net = WcgcnNet.create(hidden=4, layers=2, seed=9)
         batch = channel_batch(1, 5, seed=10)
         P, _ = net.forward_batch(batch.mags, batch.weights)
         assert P.shape == (5, 1)
-        fd_check(net, batch, "negative-sum-rate", train=False, n_coords=8, seed=2)
+        fd_check(net, batch, train=False, n_coords=8, seed=2)
 
     def test_batchnorm_running_stats_update_only_in_train(self):
         net = WcgcnNet.create(hidden=4, layers=2, seed=11)
@@ -408,7 +408,7 @@ class TestWcgcn:
         _, caches = net.forward_batch(batch.mags, np.ones((2, 3)), train=False)
         assert all(np.all(c[4] > 0) for c in caches)   # Z2: nothing dead
         J = output_jacobians(net, batch.mags)
-        assert J.shape == (2 * 3, net.n_params())
+        assert J.shape == (2 * 3, n_params(net))
         rng = np.random.default_rng(15)
         keys = sorted(net.params)
         direction = {k: rng.standard_normal(net.params[k].shape) for k in keys}
@@ -463,21 +463,17 @@ class TestPowerMlp:
     def test_param_count(self):
         net = PowerMlp.create((6, 5, 5, 3), seed=1)
         want = (6 * 5 + 5) + (5 * 5 + 5) + (5 * 3 + 3) + 2 * (2 * 5)
-        assert net.n_params() == want
+        assert n_params(net) == want
 
     def test_gradients_eval_mode(self):
         net = init_net("power-mlp", (20, 4), width=7, seed=2)
         batch = channel_batch(4, 6, seed=3)
-        fd_check(net, batch, "negative-sum-rate", train=False, seed=3)
+        fd_check(net, batch, train=False, seed=3)
 
     def test_gradients_train_mode(self):
         net = init_net("power-mlp", (20, 4), width=7, seed=4)
         batch = channel_batch(4, 6, seed=5)
-        fd_check(net, batch, "negative-sum-rate", train=True, seed=4)
-
-    def test_width_tuple(self):
-        net = init_net("power-mlp", (12, 3), width=(8, 6), seed=5)
-        assert net.dims == (12, 8, 6, 3)
+        fd_check(net, batch, train=True, seed=4)
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +487,15 @@ class TestLosses:
         got, _ = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, P)
         rates = sum_rate_batch(batch.mags, batch.sigma2s, batch.weights, P)
         np.testing.assert_allclose(got, rates, rtol=1e-12)
-        net = WcgcnNet.create(hidden=4, layers=2, seed=0)
-        P, _ = net.forward_batch(batch.mags, batch.weights)
-        rates = sum_rate_batch(batch.mags, batch.sigma2s, batch.weights, P)
-        assert loss_value(net, batch, "negative-sum-rate") == -rates.mean()
-        _, loss = gradients(net, batch, "negative-sum-rate")
-        assert loss == -rates.mean()
+        # both power-control nets train on the mean negative sum rate
+        wcgcn = WcgcnNet.create(hidden=4, layers=2, seed=0)
+        mlp = init_net("power-mlp", (30, 5), width=7, seed=0)
+        for net, P in ((wcgcn, wcgcn.forward_batch(batch.mags, batch.weights)[0]),
+                       (mlp, mlp.forward_batch(batch.flat_features)[0])):
+            rates = sum_rate_batch(batch.mags, batch.sigma2s, batch.weights, P)
+            assert loss_value(net, batch) == -rates.mean()
+            _, loss = gradients(net, batch)
+            assert loss == -rates.mean()
 
     def test_sum_rate_grad_finite_difference(self):
         batch = channel_batch(3, 4, seed=2)
@@ -523,25 +522,39 @@ class TestLosses:
         net = init_net("two-layer", 3, 16, seed=5)
         u = net.forward(ds.flat_features)
         want = 0.5 * np.sum((u - ds.labels) ** 2)
-        assert loss_value(net, ds, "squared") == pytest.approx(want, rel=1e-12)
+        assert loss_value(net, ds) == pytest.approx(want, rel=1e-12)
 
     def test_squared_loss_gradient_two_layer(self):
         ds = gaussian_node_dataset(1, 6, 3, seed=6)
         ds = replace(ds, labels=synthetic_labels(ds, beta=np.array([1.0, -0.5, 0.25]), p_degree=2))
         net = init_net("two-layer", 3, 12, seed=7)
-        fd_check(net, ds, "squared", train=False, seed=5)
+        fd_check(net, ds, train=False, seed=5)
 
     def test_unknown_loss_rejected(self):
+        # the net fixes its loss: an object that is none of the three nets
+        # has none
         ds = channel_batch(3, 2)
-        net = WcgcnNet.create(4, 2, seed=0)
-        with pytest.raises(ValueError):
-            loss_value(net, ds, "hinge")
+        with pytest.raises(ValueError, match="does not produce power vectors"):
+            loss_value(object(), ds)
+        with pytest.raises(ValueError, match="does not produce power vectors"):
+            gradients(object(), ds)
+
+    @pytest.mark.parametrize("arch", ["wcgcn", "power-mlp"])
+    def test_sum_rate_nets_reject_data_without_channels(self, arch):
+        # labelled Gaussian node sets carry no channel arrays to rate
+        ds = gaussian_node_dataset(1, 4, 3, seed=14)
+        ds = replace(ds, labels=synthetic_labels(ds, beta=np.ones(3), p_degree=1))
+        net = init_net(arch, (3, 1), 4, seed=15)
+        with pytest.raises(ValueError, match="needs channel instances"):
+            loss_value(net, ds)
+        with pytest.raises(ValueError, match="needs channel instances"):
+            gradients(net, ds)
 
     def test_squared_loss_without_labels_rejected(self):
         ds = gaussian_node_dataset(1, 4, 3, seed=8)
         net = init_net("two-layer", 3, 8, seed=9)
         with pytest.raises(ValueError):
-            loss_value(net, ds, "squared")
+            loss_value(net, ds)
 
     def test_nonfinite_output_flags_sample(self):
         ds = gaussian_node_dataset(1, 4, 3, seed=10)
@@ -549,7 +562,7 @@ class TestLosses:
         net = init_net("two-layer", 3, 8, seed=11)
         net.W[0, 0] = np.inf
         with pytest.raises(NumericFailureError):
-            gradients(net, ds, "squared")
+            gradients(net, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -568,15 +581,15 @@ class TestChunking:
     def test_chunked_loss_matches_full(self):
         net = WcgcnNet.create(hidden=5, layers=2, seed=0)
         batch = channel_batch(4, 13, seed=1)
-        full = loss_value(net, batch, "negative-sum-rate", train=False)
-        split = loss_value(net, batch, "negative-sum-rate", train=False, chunk=5)
+        full = loss_value(net, batch, train=False)
+        split = loss_value(net, batch, train=False, chunk=5)
         assert split == pytest.approx(full, rel=1e-12)
 
     def test_chunked_gradients_match_full(self):
         net = WcgcnNet.create(hidden=5, layers=2, seed=2)
         batch = channel_batch(4, 13, seed=3)
-        g_full, l_full = gradients(net, batch, "negative-sum-rate", train=False)
-        g_split, l_split = gradients(net, batch, "negative-sum-rate",
+        g_full, l_full = gradients(net, batch, train=False)
+        g_split, l_split = gradients(net, batch,
                                      train=False, chunk=5)
         assert l_split == pytest.approx(l_full, rel=1e-12)
         for k in g_full:
@@ -588,23 +601,23 @@ class TestChunking:
         ds = gaussian_node_dataset(1, 11, 3, seed=4)
         ds = replace(ds, labels=synthetic_labels(ds, beta=np.ones(3), p_degree=2))
         net = init_net("two-layer", 3, 8, seed=5)
-        full = loss_value(net, ds, "squared")
-        split = loss_value(net, ds, "squared", chunk=3)
+        full = loss_value(net, ds)
+        split = loss_value(net, ds, chunk=3)
         assert split == pytest.approx(full, rel=1e-12)
-        g_full, _ = gradients(net, ds, "squared")
-        g_split, _ = gradients(net, ds, "squared", chunk=3)
+        g_full, _ = gradients(net, ds)
+        g_split, _ = gradients(net, ds, chunk=3)
         np.testing.assert_allclose(g_split["W"], g_full["W"], rtol=1e-10)
 
     def test_chunking_requires_eval_mode(self):
         net = WcgcnNet.create(hidden=4, layers=2, seed=6)
         batch = channel_batch(3, 8, seed=7)
         with pytest.raises(ValueError):
-            loss_value(net, batch, "negative-sum-rate", train=True, chunk=2)
+            loss_value(net, batch, train=True, chunk=2)
         with pytest.raises(ValueError):
-            gradients(net, batch, "negative-sum-rate", train=True, chunk=2)
+            gradients(net, batch, train=True, chunk=2)
 
     def test_empty_batch_rejected(self):
         ds = channel_batch(3, 4).subset(np.array([], dtype=int))
         net = WcgcnNet.create(4, 2, seed=8)
         with pytest.raises(ValueError):
-            loss_value(net, ds, "negative-sum-rate")
+            loss_value(net, ds)

@@ -254,7 +254,7 @@ def test_wcgcn_training_steps_stay_bit_identical(train):
     net, ref = _twin_wcgcn(seed=9)
     batch = generate_instances(4, 9, seed=31)
     for _ in range(3):
-        g, _ = gradients(net, batch, "negative-sum-rate", train=train)
+        g, _ = gradients(net, batch, train=train)
         P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags, batch.weights,
                                                train, [])
         _, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, P_ref)
@@ -294,13 +294,13 @@ def test_wcgcn_train_step_memory_stays_bounded():
     K, m, h = 20, 50, 32
     net = WcgcnNet.create(hidden=h, layers=2, seed=0)
     batch = generate_instances(K, m, seed=1)
-    gradients(net, batch, "negative-sum-rate", train=True)     # warm caches
+    gradients(net, batch, train=True)      # warm caches
     _, caches = net.forward_batch(batch.mags, batch.weights, train=True)
     assert all(c[slot].dtype == bool for c in caches for slot in (1, 4, 8))
     del caches
     tracemalloc.start()
     try:
-        gradients(net, batch, "negative-sum-rate", train=True)
+        gradients(net, batch, train=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

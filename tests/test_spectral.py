@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from ntklab import (
     RangeViolationError,
-    SingularKernelError,
     UnsupportedConstantError,
     activation_constant,
     condition_landscape,
     eig_sym,
     generalization_bound,
     kernel_dynamics,
-    thm2_rate_bound,
     thm3_bounds,
 )
 from ntklab.kernels import KernelMatrix
@@ -126,20 +124,13 @@ def test_dynamics_matches_ode_integration():
     )
 
 
-def test_dynamics_outputs_complement_residuals():
-    H = random_psd(6, seed=9)
-    y = np.random.default_rng(10).standard_normal(6)
-    res = kernel_dynamics(H, y, times=[0.1, 1.0, 3.0])
-    np.testing.assert_allclose(res.outputs + res.residuals, y[None, :] * np.ones((3, 1)))
-    np.testing.assert_allclose(
-        res.residual_norms, np.linalg.norm(res.residuals, axis=1)
-    )
-
-
 def test_dynamics_residual_norm_decreasing_for_psd():
     H = random_psd(10, seed=11)
     y = np.random.default_rng(12).standard_normal(10)
     res = kernel_dynamics(H, y, times=np.linspace(0, 5, 30))
+    np.testing.assert_allclose(
+        res.residual_norms, np.linalg.norm(res.residuals, axis=1)
+    )
     assert np.all(np.diff(res.residual_norms) <= 1e-12)
 
 
@@ -156,9 +147,10 @@ def test_dynamics_mode_coefficients_decay():
     res = kernel_dynamics(H, y, times=[0.0, 2.0])
     rep = eig_sym(H)
     c0 = rep.eigenvectors.T @ y
-    np.testing.assert_allclose(res.mode_coefficients[0], c0, atol=1e-12)
+    modes = res.residuals @ rep.eigenvectors     # residual mode coefficients
+    np.testing.assert_allclose(modes[0], c0, atol=1e-12)
     np.testing.assert_allclose(
-        res.mode_coefficients[1], c0 * np.exp(-rep.eigenvalues * 2.0), atol=1e-12
+        modes[1], c0 * np.exp(-rep.eigenvalues * 2.0), atol=1e-12
     )
 
 
@@ -178,40 +170,6 @@ def test_dynamics_rejects_nonfinite_labels():
 
 
 # ---------------------------------------------------------------------------
-# thm2_rate_bound
-
-
-def test_rate_bound_formula():
-    H = random_psd(6, seed=15)
-    lam = np.linalg.eigvalsh(H)
-    u0 = np.random.default_rng(16).standard_normal(6)
-    ustar = np.random.default_rng(17).standard_normal(6)
-    got = thm2_rate_bound(H, u0, ustar, t=2.5)
-    kappa = lam[-1] / lam[0]
-    want = np.sum((u0 - ustar) ** 2) / (2 * kappa * 2.5)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_rate_bound_decays_in_time():
-    H = random_psd(4, seed=18)
-    u0, ustar = np.ones(4), np.zeros(4)
-    b = [thm2_rate_bound(H, u0, ustar, t) for t in (1.0, 2.0, 4.0)]
-    assert b[0] > b[1] > b[2]
-    assert b[0] == pytest.approx(2 * b[1], rel=1e-12)
-
-
-def test_rate_bound_singular_kernel_rejected():
-    H = random_psd(5, seed=19, rank=3)
-    with pytest.raises(SingularKernelError):
-        thm2_rate_bound(H, np.ones(5), np.zeros(5), t=1.0)
-
-
-def test_rate_bound_requires_positive_time():
-    with pytest.raises(ValueError):
-        thm2_rate_bound(np.eye(2), np.ones(2), np.zeros(2), t=0.0)
-
-
-# ---------------------------------------------------------------------------
 # activation_constant
 
 
@@ -220,24 +178,11 @@ def test_builtin_constants():
     assert activation_constant(2, "relu") == pytest.approx(1.0 / (2.0 * np.pi))
 
 
-def test_override_wins():
-    assert activation_constant(2, "relu", overrides={(2, "relu"): 0.5}) == 0.5
-
-
-def test_override_fills_missing_pair():
-    assert activation_constant(1, "relu", overrides={(1, "relu"): 2.0}) == 2.0
-
-
 def test_unknown_pair_rejected():
     with pytest.raises(UnsupportedConstantError):
         activation_constant(3, "relu")
     with pytest.raises(UnsupportedConstantError):
         activation_constant(2, "tanh")
-
-
-def test_nonpositive_constant_rejected():
-    with pytest.raises(ValueError):
-        activation_constant(2, "relu", overrides={(2, "relu"): 0.0})
 
 
 # ---------------------------------------------------------------------------

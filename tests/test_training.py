@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ntklab import DivergenceError
-from ntklab.nets import TwoLayerNet, WcgcnNet, init_net, loss_value
+from ntklab.nets import TwoLayerNet, WcgcnNet, init_net, loss_value, n_params
 from ntklab.netsim import gaussian_node_dataset, generate_instances, synthetic_labels
 from ntklab.training import (
     TraceRow,
@@ -17,7 +17,6 @@ from ntklab.training import (
     evaluate,
     load_checkpoint,
     progress_level,
-    read_trace_csv,
     save_checkpoint,
     train,
     write_trace_csv,
@@ -41,8 +40,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(optimizer="sgd-momentum")
     with pytest.raises(ValueError):
-        TrainConfig(loss="hinge")
-    with pytest.raises(ValueError):
         TrainConfig(lr=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(lr=np.inf)
@@ -62,22 +59,20 @@ def test_zero_lr_leaves_net_unchanged():
     ds = labeled_gaussian(8, seed=0)
     net = init_net("two-layer", 3, 16, seed=1)
     W0 = net.W.copy()
-    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=0.0, epochs=4,
-                                           loss="squared"))
+    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=0.0, epochs=4))
     np.testing.assert_array_equal(net.W, W0)
-    losses = [r.train_loss for r in trace.rows]
+    losses = [r.train_loss for r in trace]
     assert losses == [losses[0]] * len(losses)
 
 
 def test_trace_epoch_schedule():
     ds = labeled_gaussian(6, seed=2)
     net = init_net("two-layer", 3, 8, seed=3)
-    cfg = TrainConfig(optimizer="gd", lr=1e-3, epochs=5, loss="squared",
-                      eval_every=2)
+    cfg = TrainConfig(optimizer="gd", lr=1e-3, epochs=5, eval_every=2)
     trace = train(net, ds, ds, cfg)
-    assert [r.epoch for r in trace.rows] == [0, 2, 4, 5]
-    assert all(r.grad_norm >= 0 for r in trace.rows)
-    assert trace.n_params == net.W.size
+    assert [r.epoch for r in trace] == [0, 2, 4, 5]
+    assert all(r.grad_norm >= 0 for r in trace)
+    assert n_params(net) == net.W.size
 
 
 def test_training_reduces_loss():
@@ -86,20 +81,20 @@ def test_training_reduces_loss():
     net = WcgcnNet.create(hidden=6, layers=2, seed=6)
     cfg = TrainConfig(optimizer="adam", lr=1e-2, epochs=8)
     trace = train(net, train_ds, test_ds, cfg)
-    assert trace.final_train_loss < trace.rows[0].train_loss
-    assert trace.final_test_loss < trace.rows[0].test_loss
+    assert trace[-1].train_loss < trace[0].train_loss
+    assert trace[-1].test_loss < trace[0].test_loss
 
 
 def test_full_batch_explicit_and_default_agree():
     def run(batch_size):
         ds = labeled_gaussian(10, seed=7)
         net = init_net("two-layer", 3, 12, seed=8)
-        cfg = TrainConfig(optimizer="gd", lr=1e-2, epochs=5, loss="squared",
+        cfg = TrainConfig(optimizer="gd", lr=1e-2, epochs=5,
                           batch_size=batch_size)
         return train(net, ds, ds, cfg)
 
     a, b = run(None), run(10)
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(a, b):
         assert ra.train_loss == rb.train_loss
         assert ra.grad_norm == rb.grad_norm
 
@@ -136,9 +131,8 @@ def test_full_batch_gd_matches_two_pass_loop():
         if epoch % eval_every == 0 or epoch == epochs:
             want.append(row(epoch))
 
-    cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, loss="squared",
-                      eval_every=eval_every)
-    assert train(net, tr, te, cfg).rows == want
+    cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, eval_every=eval_every)
+    assert train(net, tr, te, cfg) == want
     assert np.array_equal(net.W, W)
 
 
@@ -148,7 +142,7 @@ def test_minibatch_runs_are_deterministic():
         net = WcgcnNet.create(hidden=4, layers=2, seed=10)
         cfg = TrainConfig(optimizer="adam", lr=5e-3, epochs=4, batch_size=4,
                           seed=seed)
-        return [r.train_loss for r in train(net, ds, ds, cfg).rows]
+        return [r.train_loss for r in train(net, ds, ds, cfg)]
 
     assert run(0) == run(0)
     assert run(0) != run(1)      # the shuffle seed matters
@@ -157,11 +151,11 @@ def test_minibatch_runs_are_deterministic():
 def test_divergence_carries_partial_trace():
     ds = labeled_gaussian(8, seed=11)
     net = init_net("two-layer", 3, 8, seed=12)
-    cfg = TrainConfig(optimizer="gd", lr=1e8, epochs=10, loss="squared")
+    cfg = TrainConfig(optimizer="gd", lr=1e8, epochs=10)
     with pytest.raises(DivergenceError) as err:
         train(net, ds, ds, cfg)
-    assert len(err.value.trace.rows) >= 1
-    assert err.value.trace.rows[0].epoch == 0
+    assert len(err.value.trace) >= 1
+    assert err.value.trace[0].epoch == 0
 
 
 def test_train_validation():
@@ -169,21 +163,18 @@ def test_train_validation():
     net = init_net("two-layer", 3, 8, seed=14)
     empty = ds.subset(np.array([], dtype=int))
     with pytest.raises(ValueError):
-        train(net, empty, ds, TrainConfig(loss="squared"))
+        train(net, empty, ds, TrainConfig())
     unlabeled = gaussian_node_dataset(1, 4, 3, seed=15)
     with pytest.raises(ValueError):
-        train(net, unlabeled, unlabeled, TrainConfig(loss="squared"))
+        train(net, unlabeled, unlabeled, TrainConfig())
 
 
 def test_zero_epochs_records_initial_state_only():
     ds = labeled_gaussian(4, seed=16)
     net = init_net("two-layer", 3, 8, seed=17)
-    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=0,
-                                           loss="squared"))
-    assert [r.epoch for r in trace.rows] == [0]
-    assert trace.final_train_loss == pytest.approx(
-        loss_value(net, ds, "squared")
-    )
+    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=0))
+    assert [r.epoch for r in trace] == [0]
+    assert trace[-1].train_loss == pytest.approx(loss_value(net, ds))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +217,7 @@ def test_threshold_fraction_validated():
 def test_threshold_accepts_trace_object():
     ds = labeled_gaussian(6, seed=18)
     net = init_net("two-layer", 3, 8, seed=19)
-    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=3,
-                                           loss="squared"))
+    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=3))
     assert epochs_to_threshold(trace) is not None
 
 
@@ -251,7 +241,7 @@ def test_evaluate_squared_metrics():
     train_ds = labeled_gaussian(12, seed=22)
     test_ds = labeled_gaussian(8, seed=23)
     net = init_net("two-layer", 3, 16, seed=24)
-    metrics = evaluate(net, test_ds, loss="squared", train_ds=train_ds)
+    metrics = evaluate(net, test_ds, train_ds=train_ds)
     u = net.forward(test_ds.flat_features)
     assert metrics["mean_loss"] == pytest.approx(
         float(np.mean((u - test_ds.labels) ** 2))
@@ -270,7 +260,7 @@ def test_evaluate_oracle_uses_the_nets_activation():
     test_ds = labeled_gaussian(8, seed=23)
     relu = init_net("two-layer", 3, 16, seed=24)
     net = TwoLayerNet(relu.W, relu.a, activation="quadratic")
-    metrics = evaluate(net, test_ds, loss="squared", train_ds=train_ds)
+    metrics = evaluate(net, test_ds, train_ds=train_ds)
     Xtr, Xte = train_ds.flat_features, test_ds.flat_features
     coef = np.linalg.pinv(4.0 * (Xtr @ Xtr.T) ** 2, rcond=1e-12) @ train_ds.labels
     oracle = np.mean(((4.0 * (Xte @ Xtr.T) ** 2) @ coef - test_ds.labels) ** 2)
@@ -283,8 +273,10 @@ def test_evaluate_validation():
     net = WcgcnNet.create(hidden=4, layers=2, seed=26)
     with pytest.raises(ValueError):
         evaluate(net, ds.subset(np.array([], dtype=int)))
-    with pytest.raises(ValueError):
-        evaluate(net, ds, loss="hinge")
+    # a two-layer net's task is the labelled regression: no labels, no loss
+    unlabeled = gaussian_node_dataset(1, 4, 3, seed=25)
+    with pytest.raises(ValueError, match="requires labels"):
+        evaluate(init_net("two-layer", 3, 8, seed=26), unlabeled)
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +286,18 @@ def test_evaluate_validation():
 def test_trace_csv_round_trip(tmp_path):
     ds = labeled_gaussian(6, seed=27)
     net = init_net("two-layer", 3, 8, seed=28)
-    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=3,
-                                           loss="squared"))
+    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=3))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
-    rows = read_trace_csv(path)
-    assert len(rows) == len(trace.rows)
-    for got, want in zip(rows, trace.rows):
-        assert got.epoch == want.epoch
-        assert got.train_loss == want.train_loss        # 17 digits: exact
-        assert got.test_loss == want.test_loss
-        assert got.grad_norm == want.grad_norm
-
-
-def test_trace_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("epoch,loss\n0,1.0\n")
-    with pytest.raises(ValueError):
-        read_trace_csv(path)
+    header, *lines = path.read_text().splitlines()
+    assert header == "epoch,train_loss,test_loss,grad_norm"
+    assert len(lines) == len(trace)
+    for line, want in zip(lines, trace):
+        e, tr, te, gn = line.split(",")
+        assert int(e) == want.epoch
+        assert float(tr) == want.train_loss        # 17 digits: exact
+        assert float(te) == want.test_loss
+        assert float(gn) == want.grad_norm
 
 
 # ---------------------------------------------------------------------------
