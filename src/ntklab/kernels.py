@@ -65,10 +65,6 @@ class KernelMatrix:
             raise ValueError("kernel is not symmetric within tolerance")
         object.__setattr__(self, "entries", H)
 
-    @property
-    def m(self):
-        return self.entries.shape[0]
-
 
 def _check_samples(X):
     X = np.asarray(X, dtype=float)

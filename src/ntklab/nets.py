@@ -41,6 +41,7 @@ __all__ = [
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+BN_ROWS = 2048     # row block of the train-mode BatchNorm backward
 
 
 def _he(rng, fan_in, shape):
@@ -56,14 +57,28 @@ def _sigmoid(z):
     return out
 
 
+def _linear_relu(x, params, prefix, tag):
+    """The Linear -> ReLU half of a block on ``{prefix}W{tag}`` and ``b``.
+    Returns (A, mask): backward needs the pre-activation Z = x @ W + b only
+    as ``mask = Z > 0``, a bool array an eighth of Z's size, so Z's own
+    buffer becomes the ReLU output A in place."""
+    Z = x @ params[prefix + "W" + tag]
+    Z += params[prefix + "b" + tag]
+    mask = Z > 0
+    np.maximum(Z, 0.0, out=Z)
+    return Z, mask
+
+
 def _bn_forward(A, gamma, beta, state, prefix, tag, train):
-    """BatchNorm over axis 0.  Returns (out, (xhat, inv)); updates running
-    stats in train mode.  Stats live in ``state`` under ``{prefix}mu{tag}`` /
-    ``{prefix}va{tag}``.
+    """The BatchNorm half of a block, over axis 0.  Returns
+    (out, (xhat, inv)); updates running stats in train mode.  Stats live in
+    ``state`` under ``{prefix}mu{tag}`` / ``{prefix}va{tag}``.
 
     ``A`` is overwritten: it becomes the normalized ``xhat`` kept in the
     cache, so callers must pass a fresh buffer (the ReLU output) that they
-    do not read again.  ``out`` is the one new buffer."""
+    do not read again.  ``out`` = xhat * gamma + beta is the one new buffer;
+    a backward pass that did not keep it recomputes it from xhat with the
+    same two ufuncs, in the same order, and so gets the same bits."""
     mk, vk = prefix + "mu" + tag, prefix + "va" + tag
     if train:
         mu = A.mean(axis=0)
@@ -82,16 +97,10 @@ def _bn_forward(A, gamma, beta, state, prefix, tag, train):
 
 
 def _block(x, params, state, prefix, tag, train):
-    """One Linear -> ReLU -> BatchNorm block on ``params`` under
-    ``{prefix}W{tag}``, ``b``, ``g`` (gamma) and ``be`` (beta).  Returns
-    (out, mask, bn cache).  Backward needs the pre-activation Z = x @ W + b
-    only as ``mask = Z > 0``, a bool array an eighth of Z's size; Z's own
-    buffer becomes the ReLU output in place, then BatchNorm's xhat."""
-    Z = x @ params[prefix + "W" + tag]
-    Z += params[prefix + "b" + tag]
-    mask = Z > 0
-    np.maximum(Z, 0.0, out=Z)
-    out, cache = _bn_forward(Z, params[prefix + "g" + tag],
+    """One Linear -> ReLU -> BatchNorm block: :func:`_linear_relu`, then
+    :func:`_bn_forward`.  Returns (out, mask, bn cache)."""
+    A, mask = _linear_relu(x, params, prefix, tag)
+    out, cache = _bn_forward(A, params[prefix + "g" + tag],
                              params[prefix + "be" + tag], state, prefix, tag, train)
     return out, mask, cache
 
@@ -105,15 +114,18 @@ def _bn_backward(dout, gamma, cache, train):
     dA is returned in ``dout``'s buffer, so callers must pass a fresh buffer
     that they do not read again.  The operations run in the order of the
     formula above: training trajectories amplify last-bit differences, so a
-    reordered form would move the experiment CSVs."""
+    reordered form would move the experiment CSVs.  The elementwise
+    xhat * mean(dxhat * xhat) term is formed and subtracted BN_ROWS rows at
+    a time, so no temporary of ``xhat``'s full size exists."""
     xhat, inv = cache
     dgamma = np.einsum("ij,ij->j", dout, xhat)
     dbeta = dout.sum(axis=0)
     dxhat = np.multiply(dout, gamma, out=dout)
     if train:
-        proj = xhat * (np.einsum("ij,ij->j", dxhat, xhat) / dout.shape[0])
+        s = np.einsum("ij,ij->j", dxhat, xhat) / dout.shape[0]
         dxhat -= dxhat.mean(axis=0)
-        dxhat -= proj
+        for lo in range(0, len(dxhat), BN_ROWS):
+            dxhat[lo:lo + BN_ROWS] -= xhat[lo:lo + BN_ROWS] * s
     dxhat *= inv
     return dxhat, dgamma, dbeta
 
@@ -217,12 +229,14 @@ class WcgcnNet:
     sigmoid head).  Parameter count is independent of K, so one net serves
     any user count.
 
-    ``forward_batch`` caches per layer (X, M1, B1, c1, M2, c2, arg, U, M3,
-    c3, B3, p): edge inputs X, node inputs U, each block's bool ReLU mask M
-    and BatchNorm cache c = (xhat, inv), the outputs B1 and B3 that the
-    next gemm's weight gradient reads, the MAX argmax and the powers p.
-    Its edge-sized float arrays, (m K (K - 1), hidden) each, are B1 and
-    the two xhat; backward frees each of its own as soon as it is dead."""
+    ``forward_batch`` caches per layer (X, M1, c1, M2, c2, arg, U, M3, c3,
+    B3, p): edge inputs X, node inputs U, each block's bool ReLU mask M
+    and BatchNorm cache c = (xhat, inv), the node block's output B3 that
+    the head's weight gradient reads, the MAX argmax and the powers p.
+    Its edge-sized float arrays, (m K (K - 1), hidden) each, are the two
+    xhat: block 1a's output B1 = xhat1 * gamma + beta dies once block 1b's
+    gemm has read it, and ``backward_batch`` recomputes it.  Backward
+    consumes the cache list and frees each edge-sized array once dead."""
 
     kind = "wcgcn"
 
@@ -275,7 +289,11 @@ class WcgcnNet:
             if K > 1:
                 X = np.stack([p[:, nbr], h_ik, h_ki], axis=-1).reshape(m * E, 3)
                 B1, M1, c1 = _block(X, self.params, self.state, pf, "1a", train)
-                B2, M2, c2 = _block(B1, self.params, self.state, pf, "1b", train)
+                A2, M2 = _linear_relu(B1, self.params, pf, "1b")
+                del B1   # not cached: backward recomputes it from c1
+                B2, c2 = _bn_forward(A2, self.params[pf + "g1b"],
+                                     self.params[pf + "be1b"], self.state, pf,
+                                     "1b", train)
                 B2 = B2.reshape(m, K, K - 1, h)
                 y = B2.max(axis=2)
                 # the first neighbor attaining the max, as B2.argmax(axis=2)
@@ -285,18 +303,21 @@ class WcgcnNet:
                 del B2
             else:
                 # empty neighborhood: aggregated message is the zero vector
-                X = M1 = B1 = c1 = M2 = c2 = arg = None
+                X = M1 = c1 = M2 = c2 = arg = None
                 y = np.zeros((m, 1, h))
             U = np.concatenate([y, weights[..., None], diag[..., None]],
                                axis=-1).reshape(m * K, h + 2)
             B3, M3, c3 = _block(U, self.params, self.state, pf, "2a", train)
             Z4 = B3 @ self.params[pf + "W2b"] + self.params[pf + "b2b"]
             p = _sigmoid(Z4.reshape(m, K))
-            caches.append((X, M1, B1, c1, M2, c2, arg, U, M3, c3, B3, p))
+            caches.append((X, M1, c1, M2, c2, arg, U, M3, c3, B3, p))
         return p, caches
 
     def backward_batch(self, mags, caches, dP, train=False):
-        """Gradients of sum(dP * P) w.r.t. every parameter."""
+        """Gradients of sum(dP * P) w.r.t. every parameter.  ``caches`` is
+        consumed: each layer's cache is popped as backward reaches it, so a
+        caller that runs several backward passes on one forward cache hands
+        each of them a copy, ``list(caches)``."""
         m, K, _ = mags.shape
         h = self.hidden
         nbr, scatter = self._nbr(K)
@@ -304,7 +325,7 @@ class WcgcnNet:
         for j in range(self.layers - 1, -1, -1):
             pf = f"l{j}."
             P = self.params
-            X, M1, B1, c1, M2, c2, arg, U, M3, c3, B3, pnew = caches[j]
+            X, M1, c1, M2, c2, arg, U, M3, c3, B3, pnew = caches.pop()
             dZ4 = (dP * pnew * (1.0 - pnew)).reshape(m * K, 1)
             grads[pf + "W2b"] += B3.T @ dZ4
             grads[pf + "b2b"] += dZ4.sum(axis=0)
@@ -323,16 +344,22 @@ class WcgcnNet:
             dZ2 = np.zeros((m, K, K - 1, h))
             np.put_along_axis(dZ2, arg[:, :, None, :], dy[:, :, None, :], axis=2)
             dZ2, dg, dbe = _bn_backward(dZ2.reshape(m * E, h), P[pf + "g1b"], c2, train)
+            del c2
             grads[pf + "g1b"] += dg
             grads[pf + "be1b"] += dbe
             np.multiply(dZ2, M2, out=dZ2)
+            # B1 as _bn_forward made it: same ufuncs, same order, same bits
+            B1 = c1[0] * P[pf + "g1a"]
+            B1 += P[pf + "be1a"]
             grads[pf + "W1b"] += B1.T @ dZ2
+            del B1
             grads[pf + "b1b"] += dZ2.sum(axis=0)
             # a C-ordered copy of W1b.T gives the same bits as the
             # transposed view and is about 5x faster in OpenBLAS
             dZ1 = dZ2 @ np.ascontiguousarray(P[pf + "W1b"].T)
-            del dZ2      # dead: freed before _bn_backward's edge-sized temporary
+            del dZ2      # dead: one edge-sized array fewer at the peak
             dZ1, dg, dbe = _bn_backward(dZ1, P[pf + "g1a"], c1, train)
+            del c1
             grads[pf + "g1a"] += dg
             grads[pf + "be1a"] += dbe
             np.multiply(dZ1, M1, out=dZ1)
@@ -610,7 +637,7 @@ def output_jacobians(net, X):
             for k in range(K):
                 dP = np.zeros((1, K))
                 dP[0, k] = 1.0
-                g = net.backward_batch(sample, cache, dP, train=False)
+                g = net.backward_batch(sample, list(cache), dP, train=False)
                 rows.append(np.concatenate([g[key].reshape(-1) for key in keys]))
         return np.asarray(rows)
     raise ValueError(f"no Jacobian path for {type(net).__name__}")

@@ -191,7 +191,9 @@ def evaluate(net, test_ds, train_ds=None):
     The oracle is WMMSE for the sum-rate nets (WcgcnNet, PowerMlp).  For a
     TwoLayerNet, whose task is the labelled regression, it is the exact
     kernel-regression predictor: the analytic kernel of the net's own
-    activation over ``train_ds``; without ``train_ds`` there is no oracle.
+    activation on the inputs the net reads (flat vectors, or node sets under
+    the sum readout) over ``train_ds``; without ``train_ds`` there is no
+    oracle.
     Excess risk is the mean per-sample loss difference net - oracle; learned
     policies can beat the locally optimal WMMSE, so small negative values are
     legitimate.
@@ -212,21 +214,16 @@ def evaluate(net, test_ds, train_ds=None):
         metrics["ratio_to_wmmse"] = float(rates.mean() / oracle_rates.mean())
         metrics["e_gen"] = float(np.mean(-rates - (-oracle_rates)))
         return metrics
-    err = net.forward(_batch_features(net, test_ds)) - _labels(test_ds)
+    Xte = _batch_features(net, test_ds)
+    err = net.forward(Xte) - _labels(test_ds)
     metrics["mean_loss"] = float(np.mean(err ** 2))
     metrics["ratio_to_wmmse"] = None
     if train_ds is not None:
         from .kernels import gnn_kernel_function, mlp_kernel_function
-        if test_ds.node_features.shape[1] == 1:
-            Xtr = train_ds.flat_features
-            Xte = test_ds.flat_features
-            Ktr = mlp_kernel_function(Xtr, None, net.activation)
-            Kte = mlp_kernel_function(Xte, Xtr, net.activation)
-        else:
-            Xtr = train_ds.node_features
-            Xte = test_ds.node_features
-            Ktr = gnn_kernel_function(Xtr, None, net.activation)
-            Kte = gnn_kernel_function(Xte, Xtr, net.activation)
+        kernel = mlp_kernel_function if Xte.ndim == 2 else gnn_kernel_function
+        Xtr = _batch_features(net, train_ds)
+        Ktr = kernel(Xtr, None, net.activation)
+        Kte = kernel(Xte, Xtr, net.activation)
         coef = np.linalg.pinv(Ktr, rcond=1e-12) @ train_ds.labels
         oracle_err = Kte @ coef - test_ds.labels
         metrics["oracle_loss"] = float(np.mean(oracle_err ** 2))

@@ -74,7 +74,7 @@ def test_ntk_writes_matching_formats(tmp_path):
                      "--d", "4", "--m", "10", "--out", str(out)]) == 0
     a = load_kernel_csv(out / "kernel.csv")
     b = analytic_ntk_mlp(gaussian_node_dataset(1, 10, 4, 0).flat_features)
-    assert a.m == 10
+    assert a.entries.shape == (10, 10)
     np.testing.assert_array_equal(a.entries, b.entries)
     assert sorted(p.name for p in out.iterdir()) == ["kernel.csv",
                                                       "manifest.txt"]
@@ -97,7 +97,7 @@ def test_ntk_gnn_on_channel_data(tmp_path):
     out = tmp_path / "run"
     assert cli_main(["ntk", "--arch", "gnn", "--kind", "channel", "--k", "3",
                      "--m", "8", "--out", str(out)]) == 0
-    assert load_kernel_csv(out / "kernel.csv").m == 8
+    assert load_kernel_csv(out / "kernel.csv").entries.shape == (8, 8)
 
 
 def test_ntk_monte_carlo_artifacts(tmp_path):
@@ -106,7 +106,7 @@ def test_ntk_monte_carlo_artifacts(tmp_path):
                      "--d", "3", "--m", "8", "--mc-units", "20000",
                      "--mc-width", "100", "--out", str(out)]) == 0
     est = load_kernel_csv(out / "mc_kernel.csv")
-    assert est.m == 8
+    assert est.entries.shape == (8, 8)
     header, row = read_lines(out / "mc_error.csv")
     assert header == "draws,width_per_draw,relative_frobenius_error"
     draws, width, err = row.split(",")
@@ -192,6 +192,25 @@ def test_train_supervised_job(tmp_path):
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "train_summary.csv").exists()
+
+
+def test_train_two_layer_oracle_uses_the_kernel_of_the_net_inputs(tmp_path):
+    # with n = 3 nodes the two-layer net reads the flattened 12-vector, so
+    # its oracle is the flat ReLU kernel regression (19.72), not the
+    # sum-readout GNN kernel over the node sets (7.995)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(
+        "[train]\n"
+        "arch = two-layer\nn = 3\nd = 4\nwidth = 64\n"
+        "m_train = 30\nm_test = 10\nepochs = 3\nseed = 0\n")
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    metrics = {key: float(v) for key, v in
+               (line.split(",") for line in
+                read_lines(out / "train_summary.csv")[1:])}
+    assert metrics["oracle_loss"] == pytest.approx(19.71987, rel=1e-6)
+    assert metrics["e_gen"] == pytest.approx(
+        metrics["mean_loss"] - metrics["oracle_loss"], rel=1e-12)
 
 
 @pytest.mark.parametrize("line, key", [("m_trian = 10", "m_trian"),

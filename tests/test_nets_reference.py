@@ -1,10 +1,12 @@
 """The lean WCGCN and PowerMlp steps against the textbook formulation.
 
 ``nets.py`` keeps a bool ReLU mask where the reference below keeps the
-float pre-activation Z, frees backward temporaries early, finds the MAX
-index from a bool array, and skips layer 0's gradient to its constant input
-powers.  None of that may move a bit: training trajectories amplify
-last-bit differences into the experiment CSVs.  So every output, gradient
+float pre-activation Z, recomputes block 1a's output B1 in backward where
+the reference caches it, frees backward temporaries early, works through
+the BatchNorm backward in row blocks, finds the MAX index from a bool
+array, and skips layer 0's gradient to its constant input powers.  None of
+that may move a bit: training trajectories amplify last-bit differences
+into the experiment CSVs.  So every output, gradient
 and running statistic here is compared with ``np.array_equal``, not a
 tolerance.  A memory guard pins the buffers the lean step saves.
 """
@@ -17,6 +19,7 @@ import pytest
 from ntklab.nets import (
     BN_EPS,
     BN_MOMENTUM,
+    BN_ROWS,
     PowerMlp,
     WcgcnNet,
     _sigmoid,
@@ -214,12 +217,10 @@ def _assert_same(a, b):
         assert np.array_equal(a[key], b[key]), key
 
 
-@pytest.mark.parametrize("train", [True, False])
-@pytest.mark.parametrize("K", [1, 2, 5])
-def test_wcgcn_step_is_bit_identical_to_the_reference(K, train):
+def _check_wcgcn_step(K, m, train):
     net, ref = _twin_wcgcn(seed=K)
-    batch = generate_instances(K, 7, seed=20 + K)
-    dP = np.random.default_rng(K).standard_normal((7, K))
+    batch = generate_instances(K, m, seed=20 + K)
+    dP = np.random.default_rng(K).standard_normal((m, K))
 
     maxed = []
     P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags, batch.weights,
@@ -228,24 +229,40 @@ def test_wcgcn_step_is_bit_identical_to_the_reference(K, train):
     assert np.array_equal(P, P_ref)
     _assert_same(net.state, ref.state)
     for c, c_ref in zip(caches, caches_ref):
-        for slot in (1, 4, 8):          # the masks of blocks 1a, 1b and 2a
-            if c_ref[slot] is None:
+        # the masks of blocks 1a, 1b and 2a
+        for slot, ref_slot in ((1, 1), (3, 4), (7, 8)):
+            if c_ref[ref_slot] is None:
                 assert c[slot] is None
             else:
                 assert c[slot].dtype == bool
-                assert np.array_equal(c[slot], c_ref[slot] > 0)
+                assert np.array_equal(c[slot], c_ref[ref_slot] > 0)
         if c_ref[6] is not None:
-            assert np.array_equal(c[6], c_ref[6])     # the MAX argmax
-    if K == 5:
+            assert np.array_equal(c[5], c_ref[6])     # the MAX argmax
+    if K >= 5:
         # the dead unit really ties: many neighbors share the maximum
         B2v = maxed[0]
         ties = (B2v == B2v.max(axis=2, keepdims=True)).sum(axis=2)
         assert np.all(ties[..., 0] == K - 1)
-        assert (ties > 1).sum() >= 7 * K
+        assert (ties > 1).sum() >= m * K
 
     g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
     g = net.backward_batch(batch.mags, caches, dP, train=train)
     _assert_same(g, g_ref)
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_wcgcn_step_is_bit_identical_to_the_reference(K, train):
+    _check_wcgcn_step(K, 7, train)
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_wcgcn_step_is_bit_identical_across_bn_row_blocks(train):
+    # 4,560 edge rows: the train-mode BatchNorm backward works in blocks of
+    # BN_ROWS rows, and the seams between them must not move a bit
+    K, m = 20, 12
+    assert m * K * (K - 1) > 2 * BN_ROWS
+    _check_wcgcn_step(K, m, train)
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -287,22 +304,36 @@ def test_power_mlp_step_is_bit_identical_to_the_reference(train):
 # memory
 
 
-def test_wcgcn_train_step_memory_stays_bounded():
-    """One train-mode step at K = 20 holds fewer than 12 edge-sized arrays
-    (m K (K-1) x hidden float64) at its peak.  Keeping float pre-activations
-    for the ReLU derivative, and the dead backward temporaries, took 16."""
+def _step_peak_in_edge_arrays(train):
+    """Peak traced memory of one ``gradients`` step at K = 20, in edge-sized
+    arrays (m K (K-1) x hidden float64)."""
     K, m, h = 20, 50, 32
     net = WcgcnNet.create(hidden=h, layers=2, seed=0)
     batch = generate_instances(K, m, seed=1)
-    gradients(net, batch, train=True)      # warm caches
-    _, caches = net.forward_batch(batch.mags, batch.weights, train=True)
-    assert all(c[slot].dtype == bool for c in caches for slot in (1, 4, 8))
+    gradients(net, batch, train=train)      # warm caches
+    _, caches = net.forward_batch(batch.mags, batch.weights, train=train)
+    assert all(c[slot].dtype == bool for c in caches for slot in (1, 3, 7))
     del caches
     tracemalloc.start()
     try:
-        gradients(net, batch, train=True)
+        gradients(net, batch, train=train)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    edge = m * K * (K - 1) * h * 8
-    assert peak < 12 * edge, f"peak {peak / edge:.1f} edge-sized arrays"
+    return peak / (m * K * (K - 1) * h * 8)
+
+
+def test_wcgcn_train_step_memory_stays_bounded():
+    """One train-mode step holds fewer than 7 edge-sized arrays at its peak
+    (6.5 measured).  Keeping float pre-activations for the ReLU derivative
+    and the dead backward temporaries took 16; caching B1 and a full-size
+    BatchNorm backward temporary took 9.3."""
+    peak = _step_peak_in_edge_arrays(train=True)
+    assert peak < 7, f"peak {peak:.1f} edge-sized arrays"
+
+
+def test_wcgcn_eval_step_memory_stays_bounded():
+    """The eval-mode step, as snapshot evaluation runs it, under the same
+    bound (6.3 measured; 9.3 with B1 cached)."""
+    peak = _step_peak_in_edge_arrays(train=False)
+    assert peak < 7, f"peak {peak:.1f} edge-sized arrays"
