@@ -23,14 +23,12 @@ from .netsim import (Dataset, gaussian_node_dataset, generate_instances,
 from .wmmse import wmmse_batch
 from .kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
                       empirical_ntk, load_kernel_csv, mc_ntk, save_kernel_csv)
-from .spectral import (DynamicsResult, LandscapeTable, SpectralReport,
-                       activation_constant, condition_landscape, eig_sym,
-                       generalization_bound, kernel_dynamics, thm3_bounds)
+from .spectral import (SpectralReport, activation_constant,
+                       condition_landscape, eig_sym, generalization_bound,
+                       kernel_dynamics, thm3_bounds)
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, init_net,
                    loss_value, n_params, output_jacobians)
-from .training import (TrainConfig, epochs_to_level,
-                       epochs_to_threshold, evaluate, load_checkpoint,
-                       progress_level, save_checkpoint, train,
-                       write_trace_csv)
+from .training import (epochs_to_level, evaluate, progress_level,
+                       save_checkpoint, train, write_trace_csv)
 
 __version__ = "0.1.0"

@@ -17,12 +17,10 @@ Subcommands, with the shared flags each one takes::
 
 A flag that a subcommand does not take is a usage error.  Exit codes: 0
 success, 1 invalid arguments or config, 2 numeric failure (divergence,
-non-finite values).  ``--threads`` falls back to the NTKLAB_THREADS
-environment variable, then 1.
+non-finite values).  Flags override the config file's ``[common]`` keys.
 """
 
 import argparse
-import os
 import sys
 import time
 
@@ -39,8 +37,7 @@ from .netsim import (gaussian_node_dataset, generate_instances,
                      labelled_gaussian_dataset)
 from .nets import init_net
 from .spectral import eig_sym
-from .training import (TrainConfig, evaluate, save_checkpoint, train,
-                       write_trace_csv)
+from .training import evaluate, save_checkpoint, train, write_trace_csv
 
 __all__ = ["cli_main", "main"]
 
@@ -107,13 +104,6 @@ def _build_parser():
     e.add_argument("--scale", type=float, default=None,
                    help="uniform sample-count shrink factor in (0, 1]")
     return parser
-
-
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("NTKLAB_THREADS")
-    return int(env) if env else 1
 
 
 def _seed(args):
@@ -208,20 +198,11 @@ def _cmd_train(args):
     user = load_config(args.config)
     if TRAIN not in user:
         raise ValueError("config file has no [train] section")
-    spec = ExperimentConfig.build(TRAIN, user)
-    seed = args.seed if args.seed is not None else spec.get_int("seed")
-    out = args.out or spec.get_str("out")
+    spec = ExperimentConfig.build(TRAIN, user, seed=args.seed, out=args.out)
+    seed = spec.seed
     arch = spec.get_str("arch")
     m_train = spec.get_int("m_train")
     m_test = spec.get_int("m_test")
-    cfg = TrainConfig(
-        optimizer=spec.get_str("optimizer"),
-        lr=spec.get_float("lr"),
-        epochs=spec.get_int("epochs"),
-        seed=seed,
-        eval_every=spec.get_int("eval_every"),
-        batch_size=spec.get_batch(),
-    )
     if arch == "two-layer":
         n = spec.get_int("n")
         d = spec.get_int("d")
@@ -236,9 +217,12 @@ def _cmd_train(args):
         net = _sum_rate_net(arch, k, spec.get_int("hidden"), seed,
                             spec.get_int("layers"))
 
-    files = RunFiles(out)
+    files = RunFiles(spec.out)
     try:
-        trace = train(net, train_ds, test_ds, cfg)
+        trace = train(net, train_ds, test_ds, optimizer=spec.get_str("optimizer"),
+                      lr=spec.get_float("lr"), epochs=spec.get_int("epochs"),
+                      seed=seed, eval_every=spec.get_int("eval_every"),
+                      batch_size=spec.get_batch())
     except DivergenceError as exc:
         if exc.trace:
             write_trace_csv(exc.trace, files.path("trace.csv"))
@@ -259,7 +243,7 @@ def _cmd_exp(args):
     user = load_config(args.config) if args.config else {}
     cfg = ExperimentConfig.build(
         args.id, user, seed=args.seed, out=args.out,
-        threads=_threads(args), scale=args.scale)
+        threads=args.threads, scale=args.scale)
     run_experiment(cfg)
     return 0
 

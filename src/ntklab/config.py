@@ -138,11 +138,7 @@ class ExperimentConfig:
         return float(self._raw(key, section))
 
     def get_int_list(self, key, section=None):
-        raw = self._raw(key, section)
-        values = [_integral(key, v) for v in str(raw).split(",") if v.strip()]
-        if not values:
-            raise ValueError(f"config list {key!r} must be nonempty")
-        return values
+        return [_integral(key, v) for v in self.get_str_list(key, section)]
 
     def get_str_list(self, key, section=None):
         raw = self._raw(key, section)

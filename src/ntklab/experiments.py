@@ -28,8 +28,8 @@ from .nets import init_net, n_params
 from .spectral import (activation_constant, condition_landscape,
                        generalization_bound, kernel_dynamics, thm3_bounds)
 from .errors import RangeViolationError, UnsupportedConstantError
-from .training import (TrainConfig, epochs_to_level, epochs_to_threshold,
-                       evaluate, progress_level, train, write_trace_csv)
+from .training import (epochs_to_level, evaluate, progress_level, train,
+                       write_trace_csv)
 
 __all__ = ["run_fig1", "run_fig2", "run_fig3", "run_ntk_regime", "run_bounds",
            "run_experiment", "write_manifest"]
@@ -197,14 +197,12 @@ def _write_plot(files, script, png, panels):
 # ---------------------------------------------------------------------------
 # The training cell of Fig. 1 and Fig. 3: one (model, K, m) sum-rate run
 
-def _train_cell(k, model, m, m_test, seed, hidden, layers, optimizer, lr,
-                epochs, batch_size, eval_every):
+def _train_cell(k, model, m, m_test, seed, hidden, layers, **fit):
+    """``fit``: the keyword arguments of ``train`` other than the seed."""
     train_ds, test_ds = _sum_rate_data(k, m, m_test, seed)
     net = _sum_rate_net("wcgcn" if model == "gnn" else "power-mlp", k, hidden,
                         seed, layers)
-    cfg = TrainConfig(optimizer=optimizer, lr=lr, epochs=epochs, seed=seed,
-                      eval_every=eval_every, batch_size=batch_size)
-    rows = train(net, train_ds, test_ds, cfg)
+    rows = train(net, train_ds, test_ds, seed=seed, **fit)
     return {"rows": rows, "params": n_params(net), **evaluate(net, test_ds)}
 
 
@@ -243,7 +241,7 @@ def run_fig1(cfg):
             "mean_sum_rate": r["mean_sum_rate"],
             "ratio_to_wmmse": r["ratio_to_wmmse"],
             "e_gen": r["e_gen"],
-            "t_star": epochs_to_threshold(r["rows"]),
+            "t_star": epochs_to_level(r["rows"], progress_level(r["rows"])),
         })
     for k in k_list:
         files.write(f"fig1_K{k}.csv", csv_text(
@@ -273,15 +271,16 @@ def run_fig2(cfg):
     growth_min = cfg.get_float("mlp_growth_min")
     flat_max = cfg.get_float("gnn_flat_max")
 
-    table = condition_landscape(n_list, samples=samples, seed=cfg.seed,
-                                node_dim=node_dim, activation=activation)
+    rows = condition_landscape(n_list, samples=samples, seed=cfg.seed,
+                               node_dim=node_dim, activation=activation)
     files = RunFiles(cfg.out)
     files.write("landscape.csv", csv_text(
-        "n,cond_mlp,cond_gnn", table.rows,
-        comments=[table.definition,
+        "n,cond_mlp,cond_gnn", rows,
+        comments=["cond(Y^T H Y) over the architecture's natural linear "
+                  "target family",
                   f"samples = {samples}, node_dim = {node_dim}, "
                   f"seed = {cfg.seed}, activation = {activation}"]))
-    conds = {n: (cm, cg) for n, cm, cg in table.rows}
+    conds = {n: (cm, cg) for n, cm, cg in rows}
     n_lo, n_hi = min(n_list), max(n_list)
     mlp_growth = conds[n_hi][0] / conds[n_lo][0]
     gnn_growth = conds[n_hi][1] / conds[n_lo][1]
@@ -292,7 +291,7 @@ def run_fig2(cfg):
     _write_plot(files, "fig2_plot.py", "fig2.png", [
         (["landscape.csv"], "n", ["cond_mlp", "cond_gnn"], [], True)])
     write_manifest(files, cfg.echo_lines(), t0)
-    return table
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +406,11 @@ def _ntk_cell(width, d, m, seed, lr, epochs, eval_every, label_degree,
                 / np.linalg.norm(H_true.entries))
 
     u0 = net.forward(X)
-    cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, seed=seed,
-                      eval_every=eval_every, batch_size=None)
-    trace = train(net, ds, test, cfg)
+    trace = train(net, ds, test, optimizer="gd", lr=lr, epochs=epochs,
+                  seed=seed, eval_every=eval_every)
     epochs_grid = np.array([r.epoch for r in trace], dtype=float)
-    dyn = kernel_dynamics(H_emp.entries, y - u0, lr * epochs_grid)
-    loss_pred = 0.5 * dyn.residual_norms ** 2
+    resid = kernel_dynamics(H_emp.entries, y - u0, lr * epochs_grid)
+    loss_pred = 0.5 * np.linalg.norm(resid, axis=1) ** 2
     loss_net = np.array([r.train_loss for r in trace])
     L0 = loss_net[0]
     window = loss_net >= L0 / loss_drop
@@ -520,7 +518,7 @@ def run_bounds(cfg):
             bounds, notes = {}, {}
             for name, H in (("mlp", H_mlp), ("gnn", H_gnn)):
                 try:
-                    bounds[name] = generalization_bound(H, y, m, delta)
+                    bounds[name] = generalization_bound(H.entries, y, m, delta)
                     notes[name] = ""
                 except RangeViolationError:
                     bounds[name] = None
@@ -534,8 +532,8 @@ def run_bounds(cfg):
             ynorm = float(np.linalg.norm(y))
             reach = {}
             for name, H in (("mlp", H_mlp), ("gnn", H_gnn)):
-                dyn = kernel_dynamics(H.entries, y, times)
-                rel = dyn.residual_norms / ynorm
+                resid = kernel_dynamics(H.entries, y, times)
+                rel = np.linalg.norm(resid, axis=1) / ynorm
                 resid_rows += [(p, act, n, name, float(t), float(r))
                                for t, r in zip(times, rel)]
                 hit = np.nonzero(rel <= target)[0]

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeViolationError, UnsupportedConstantError
-from .kernels import KernelMatrix, gnn_kernel_function, mlp_kernel_function
+from .kernels import gnn_kernel_function, mlp_kernel_function
 from .netsim import gaussian_node_dataset
 
 __all__ = [
     "SpectralReport",
-    "DynamicsResult",
-    "LandscapeTable",
     "eig_sym",
     "kernel_dynamics",
     "activation_constant",
@@ -37,10 +35,6 @@ _ACTIVATION_CONSTANTS = {
 }
 
 
-def _entries(H):
-    return H.entries if isinstance(H, KernelMatrix) else np.asarray(H, dtype=float)
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Eigendecomposition summary of a symmetric kernel.
@@ -56,30 +50,13 @@ class SpectralReport:
     alignment: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class DynamicsResult:
-    """Closed-form kernel gradient-flow trajectory under squared loss."""
-
-    times: np.ndarray
-    residuals: np.ndarray           # y - u(t), shape (T, m)
-    residual_norms: np.ndarray      # ||y - u(t)||, shape (T,)
-
-
-@dataclass(frozen=True)
-class LandscapeTable:
-    """Conditioning-vs-graph-size table for the two architectures."""
-
-    rows: list                      # (n, cond_mlp, cond_gnn)
-    definition: str
-
-
 def eig_sym(H, y=None):
     """Eigendecomposition report of (H + H^T)/2.
 
     condition_number is lambda_max / lambda_min, infinite when the smallest
     eigenvalue is not positive.
     """
-    A = _entries(H)
+    A = np.asarray(H, dtype=float)
     if not np.all(np.isfinite(A)):
         raise ValueError("kernel contains non-finite entries")
     A = (A + A.T) / 2.0
@@ -103,7 +80,8 @@ def eig_sym(H, y=None):
 
 
 def kernel_dynamics(H, y, times):
-    """Exact squared-loss gradient-flow trajectory: residual(t) = exp(-Ht) y.
+    """Exact squared-loss gradient-flow trajectory: the residuals
+    y - u(t) = exp(-Ht) y, shape (len(times), m).
 
     Computed through the eigendecomposition (exact for symmetric H), never
     by series truncation.  Negative eigenvalues from floating-point noise
@@ -121,12 +99,7 @@ def kernel_dynamics(H, y, times):
     c0 = V.T @ y                                       # initial mode masses
     decay = np.exp(-np.outer(times, lam))              # (T, m)
     coeffs = decay * c0
-    residuals = coeffs @ V.T
-    return DynamicsResult(
-        times=times,
-        residuals=residuals,
-        residual_norms=np.linalg.norm(residuals, axis=1),
-    )
+    return coeffs @ V.T
 
 
 def activation_constant(p_degree, activation):
@@ -171,7 +144,7 @@ def generalization_bound(H, y, m, delta):
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    A = _entries(H)
+    A = np.asarray(H, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.shape[0] != m or y.shape != (m,):
         raise ValueError("m must match the kernel dimension and label length")
@@ -211,7 +184,7 @@ def condition_landscape(n_list, samples=300, seed=0, node_dim=4, activation="rel
     linear target family: the flat kernel quadratic form over flattened
     features for the MLP, the pairwise-sum kernel quadratic form over
     per-graph node sums for the GNN.  At n = 1 the two are identical by
-    construction.
+    construction.  Returns one (n, cond_mlp, cond_gnn) row per n.
     """
     rows = []
     for n in n_list:
@@ -225,7 +198,4 @@ def condition_landscape(n_list, samples=300, seed=0, node_dim=4, activation="rel
         cond_mlp = _natural_condition_number(H_mlp, flat)
         cond_gnn = _natural_condition_number(H_gnn, nodes.sum(axis=1))
         rows.append((int(n), cond_mlp, cond_gnn))
-    return LandscapeTable(
-        rows=rows,
-        definition="cond(Y^T H Y) over the architecture's natural linear target family",
-    )
+    return rows

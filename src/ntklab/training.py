@@ -4,7 +4,7 @@ The trainer owns the only mutable copy of a network; forward/gradient
 evaluation never mutates parameters.  Traces record a row at epoch 0 (the
 initialized network) and every ``eval_every`` epochs thereafter; recorded
 losses and gradient norms are full-dataset quantities in evaluation mode, so
-a trace is a deterministic function of (net init, datasets, config).
+a trace is a deterministic function of (net init, datasets, arguments).
 """
 
 from dataclasses import dataclass
@@ -20,14 +20,11 @@ from .rng import DOMAIN_TRAIN, stream
 from .wmmse import wmmse_batch
 
 __all__ = [
-    "TrainConfig",
     "TraceRow",
     "train",
     "evaluate",
-    "epochs_to_threshold",
     "write_trace_csv",
     "save_checkpoint",
-    "load_checkpoint",
 ]
 
 DIVERGENCE_LIMIT = 1e6
@@ -38,28 +35,6 @@ DIVERGENCE_LIMIT = 1e6
 SNAPSHOT_CHUNK = 256
 
 OPTIMIZERS = ("gd", "adam")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    optimizer: str = "adam"
-    lr: float = 1e-3
-    epochs: int = 100
-    seed: int = 0
-    eval_every: int = 1
-    batch_size: int | None = None    # None = full batch
-
-    def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr < 0 or not np.isfinite(self.lr):
-            raise ValueError("lr must be finite and nonnegative")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,10 +81,13 @@ def _grad_norm(grads):
     return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
 
 
-def train(net, train_ds, test_ds, cfg):
+def train(net, train_ds, test_ds, *, optimizer="adam", lr=1e-3, epochs=100,
+          seed=0, eval_every=1, batch_size=None):
     """Train ``net`` in place on its own loss (see nets.loss_value: squared
     loss on labels for a TwoLayerNet, the negative sum rate otherwise);
     returns the trace, a list of TraceRows.
+
+    ``seed`` drives the minibatch shuffle; ``batch_size`` None is full batch.
 
     Losses recorded in the trace are full-dataset values in evaluation mode
     (batch-normalization running statistics, no updates), so rows are
@@ -117,9 +95,19 @@ def train(net, train_ds, test_ds, cfg):
     the rows recorded so far — if any step loss exceeds 1e6 or goes
     non-finite.
     """
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
+    if lr < 0 or not np.isfinite(lr):
+        raise ValueError("lr must be finite and nonnegative")
+    if epochs < 0:
+        raise ValueError("epochs must be nonnegative")
+    if eval_every < 1:
+        raise ValueError("eval_every must be >= 1")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if train_ds.m == 0 or test_ds.m == 0:
         raise ValueError("datasets must be nonempty")
-    opt = _Adam(cfg.lr) if cfg.optimizer == "adam" else _Gd(cfg.lr)
+    opt = _Adam(lr) if optimizer == "adam" else _Gd(lr)
     rows = []
 
     def snapshot(epoch):
@@ -133,12 +121,12 @@ def train(net, train_ds, test_ds, cfg):
 
     snapshot(0)
     m = train_ds.m
-    bs = cfg.batch_size or m
-    for epoch in range(1, cfg.epochs + 1):
+    bs = batch_size or m
+    for epoch in range(1, epochs + 1):
         if bs >= m:
             batches = (train_ds,)
         else:
-            order = stream(cfg.seed, DOMAIN_TRAIN, epoch).permutation(m)
+            order = stream(seed, DOMAIN_TRAIN, epoch).permutation(m)
             batches = (train_ds.subset(order[start:start + bs])
                        for start in range(0, m, bs))
         for batch in batches:
@@ -148,7 +136,7 @@ def train(net, train_ds, test_ds, cfg):
                     f"loss diverged at epoch {epoch} ({batch_loss:.3g})",
                     trace=rows)
             opt.step(net.params, grads)
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+        if epoch % eval_every == 0 or epoch == epochs:
             snapshot(epoch)
     return rows
 
@@ -176,12 +164,6 @@ def epochs_to_level(rows, level):
         if r.train_loss <= level:
             return r.epoch
     return None
-
-
-def epochs_to_threshold(rows, fraction=0.2):
-    """First recorded epoch at or below the run's own progress level; see
-    progress_level.  Always defined (the best epoch qualifies)."""
-    return epochs_to_level(rows, progress_level(rows, fraction))
 
 
 def evaluate(net, test_ds, train_ds=None):
@@ -253,15 +235,6 @@ def _tensor_line(name, arr):
     return f"{name} {shape} {values}"
 
 
-def _read_tensor_line(line):
-    parts = line.split()
-    name, shape = parts[0], parts[1]
-    values = np.array([float(v) for v in parts[2:]])
-    if shape != "scalar":
-        values = values.reshape(tuple(int(s) for s in shape.split("x")))
-    return name, values
-
-
 def save_checkpoint(net, path):
     lines = ["[architecture]", f"kind = {net.kind}"]
     if isinstance(net, TwoLayerNet):
@@ -281,37 +254,3 @@ def save_checkpoint(net, path):
     else:
         lines += [_tensor_line(name, net.state[name]) for name in sorted(net.state)]
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def load_checkpoint(path):
-    arch, params, state = {}, {}, {}
-    section = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("["):
-                section = line.strip("[]")
-                continue
-            if section == "architecture":
-                key, _, value = line.partition("=")
-                arch[key.strip()] = value.strip()
-            elif section == "parameters":
-                name, arr = _read_tensor_line(line)
-                params[name] = arr
-            elif section == "state":
-                name, arr = _read_tensor_line(line)
-                state[name] = arr
-            else:
-                raise ValueError(f"line outside any section: {line!r}")
-    kind = arch.get("kind")
-    if kind == "two-layer":
-        net = TwoLayerNet(params["W"], state["a"], activation=arch["activation"])
-        return net
-    if kind == "wcgcn":
-        return WcgcnNet(params, state, int(arch["hidden"]), int(arch["layers"]))
-    if kind == "power-mlp":
-        dims = tuple(int(d) for d in arch["dims"].split(","))
-        return PowerMlp(params, state, dims)
-    raise ValueError(f"unknown checkpoint kind {kind!r}")

@@ -202,7 +202,7 @@ def test_train_two_layer_oracle_uses_the_kernel_of_the_net_inputs(tmp_path):
     cfg.write_text(
         "[train]\n"
         "arch = two-layer\nn = 3\nd = 4\nwidth = 64\n"
-        "m_train = 30\nm_test = 10\nepochs = 3\nseed = 0\n")
+        "m_train = 30\nm_test = 10\nepochs = 3\n")
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     metrics = {key: float(v) for key, v in
@@ -214,7 +214,8 @@ def test_train_two_layer_oracle_uses_the_kernel_of_the_net_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("line, key", [("m_trian = 10", "m_trian"),
-                                       ("epochs = 2.9", "epochs")])
+                                       ("epochs = 2.9", "epochs"),
+                                       ("seed = 3", "seed")])
 def test_train_rejects_config_typos(tmp_path, capsys, line, key):
     cfg = tmp_path / "t.cfg"
     cfg.write_text("[train]\narch = two-layer\n"
@@ -235,6 +236,24 @@ def test_train_divergence_exit_code(tmp_path):
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     # the partial trace still lands on disk for post-mortems
     assert (out / "trace.csv").exists()
+
+
+def test_train_reads_common_seed_and_out(tmp_path):
+    # seed and out come from [common] like every exp's, and --seed / --out
+    # override them; [train] has no keys of its own for them
+    job = ("[train]\narch = two-layer\nn = 1\nd = 3\nwidth = 16\n"
+           "m_train = 12\nm_test = 6\nepochs = 2\n")
+    common = tmp_path / "common.cfg"
+    common.write_text(f"[common]\nseed = 3\nout = {tmp_path / 'o3'}\n" + job)
+    flags = tmp_path / "flags.cfg"
+    flags.write_text(job)
+    assert cli_main(["train", "--config", str(common)]) == 0
+    assert cli_main(["train", "--config", str(flags), "--seed", "3",
+                     "--out", str(tmp_path / "flags")]) == 0
+    assert "# seed = 3" in (tmp_path / "o3" / "manifest.txt").read_text()
+    for name in ("trace.csv", "checkpoint.txt", "train_summary.csv"):
+        assert (tmp_path / "o3" / name).read_bytes() == \
+            (tmp_path / "flags" / name).read_bytes(), name
 
 
 def test_train_and_exp_fig1_share_their_bits(tmp_path):
@@ -306,15 +325,15 @@ def test_exp_fig2_pipeline(tmp_path):
     assert (out / "fig2_plot.py").exists()
 
 
-def test_exp_threads_environment_fallback(tmp_path, monkeypatch):
+def test_exp_threads_from_config(tmp_path):
+    # without --threads, [common] threads sets the worker count
     cfg = tmp_path / "e.cfg"
-    cfg.write_text("[fig2]\nn_list = 1\nsamples = 12\n")
+    cfg.write_text("[common]\nthreads = 2\n[fig2]\nn_list = 1\nsamples = 12\n")
     out = tmp_path / "run"
-    monkeypatch.setenv("NTKLAB_THREADS", "3")
     assert cli_main(["exp", "fig2", "--config", str(cfg),
                      "--out", str(out)]) == 0
     manifest = (out / "manifest.txt").read_text()
-    assert "# threads = 3" in manifest
+    assert "# threads = 2" in manifest
 
 
 def test_exp_scale_validation(tmp_path, capsys):

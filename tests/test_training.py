@@ -11,11 +11,8 @@ from ntklab.nets import TwoLayerNet, WcgcnNet, init_net, loss_value, n_params
 from ntklab.netsim import gaussian_node_dataset, generate_instances, synthetic_labels
 from ntklab.training import (
     TraceRow,
-    TrainConfig,
     epochs_to_level,
-    epochs_to_threshold,
     evaluate,
-    load_checkpoint,
     progress_level,
     save_checkpoint,
     train,
@@ -33,33 +30,25 @@ def rows_of(pairs):
 
 
 # ---------------------------------------------------------------------------
-# TrainConfig
+# train
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="sgd-momentum")
-    with pytest.raises(ValueError):
-        TrainConfig(lr=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(lr=np.inf)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(eval_every=0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-
-
-# ---------------------------------------------------------------------------
-# train
+    ds = labeled_gaussian(4, seed=13)
+    net = init_net("two-layer", 3, 8, seed=14)
+    W0 = net.W.copy()
+    for bad in (dict(optimizer="sgd-momentum"), dict(lr=-0.1), dict(lr=np.inf),
+                dict(epochs=-1), dict(eval_every=0), dict(batch_size=0)):
+        with pytest.raises(ValueError):
+            train(net, ds, ds, **bad)
+    np.testing.assert_array_equal(net.W, W0)
 
 
 def test_zero_lr_leaves_net_unchanged():
     ds = labeled_gaussian(8, seed=0)
     net = init_net("two-layer", 3, 16, seed=1)
     W0 = net.W.copy()
-    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=0.0, epochs=4))
+    trace = train(net, ds, ds, optimizer="gd", lr=0.0, epochs=4)
     np.testing.assert_array_equal(net.W, W0)
     losses = [r.train_loss for r in trace]
     assert losses == [losses[0]] * len(losses)
@@ -68,8 +57,7 @@ def test_zero_lr_leaves_net_unchanged():
 def test_trace_epoch_schedule():
     ds = labeled_gaussian(6, seed=2)
     net = init_net("two-layer", 3, 8, seed=3)
-    cfg = TrainConfig(optimizer="gd", lr=1e-3, epochs=5, eval_every=2)
-    trace = train(net, ds, ds, cfg)
+    trace = train(net, ds, ds, optimizer="gd", lr=1e-3, epochs=5, eval_every=2)
     assert [r.epoch for r in trace] == [0, 2, 4, 5]
     assert all(r.grad_norm >= 0 for r in trace)
     assert n_params(net) == net.W.size
@@ -79,8 +67,7 @@ def test_training_reduces_loss():
     train_ds = generate_instances(3, 24, seed=4)
     test_ds = generate_instances(3, 12, seed=5)
     net = WcgcnNet.create(hidden=6, layers=2, seed=6)
-    cfg = TrainConfig(optimizer="adam", lr=1e-2, epochs=8)
-    trace = train(net, train_ds, test_ds, cfg)
+    trace = train(net, train_ds, test_ds, optimizer="adam", lr=1e-2, epochs=8)
     assert trace[-1].train_loss < trace[0].train_loss
     assert trace[-1].test_loss < trace[0].test_loss
 
@@ -89,9 +76,8 @@ def test_full_batch_explicit_and_default_agree():
     def run(batch_size):
         ds = labeled_gaussian(10, seed=7)
         net = init_net("two-layer", 3, 12, seed=8)
-        cfg = TrainConfig(optimizer="gd", lr=1e-2, epochs=5,
-                          batch_size=batch_size)
-        return train(net, ds, ds, cfg)
+        return train(net, ds, ds, optimizer="gd", lr=1e-2, epochs=5,
+                     batch_size=batch_size)
 
     a, b = run(None), run(10)
     for ra, rb in zip(a, b):
@@ -131,8 +117,8 @@ def test_full_batch_gd_matches_two_pass_loop():
         if epoch % eval_every == 0 or epoch == epochs:
             want.append(row(epoch))
 
-    cfg = TrainConfig(optimizer="gd", lr=lr, epochs=epochs, eval_every=eval_every)
-    assert train(net, tr, te, cfg) == want
+    assert train(net, tr, te, optimizer="gd", lr=lr, epochs=epochs,
+                 eval_every=eval_every) == want
     assert np.array_equal(net.W, W)
 
 
@@ -140,9 +126,9 @@ def test_minibatch_runs_are_deterministic():
     def run(seed):
         ds = generate_instances(3, 16, seed=9)
         net = WcgcnNet.create(hidden=4, layers=2, seed=10)
-        cfg = TrainConfig(optimizer="adam", lr=5e-3, epochs=4, batch_size=4,
-                          seed=seed)
-        return [r.train_loss for r in train(net, ds, ds, cfg)]
+        trace = train(net, ds, ds, optimizer="adam", lr=5e-3, epochs=4,
+                      batch_size=4, seed=seed)
+        return [r.train_loss for r in trace]
 
     assert run(0) == run(0)
     assert run(0) != run(1)      # the shuffle seed matters
@@ -151,9 +137,8 @@ def test_minibatch_runs_are_deterministic():
 def test_divergence_carries_partial_trace():
     ds = labeled_gaussian(8, seed=11)
     net = init_net("two-layer", 3, 8, seed=12)
-    cfg = TrainConfig(optimizer="gd", lr=1e8, epochs=10)
     with pytest.raises(DivergenceError) as err:
-        train(net, ds, ds, cfg)
+        train(net, ds, ds, optimizer="gd", lr=1e8, epochs=10)
     assert len(err.value.trace) >= 1
     assert err.value.trace[0].epoch == 0
 
@@ -163,16 +148,16 @@ def test_train_validation():
     net = init_net("two-layer", 3, 8, seed=14)
     empty = ds.subset(np.array([], dtype=int))
     with pytest.raises(ValueError):
-        train(net, empty, ds, TrainConfig())
+        train(net, empty, ds)
     unlabeled = gaussian_node_dataset(1, 4, 3, seed=15)
     with pytest.raises(ValueError):
-        train(net, unlabeled, unlabeled, TrainConfig())
+        train(net, unlabeled, unlabeled)
 
 
 def test_zero_epochs_records_initial_state_only():
     ds = labeled_gaussian(4, seed=16)
     net = init_net("two-layer", 3, 8, seed=17)
-    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=0))
+    trace = train(net, ds, ds, optimizer="gd", lr=1e-2, epochs=0)
     assert [r.epoch for r in trace] == [0]
     assert trace[-1].train_loss == pytest.approx(loss_value(net, ds))
 
@@ -186,13 +171,13 @@ def test_progress_level_positive_loss():
     # level sits fraction-of-the-way up from the best loss
     assert progress_level(rows, fraction=0.25) == pytest.approx(4.0)
     assert epochs_to_level(rows, 4.0) == 2
-    assert epochs_to_threshold(rows, fraction=0.25) == 2
+    assert epochs_to_level(rows, progress_level(rows, 0.25)) == 2
 
 
 def test_progress_level_negative_loss():
     rows = rows_of([(0, -1.0), (5, -2.0), (10, -3.0)])
     assert progress_level(rows, fraction=0.5) == pytest.approx(-2.0)
-    assert epochs_to_threshold(rows, fraction=0.5) == 5
+    assert epochs_to_level(rows, progress_level(rows, 0.5)) == 5
 
 
 def test_epochs_to_level_unreachable():
@@ -203,9 +188,9 @@ def test_epochs_to_level_unreachable():
 def test_threshold_extremes():
     rows = rows_of([(0, 8.0), (1, 5.0), (2, 3.0), (3, 4.0)])
     # fraction 1: the level equals the starting loss, met immediately
-    assert epochs_to_threshold(rows, fraction=1.0) == 0
+    assert epochs_to_level(rows, progress_level(rows, 1.0)) == 0
     # fraction 0: the level equals the best loss ever reached
-    assert epochs_to_threshold(rows, fraction=0.0) == 2
+    assert epochs_to_level(rows, progress_level(rows, 0.0)) == 2
 
 
 def test_threshold_fraction_validated():
@@ -217,8 +202,8 @@ def test_threshold_fraction_validated():
 def test_threshold_accepts_trace_object():
     ds = labeled_gaussian(6, seed=18)
     net = init_net("two-layer", 3, 8, seed=19)
-    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=3))
-    assert epochs_to_threshold(trace) is not None
+    trace = train(net, ds, ds, optimizer="gd", lr=1e-2, epochs=3)
+    assert epochs_to_level(trace, progress_level(trace)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +271,7 @@ def test_evaluate_validation():
 def test_trace_csv_round_trip(tmp_path):
     ds = labeled_gaussian(6, seed=27)
     net = init_net("two-layer", 3, 8, seed=28)
-    trace = train(net, ds, ds, TrainConfig(optimizer="gd", lr=1e-2, epochs=3))
+    trace = train(net, ds, ds, optimizer="gd", lr=1e-2, epochs=3)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     header, *lines = path.read_text().splitlines()
@@ -304,47 +289,52 @@ def test_trace_csv_round_trip(tmp_path):
 # checkpoints
 
 
-def test_checkpoint_two_layer_round_trip(tmp_path):
-    net = init_net("two-layer", 4, 8, seed=29)
-    path = tmp_path / "net.ckpt"
-    save_checkpoint(net, path)
-    back = load_checkpoint(path)
-    np.testing.assert_array_equal(back.W, net.W)
-    np.testing.assert_array_equal(back.a, net.a)
-    assert back.activation == net.activation
+def _read_checkpoint(path):
+    """{section: {name: value}} of a checkpoint.txt: the architecture keys
+    as strings, every tensor as a float array of its recorded shape."""
+    sections = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("["):
+            section = sections.setdefault(line.strip("[]"), {})
+        elif "=" in line:
+            key, _, value = line.partition(" = ")
+            section[key] = value
+        else:
+            name, shape, *values = line.split(" ")
+            arr = np.array([float(v) for v in values])
+            if shape != "scalar":
+                arr = arr.reshape([int(n) for n in shape.split("x")])
+            section[name] = arr
+    return sections
 
 
-def test_checkpoint_wcgcn_round_trip(tmp_path):
-    net = WcgcnNet.create(hidden=5, layers=2, seed=30)
+# init_net arguments and the architecture keys each checkpoint records
+CHECKPOINT_NETS = {
+    "two-layer": (4, 8, {"activation": "relu", "width": "8", "input_dim": "4"}),
+    "wcgcn": (None, 5, {"hidden": "5", "layers": "2"}),
+    "power-mlp": ((12, 3), 6, {"dims": "12,6,6,3"}),
+}
+
+
+@pytest.mark.parametrize("arch", list(CHECKPOINT_NETS))
+def test_checkpoint_round_trip(tmp_path, arch):
+    dims, width, arch_keys = CHECKPOINT_NETS[arch]
+    net = init_net(arch, dims, width, seed=30)
     ds = generate_instances(3, 6, seed=31)
     # move the running statistics off their initial values first
-    net.forward_batch(ds.mags, ds.weights, train=True)
-    path = tmp_path / "net.ckpt"
+    if arch == "wcgcn":
+        net.forward_batch(ds.mags, ds.weights, train=True)
+    elif arch == "power-mlp":
+        net.forward_batch(ds.flat_features, train=True)
+    path = tmp_path / "checkpoint.txt"
     save_checkpoint(net, path)
-    back = load_checkpoint(path)
-    P0, _ = net.forward_batch(ds.mags, ds.weights)
-    P1, _ = back.forward_batch(ds.mags, ds.weights)
-    np.testing.assert_array_equal(P0, P1)
-    assert back.hidden == 5 and back.layers == 2
-
-
-def test_checkpoint_power_mlp_round_trip(tmp_path):
-    net = init_net("power-mlp", (12, 3), width=6, seed=32)
-    ds = generate_instances(3, 5, seed=33)
-    path = tmp_path / "net.ckpt"
-    save_checkpoint(net, path)
-    back = load_checkpoint(path)
-    assert back.dims == net.dims
-    P0, _ = net.forward_batch(ds.flat_features)
-    P1, _ = back.forward_batch(ds.flat_features)
-    np.testing.assert_array_equal(P0, P1)
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text("[architecture]\nkind = perceptron\n[parameters]\n[state]\n")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
-    path.write_text("stray line\n")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
+    ckpt = _read_checkpoint(path)
+    assert list(ckpt) == ["architecture", "parameters", "state"]
+    assert ckpt["architecture"] == {"kind": arch, **arch_keys}
+    state = {"a": net.a} if arch == "two-layer" else net.state
+    for section, tensors in (("parameters", net.params), ("state", state)):
+        assert list(ckpt[section]) == sorted(tensors)
+        for name, want in tensors.items():
+            got = ckpt[section][name]
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.astype(float).tobytes(), name
