@@ -27,7 +27,7 @@ from .spectral import (SpectralReport, activation_constant,
                        condition_landscape, eig_sym, generalization_bound,
                        kernel_dynamics, thm3_bounds)
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, init_net,
-                   loss_value, n_params, output_jacobians)
+                   loss_value, n_params)
 from .training import (epochs_to_level, evaluate, progress_level,
                        save_checkpoint, train, write_trace_csv)
 

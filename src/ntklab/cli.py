@@ -11,7 +11,7 @@ Subcommands, with the shared flags each one takes::
               ([train] section); its arch fixes the task:     --out
               the sum rate on channel instances (wcgcn,
               power-mlp), squared loss on labelled Gaussian
-              node sets (two-layer)
+              node sets read as flat vectors (two-layer)
     exp ID    run an experiment pipeline (fig1 fig2 fig3      --config --seed
               ntk-regime thm3 thm4-thm5)                      --out --threads
 
@@ -218,6 +218,9 @@ def _cmd_train(args):
                             spec.get_int("layers"))
 
     files = RunFiles(spec.out)
+    echo = [f"seed = {seed}", f"out = {spec.out}"] + [
+        f"{TRAIN}.{key} = {value}"
+        for key, value in sorted(spec.sections[TRAIN].items())]
     try:
         trace = train(net, train_ds, test_ds, optimizer=spec.get_str("optimizer"),
                       lr=spec.get_float("lr"), epochs=spec.get_int("epochs"),
@@ -226,7 +229,7 @@ def _cmd_train(args):
     except DivergenceError as exc:
         if exc.trace:
             write_trace_csv(exc.trace, files.path("trace.csv"))
-            write_manifest(files, ["command = train (diverged)"], t0)
+            write_manifest(files, ["command = train (diverged)"] + echo, t0)
         raise
     write_trace_csv(trace, files.path("trace.csv"))
     save_checkpoint(net, files.path("checkpoint.txt"))
@@ -234,8 +237,7 @@ def _cmd_train(args):
     rows = [(key, float(v)) for key, v in sorted(metrics.items())
             if v is not None]
     files.write("train_summary.csv", csv_text("metric,value", rows))
-    write_manifest(files, ["command = train", f"arch = {arch}",
-                           f"seed = {seed}"], t0)
+    write_manifest(files, ["command = train"] + echo, t0)
     return 0
 
 

@@ -101,7 +101,13 @@ class ExperimentConfig:
         """Defaults merged with ``user_sections``; a user key that its
         section of defaults.cfg does not declare is rejected as a typo."""
         defaults = default_config()
-        if experiment != TRAIN:
+        if experiment == TRAIN:
+            # the training job reads its [train] section and [common]
+            # seed and out, nothing else
+            defaults = {"common": {key: defaults["common"][key]
+                                   for key in ("seed", "out")},
+                        TRAIN: defaults[TRAIN]}
+        else:
             defaults.pop(TRAIN)     # only the training job reads [train]
         for section, kv in (user_sections or {}).items():
             unknown = sorted(set(kv) - set(defaults.get(section, {})))

@@ -13,10 +13,10 @@ are the infinite-width limits:
 The permutation-invariant (GNN) kernel is the same base network applied per
 node with a sum readout, giving the pairwise sum over node pairs.  Node-set
 arrays are evaluated in square sample blocks of about ``_BLOCK_ENTRIES``
-base-kernel entries each, so memory stays bounded whatever m is; a symmetric
-call evaluates only the upper block triangle and fills each mirror block from
-its transposed base block.  Flat (m, d) samples select the flat kernel and
-(m, n, d) node sets the sum-readout one wherever both are accepted.
+base-kernel entries each, so memory stays bounded whatever m is; only the
+upper block triangle is evaluated, and each mirror block is filled from its
+transposed base block.  In ``mc_ntk``, flat (m, d) samples select the
+flat kernel and (m, n, d) node sets the sum-readout one.
 
 Kernels persist as one text format, ``save_kernel_csv``: 17 significant
 digits, so a saved kernel loads back bit for bit.
@@ -115,39 +115,36 @@ def _pair_sums(base):
     return out
 
 
-def gnn_kernel_function(nodes_a, nodes_b=None, activation="relu"):
-    """Pairwise-sum kernel between node-feature sets: (ma, na, d) and
-    (mb, nb, d) arrays give H (ma, mb), H[a, b] = sum over node pairs of the
-    base kernel.  Input that is not a 3-D array raises ValueError.
+def gnn_kernel_function(nodes, activation="relu"):
+    """Pairwise-sum kernel of node-feature sets: an (m, n, d) array gives
+    H (m, m), H[a, b] = sum over node pairs of the base kernel.  Input that
+    is not a 3-D array raises ValueError.
 
     The samples are evaluated in square blocks whose base kernel holds
     about ``_BLOCK_ENTRIES`` entries (8 MB), so the temporaries stay a few
-    such blocks whatever the sample counts.  A symmetric call (``nodes_b``
-    None) evaluates only the blocks on and above the diagonal and fills each
-    mirror block from the transposed base block, summed in the order the
-    mirror's own evaluation would use.  Every entry is summed in the same
-    order whatever the block size; only the BLAS product that forms the
-    base Gram may round differently at different block shapes.
+    such blocks whatever m is.  Only the blocks on and above the diagonal
+    are evaluated; each mirror block is filled from the transposed base
+    block, summed in the order the mirror's own evaluation would use.
+    Every entry is summed in the same order whatever the block size; only
+    the BLAS product that forms the base Gram may round differently at
+    different block shapes.
     """
-    symmetric = nodes_b is None
-    nodes_a = np.asarray(nodes_a)
-    nodes_b = nodes_a if symmetric else np.asarray(nodes_b)
-    if nodes_a.ndim != 3 or nodes_b.ndim != 3:
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 3:
         raise ValueError("node features must be (samples, nodes, dim) arrays")
-    ma, na, d = nodes_a.shape
-    mb, nb, _ = nodes_b.shape
-    step = max(1, int(np.sqrt(_BLOCK_ENTRIES / max(na * nb, 1))))
-    out = np.empty((ma, mb))
-    for lo in range(0, ma, step):
-        hi = min(lo + step, ma)
-        for lo2 in range(lo if symmetric else 0, mb, step):
-            hi2 = min(lo2 + step, mb)
+    m, n, d = nodes.shape
+    step = max(1, int(np.sqrt(_BLOCK_ENTRIES / max(n * n, 1))))
+    out = np.empty((m, m))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        for lo2 in range(lo, m, step):
+            hi2 = min(lo2 + step, m)
             base = mlp_kernel_function(
-                nodes_a[lo:hi].reshape((hi - lo) * na, d),
-                nodes_b[lo2:hi2].reshape((hi2 - lo2) * nb, d), activation,
-            ).reshape(hi - lo, na, hi2 - lo2, nb)
+                nodes[lo:hi].reshape((hi - lo) * n, d),
+                nodes[lo2:hi2].reshape((hi2 - lo2) * n, d), activation,
+            ).reshape(hi - lo, n, hi2 - lo2, n)
             out[lo:hi, lo2:hi2] = _pair_sums(base)
-            if symmetric and lo2 > lo:
+            if lo2 > lo:
                 out[lo2:hi2, lo:hi] = _pair_sums(
                     np.ascontiguousarray(base.transpose(2, 3, 0, 1)))
     return out
@@ -165,7 +162,7 @@ def analytic_ntk_gnn(nodes, activation="relu"):
 
     Reduces entrywise to analytic_ntk_mlp when every graph has one node.
     """
-    H = gnn_kernel_function(nodes, None, activation)
+    H = gnn_kernel_function(nodes, activation)
     H = (H + H.T) / 2.0
     return KernelMatrix(H)
 
@@ -216,25 +213,13 @@ def mc_ntk(X, draws, width_per_draw, seed, activation="relu"):
 
 
 def empirical_ntk(net, X):
-    """Gram matrix of per-sample parameter gradients at the net's current
-    parameters (the finite-width, time-t kernel).
-
-    For a TwoLayerNet this uses the closed-form contraction over the first
-    layer; flat (m, d) inputs give the plain kernel, (m, n, d) node sets the
-    sum-readout kernel.  Other nets fall back to explicit per-output
-    gradients (one backward pass per output), flattening multi-output nets
-    over (sample, output).
-    """
-    from . import nets as _nets
-
-    if isinstance(net, _nets.TwoLayerNet):
-        X = np.asarray(X, dtype=float)
-        if X.ndim not in (2, 3):
-            raise ValueError("TwoLayerNet expects (m, d) or (m, n, d) inputs")
-        H = _first_layer_gram(X, net.W, net.activation)
-    else:
-        J = _nets.output_jacobians(net, X)      # (outputs, params)
-        H = J @ J.T
+    """Gram matrix of per-sample parameter gradients of a TwoLayerNet at its
+    current first layer (the finite-width, time-t kernel), on flat (m, d)
+    inputs: the closed-form contraction over the first layer."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("empirical_ntk expects (m, d) inputs")
+    H = _first_layer_gram(X, net.W, "relu")
     return KernelMatrix((H + H.T) / 2.0)
 
 

@@ -3,8 +3,9 @@
 Three architectures:
 
 * TwoLayerNet — the NTK-regime network f(x) = (1/sqrt(r)) sum_r a_r
-  sigma(w_r . x): Gaussian first layer (trained), frozen +-1 output signs.
-  Accepts flat vectors or node sets (sum readout).
+  relu(w_r . x) on flat input vectors: Gaussian first layer (trained),
+  frozen +-1 output signs.  Its quadratic and sum-readout (node-set) forms
+  are computed only as kernels, in :mod:`ntklab.kernels`.
 * WcgcnNet — the message-passing power-control network: per layer,
   y_k = MAX_{i != k} MLP1(p_i, |h_ik|, |h_ki|) followed by
   p_k = sigmoid(MLP2(y_k, w_k, |h_kk|)), parameters shared across nodes.
@@ -35,7 +36,6 @@ __all__ = [
     "n_params",
     "gradients",
     "loss_value",
-    "output_jacobians",
     "sum_rate_loss_grad",
 ]
 
@@ -134,26 +134,24 @@ def _bn_backward(dout, gamma, cache, train):
 # TwoLayerNet
 
 class TwoLayerNet:
-    """f(x) = (1/sqrt(r)) sum_r a_r sigma(w_r . x); only W is trainable.
+    """f(x) = (1/sqrt(r)) sum_r a_r relu(w_r . x) on flat inputs; only W is
+    trainable.
 
-    ``forward``, ``grad_W`` and the squared-loss step in :func:`gradients`
-    share ``_preact`` (the pre-activation Z = X @ W.T), ``_readout``
-    (sigma(Z), read out through a) and ``_backprop`` (sigma'(Z) * a * dout,
-    contracted with X).  The step computes Z once and feeds both of the
-    others, so its bits are those of ``forward`` followed by ``grad_W``."""
+    ``forward`` and the squared-loss step in :func:`gradients` share
+    ``_preact`` (the pre-activation Z = X @ W.T) and ``_readout`` (relu(Z),
+    read out through a); the step then feeds Z to ``_backprop``
+    (1[Z > 0] * a * dout, contracted with X).  It computes Z once, so its
+    outputs have the bits of ``forward``."""
 
     kind = "two-layer"
 
-    def __init__(self, W, a, activation="relu"):
+    def __init__(self, W, a):
         self.W = np.asarray(W, dtype=float)
         self.a = np.asarray(a, dtype=float)
         if self.W.ndim != 2 or self.a.shape != (self.W.shape[0],):
             raise ValueError("W must be (r, d) and a an r-vector")
         if not np.all(np.isin(self.a, (-1.0, 1.0))):
             raise ValueError("output signs must be +-1")
-        if activation not in ("relu", "quadratic"):
-            raise ValueError(f"unknown activation {activation!r}")
-        self.activation = activation
 
     @property
     def width(self):
@@ -168,57 +166,36 @@ class TwoLayerNet:
         return {"W": self.W}
 
     def _preact(self, X):
-        """Input rows Xn (N, d), nodes per sample n (None for flat inputs)
-        and the pre-activation Z = Xn @ W.T (N, r), a fresh array."""
+        """Input rows X (m, d) and the pre-activation Z = X @ W.T (m, r), a
+        fresh array."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        if X.ndim == 2:
-            return X, None, X @ self.W.T
-        if X.ndim == 3:
-            m, n, d = X.shape
-            Xn = X.reshape(m * n, d)
-            return Xn, n, Xn @ self.W.T
-        raise ValueError("inputs must be (d,), (m, d) or (m, n, d)")
+        if X.ndim != 2:
+            raise ValueError("inputs must be (d,) or (m, d)")
+        return X, X @ self.W.T
 
-    def _readout(self, Z, n, out):
-        """Outputs (m,) from the pre-activation: sigma(Z) is written into
-        ``out`` (which may be ``Z`` itself), then read out through a and
-        summed over each sample's n nodes."""
-        if self.activation == "relu":
-            np.maximum(Z, 0.0, out=out)
-        else:
-            np.square(Z, out=out)
-        u = out @ self.a / np.sqrt(self.width)
-        return u if n is None else u.reshape(-1, n).sum(axis=1)
+    def _readout(self, Z, out):
+        """Outputs (m,) from the pre-activation: relu(Z) is written into
+        ``out`` (which may be ``Z`` itself), then read out through a."""
+        np.maximum(Z, 0.0, out=out)
+        return out @ self.a / np.sqrt(self.width)
 
-    def _backprop(self, Xn, n, Z, dout):
+    def _backprop(self, X, Z, dout):
         """d(sum_i dout_i * f(x_i))/dW from the pre-activation: Z is
-        overwritten by the signal sigma'(Z) * a * dout reaching it, which is
+        overwritten by the signal 1[Z > 0] * a * dout reaching it, which is
         then contracted with the inputs."""
-        g = np.asarray(dout, dtype=float)
-        if n is not None:
-            g = np.repeat(g, n)
-        if self.activation == "relu":
-            np.greater(Z, 0.0, out=Z)
-        else:
-            np.multiply(Z, 2.0, out=Z)
+        np.greater(Z, 0.0, out=Z)
         Z *= self.a
-        Z *= g[:, None]
-        dW = Z.T @ Xn
+        Z *= np.asarray(dout, dtype=float)[:, None]
+        dW = Z.T @ X
         dW /= np.sqrt(self.width)
         return dW
 
     def forward(self, X):
-        """Flat (d,) or (m, d) inputs -> (m,) outputs; node sets (m, n, d)
-        -> sum readout over nodes."""
-        _, n, Z = self._preact(X)
-        return self._readout(Z, n, Z)
-
-    def grad_W(self, X, dout):
-        """d(sum_i dout_i * f(x_i))/dW for flat or node-set inputs."""
-        Xn, n, Z = self._preact(X)
-        return self._backprop(Xn, n, Z, dout)
+        """Flat (d,) or (m, d) inputs -> (m,) outputs."""
+        _, Z = self._preact(X)
+        return self._readout(Z, Z)
 
 
 # ---------------------------------------------------------------------------
@@ -483,17 +460,11 @@ def sum_rate_loss_grad(mags, sigma2s, weights, P):
 
 
 def _batch_features(net, batch):
-    if isinstance(net, TwoLayerNet):
-        X = batch.flat_features if batch.flat_features.shape[1] == net.d \
-            else batch.node_features
-        if X.shape[-1] != net.d:
-            raise ValueError("dataset features do not match net input dimension")
-        return X
-    if isinstance(net, PowerMlp):
-        if batch.flat_features.shape[1] != net.dims[0]:
-            raise ValueError("dataset features do not match net input dimension")
-        return batch.flat_features
-    return None
+    """The flat features a TwoLayerNet or PowerMlp reads."""
+    d = net.d if isinstance(net, TwoLayerNet) else net.dims[0]
+    if batch.flat_features.shape[1] != d:
+        raise ValueError("dataset features do not match net input dimension")
+    return batch.flat_features
 
 
 def _labels(batch):
@@ -561,8 +532,8 @@ def gradients(net, batch, train=False, chunk=None):
     :func:`loss_value` gives).  Returns (grads, loss).
 
     A TwoLayerNet's step computes its pre-activation Z once: the outputs
-    come from it through a second buffer, then dW from it in place, with
-    the bits of ``forward`` followed by ``grad_W``.
+    come from it through a second buffer, with the bits of ``forward``, then
+    dW from it in place.
     Non-finite outputs raise NumericFailureError naming the first such
     sample before any gradient is formed.
 
@@ -589,11 +560,11 @@ def gradients(net, batch, train=False, chunk=None):
         return acc, total
     if isinstance(net, TwoLayerNet):
         y = _labels(batch)
-        Xn, n, Z = net._preact(_batch_features(net, batch))
-        u = net._readout(Z, n, np.empty_like(Z))
+        X, Z = net._preact(_batch_features(net, batch))
+        u = net._readout(Z, np.empty_like(Z))
         _check_finite_per_sample(u, "output")
         resid = u - y
-        return ({"W": net._backprop(Xn, n, Z, resid)},
+        return ({"W": net._backprop(X, Z, resid)},
                 0.5 * float(np.sum(resid ** 2)))
     P, cache = _power_forward(net, batch, train)
     rates, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,
@@ -607,37 +578,3 @@ def _power_backward(net, batch, cache, dP, train):
     if isinstance(net, WcgcnNet):
         return net.backward_batch(batch.mags, cache, dP, train=train)
     return net.backward_batch(cache, dP, train=train)
-
-
-def output_jacobians(net, X):
-    """Explicit per-output parameter Jacobian (outputs x n_params), used by
-    the generic empirical-kernel path.  Multi-output nets are flattened over
-    (sample, output); evaluation-mode statistics are used so the net is a
-    deterministic per-sample function.  Non-finite input raises ValueError
-    naming the first such sample: MAX routing needs finite maxima."""
-    X = np.asarray(X, dtype=float)
-    bad = ~np.isfinite(X.reshape(len(X), -1)).all(axis=1)
-    if bad.any():
-        raise ValueError(f"non-finite input at sample {int(bad.argmax())}")
-    if isinstance(net, TwoLayerNet):
-        rows = []
-        for i in range(X.shape[0]):
-            g = net.grad_W(X[i][None], np.ones(1))
-            rows.append(g.reshape(-1))
-        return np.asarray(rows)
-    if isinstance(net, WcgcnNet):
-        # eval-mode BatchNorm acts on each sample alone, so one single-sample
-        # forward pass and K backward passes give that sample's rows
-        m, K, _ = X.shape
-        keys = sorted(net.params)
-        rows = []
-        for i in range(m):
-            sample = X[i:i + 1]
-            _, cache = net.forward_batch(sample, np.ones((1, K)), train=False)
-            for k in range(K):
-                dP = np.zeros((1, K))
-                dP[0, k] = 1.0
-                g = net.backward_batch(sample, list(cache), dP, train=False)
-                rows.append(np.concatenate([g[key].reshape(-1) for key in keys]))
-        return np.asarray(rows)
-    raise ValueError(f"no Jacobian path for {type(net).__name__}")

@@ -194,7 +194,7 @@ def condition_landscape(n_list, samples=300, seed=0, node_dim=4, activation="rel
         nodes = ds.node_features
         flat = ds.flat_features
         H_mlp = mlp_kernel_function(flat, None, activation)
-        H_gnn = gnn_kernel_function(nodes, None, activation)
+        H_gnn = gnn_kernel_function(nodes, activation)
         cond_mlp = _natural_condition_number(H_mlp, flat)
         cond_gnn = _natural_condition_number(H_gnn, nodes.sum(axis=1))
         rows.append((int(n), cond_mlp, cond_gnn))

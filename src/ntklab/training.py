@@ -13,6 +13,7 @@ import numpy as np
 
 from .artifacts import atomic_write, csv_text
 from .errors import DivergenceError
+from .kernels import mlp_kernel_function
 from .netsim import sum_rate_batch
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, loss_value,
                    sample_chunks, _batch_features, _labels, _power_forward)
@@ -172,10 +173,9 @@ def evaluate(net, test_ds, train_ds=None):
 
     The oracle is WMMSE for the sum-rate nets (WcgcnNet, PowerMlp).  For a
     TwoLayerNet, whose task is the labelled regression, it is the exact
-    kernel-regression predictor: the analytic kernel of the net's own
-    activation on the inputs the net reads (flat vectors, or node sets under
-    the sum readout) over ``train_ds``; without ``train_ds`` there is no
-    oracle.
+    kernel-regression predictor: the analytic ReLU kernel of the flat
+    features the net reads, over ``train_ds``; without ``train_ds`` there is
+    no oracle.
     Excess risk is the mean per-sample loss difference net - oracle; learned
     policies can beat the locally optimal WMMSE, so small negative values are
     legitimate.
@@ -201,11 +201,9 @@ def evaluate(net, test_ds, train_ds=None):
     metrics["mean_loss"] = float(np.mean(err ** 2))
     metrics["ratio_to_wmmse"] = None
     if train_ds is not None:
-        from .kernels import gnn_kernel_function, mlp_kernel_function
-        kernel = mlp_kernel_function if Xte.ndim == 2 else gnn_kernel_function
         Xtr = _batch_features(net, train_ds)
-        Ktr = kernel(Xtr, None, net.activation)
-        Kte = kernel(Xte, Xtr, net.activation)
+        Ktr = mlp_kernel_function(Xtr)
+        Kte = mlp_kernel_function(Xte, Xtr)
         coef = np.linalg.pinv(Ktr, rcond=1e-12) @ train_ds.labels
         oracle_err = Kte @ coef - test_ds.labels
         metrics["oracle_loss"] = float(np.mean(oracle_err ** 2))
@@ -238,7 +236,7 @@ def _tensor_line(name, arr):
 def save_checkpoint(net, path):
     lines = ["[architecture]", f"kind = {net.kind}"]
     if isinstance(net, TwoLayerNet):
-        lines += [f"activation = {net.activation}", f"width = {net.width}",
+        lines += ["activation = relu", f"width = {net.width}",
                   f"input_dim = {net.d}"]
     elif isinstance(net, WcgcnNet):
         lines += [f"hidden = {net.hidden}", f"layers = {net.layers}"]

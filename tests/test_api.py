@@ -95,3 +95,16 @@ def test_every_exported_name_has_a_caller():
         uncalled += [f"{module}.{name}" for name in exported
                      if name not in referenced]
     assert not uncalled, uncalled
+
+
+def test_imports_are_at_module_top():
+    # an import inside a function hides a module dependency from the top of
+    # the file, and from test_no_unused_imports' view of what it binds
+    nested = []
+    for module in MODULES:
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{module}.py:{inner.lineno} in {node.name}"
+                           for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not nested, "\n".join(nested)

@@ -6,12 +6,20 @@ import numpy as np
 import pytest
 
 from ntklab.cli import cli_main
+from ntklab.config import default_config
 from ntklab.kernels import analytic_ntk_mlp, load_kernel_csv
 from ntklab.netsim import gaussian_node_dataset
 
 
 def read_lines(path):
     return path.read_text().strip().splitlines()
+
+
+def _echo(manifest):
+    """The config echo of a manifest: its comment lines after the version
+    and wall time."""
+    return [line[2:] for line in read_lines(manifest) if line.startswith("# ")
+            and not line.startswith(("# version", "# wall_seconds"))]
 
 
 def test_no_command_is_usage_error(capsys):
@@ -234,8 +242,12 @@ def test_train_divergence_exit_code(tmp_path):
         "m_train = 12\nm_test = 6\nepochs = 10\nlr = 1e9\noptimizer = gd\n")
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-    # the partial trace still lands on disk for post-mortems
+    # the partial trace still lands on disk for post-mortems, with the job
+    # echoed in its manifest
     assert (out / "trace.csv").exists()
+    echo = _echo(out / "manifest.txt")
+    assert echo[:3] == ["command = train (diverged)", "seed = 0", f"out = {out}"]
+    assert "train.lr = 1e9" in echo and "train.epochs = 10" in echo
 
 
 def test_train_reads_common_seed_and_out(tmp_path):
@@ -301,7 +313,41 @@ def test_train_runs_every_arch(tmp_path, arch):
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     for name in ("trace.csv", "checkpoint.txt", "train_summary.csv"):
         assert (out / name).exists()
-    assert f"# arch = {arch}" in (out / "manifest.txt").read_text()
+    assert f"# train.arch = {arch}" in (out / "manifest.txt").read_text()
+
+
+def test_train_manifest_echoes_its_job(tmp_path):
+    # the seed, out and every [train] key the job ran with, user keys over
+    # the defaults.cfg ones, in the section.key form of exp manifests
+    user = {"arch": "two-layer", "n": "2", "d": "3", "width": "16",
+            "m_train": "12", "m_test": "6", "epochs": "2"}
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("[train]\n" + "".join(f"{k} = {v}\n" for k, v in user.items()))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--seed", "5",
+                     "--out", str(out)]) == 0
+    job = {**default_config()["train"], **user}
+    assert _echo(out / "manifest.txt") == (
+        ["command = train", "seed = 5", f"out = {out}"]
+        + [f"train.{key} = {value}" for key, value in sorted(job.items())])
+
+
+@pytest.mark.parametrize("section, key, value", [("common", "scale", "0.5"),
+                                                ("common", "threads", "4"),
+                                                ("fig1", "lr", "5")])
+def test_train_rejects_config_it_does_not_read(tmp_path, capsys, section,
+                                               key, value):
+    # the training job reads [train] and [common] seed and out; a key that
+    # only exp reads would be accepted and ignored
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n"
+                   "[train]\narch = two-layer\nd = 3\nwidth = 16\n"
+                   "m_train = 12\nm_test = 6\nepochs = 2\n")
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"unknown config key(s) in [{section}]: {key}" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

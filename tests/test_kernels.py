@@ -11,7 +11,8 @@ from ntklab.kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
                             load_kernel_csv, mc_ntk, mlp_kernel_function,
                             save_kernel_csv)
 from ntklab.netsim import gaussian_node_dataset, generate_instances
-from ntklab.nets import init_net, output_jacobians
+from ntklab.nets import TwoLayerNet, init_net
+from ntklab.rng import DOMAIN_MC, stream
 
 
 def _flat(m, d, seed):
@@ -110,13 +111,9 @@ def _per_sample_pair_sums(nodes_a, nodes_b):
 
 
 def test_gnn_kernel_matches_per_sample_loop():
-    rng = np.random.default_rng(6)
-    nodes = rng.standard_normal((5, 3, 2))
-    other = rng.standard_normal((4, 2, 2))
+    nodes = np.random.default_rng(6).standard_normal((5, 3, 2))
     np.testing.assert_allclose(gnn_kernel_function(nodes),
                                _per_sample_pair_sums(nodes, nodes), rtol=1e-12)
-    np.testing.assert_allclose(gnn_kernel_function(other, nodes),
-                               _per_sample_pair_sums(other, nodes), rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [
@@ -126,8 +123,6 @@ def test_gnn_kernel_matches_per_sample_loop():
 def test_gnn_kernel_rejects_non_3d_input(bad):
     with pytest.raises(ValueError):
         gnn_kernel_function(bad)
-    with pytest.raises(ValueError):
-        gnn_kernel_function(np.ones((2, 3, 2)), bad)
 
 
 def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
@@ -136,23 +131,18 @@ def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
     # are summed or their order (not by how BLAS rounds at each block shape);
     # 9 and 10 nodes put numpy's pairwise summation to work on both node axes
     rng = np.random.default_rng(7)
-    nodes = rng.integers(1, 4, (40, 10, 3)) * rng.choice([-1.0, 1.0], (40, 10, 3))
-    other = rng.integers(1, 4, (25, 9, 3)) * rng.choice([-1.0, 1.0], (25, 9, 3))
-    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 10 ** 12)
-    whole = gnn_kernel_function(nodes)
-    whole_cross = gnn_kernel_function(other, nodes)
-    # 100 and 90 base entries per sample pair: 3-sample blocks (a last block
-    # of one sample) and 7-sample blocks (a last block of five or four)
-    for block_entries in (100 * 3 * 3, 100 * 7 * 7):
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
-        blocked = gnn_kernel_function(nodes)
-        blocked_cross = gnn_kernel_function(other, nodes)
-        assert np.array_equal(blocked, whole)
-        assert np.array_equal(blocked_cross, whole_cross)
-    np.testing.assert_allclose(blocked, _per_sample_pair_sums(nodes, nodes),
-                               rtol=1e-12)
-    np.testing.assert_allclose(
-        blocked_cross, _per_sample_pair_sums(other, nodes), rtol=1e-12)
+    for m, n in ((40, 10), (25, 9)):
+        nodes = rng.integers(1, 4, (m, n, 3)) * rng.choice([-1.0, 1.0], (m, n, 3))
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 10 ** 12)
+        whole = gnn_kernel_function(nodes)
+        # 3-sample blocks (a last block of one sample) and 7-sample blocks
+        # (a last block of five or four)
+        for block_samples in (3, 7):
+            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", n * n * block_samples ** 2)
+            blocked = gnn_kernel_function(nodes)
+            assert np.array_equal(blocked, whole)
+        np.testing.assert_allclose(blocked, _per_sample_pair_sums(nodes, nodes),
+                                   rtol=1e-12)
 
 
 def test_gnn_kernel_peak_memory_is_bounded():
@@ -277,13 +267,10 @@ def test_mc_ntk_gnn_family_converges():
 def test_mc_ntk_single_draw_matches_empirical_of_same_width():
     """One MC draw at width r is exactly the empirical kernel of a width-r
     net whose first layer is that draw (output signs cancel in the Gram)."""
-    from ntklab.nets import TwoLayerNet
-    from ntklab.rng import DOMAIN_MC, stream
-
     X = _flat(5, 4, 14)
     E = mc_ntk(X, 1, 64, seed=7).entries
     W = stream(7, DOMAIN_MC, 0).standard_normal((64, 4))
-    net = TwoLayerNet(W, np.ones(64), activation="relu")
+    net = TwoLayerNet(W, np.ones(64))
     K = empirical_ntk(net, X).entries
     np.testing.assert_allclose(E, K, rtol=1e-10)
 
@@ -303,20 +290,35 @@ def test_mc_ntk_validates_arguments():
 # --------------------------------------------------------------- empirical
 
 
+def _relu_jacobian_rows(X, W, a):
+    """Per-sample gradient of f(x) = (1/sqrt(r)) sum_r a_r relu(w_r . x)
+    in W, flattened: row i is (a * 1[W x_i > 0]) outer x_i / sqrt(r)."""
+    r = W.shape[0]
+    return np.array([np.outer(a * (W @ x > 0), x).reshape(-1) / np.sqrt(r)
+                     for x in X])
+
+
 def test_empirical_matches_explicit_jacobians():
     X = _flat(6, 3, 15)
     net = init_net("two-layer", 3, 32, seed=0)
     H_fast = empirical_ntk(net, X).entries
-    J = output_jacobians(net, X)
+    J = _relu_jacobian_rows(X, net.W, net.a)
     np.testing.assert_allclose(H_fast, J @ J.T, rtol=1e-10)
+    # the finite-width net reads flat vectors only
+    with pytest.raises(ValueError):
+        empirical_ntk(net, X[:, None, :])
 
 
-def test_empirical_node_inputs_match_jacobians():
+def test_mc_ntk_node_set_draw_matches_sum_readout_jacobians():
+    """One draw on node sets is the Jacobian Gram of the sum-readout net
+    f(nodes) = sum_j (1/sqrt(r)) sum_r a_r relu(w_r . x_j) whose first layer
+    is that draw, whatever the output signs."""
     nodes = np.random.default_rng(16).standard_normal((4, 3, 5))
-    net = init_net("two-layer", 5, 16, seed=2)
-    H_fast = empirical_ntk(net, nodes).entries
-    J = output_jacobians(net, nodes)
-    np.testing.assert_allclose(H_fast, J @ J.T, rtol=1e-10)
+    E = mc_ntk(nodes, 1, 16, seed=2).entries
+    W = stream(2, DOMAIN_MC, 0).standard_normal((16, 5))
+    a = np.where(np.random.default_rng(17).random(16) < 0.5, -1.0, 1.0)
+    J = sum(_relu_jacobian_rows(nodes[:, j], W, a) for j in range(3))
+    np.testing.assert_allclose(E, J @ J.T, rtol=1e-10)
 
 
 def test_empirical_concentrates_with_width():

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntklab import NumericFailureError
-from ntklab.kernels import empirical_ntk
 from ntklab.nets import (
     BN_EPS,
     BN_MOMENTUM,
@@ -25,7 +24,6 @@ from ntklab.nets import (
     init_net,
     loss_value,
     n_params,
-    output_jacobians,
     sample_chunks,
     sum_rate_loss_grad,
     _bn_backward,
@@ -183,94 +181,52 @@ class TestTwoLayerNet:
         np.testing.assert_allclose(net.forward([[2.0, 3.0], [-1.0, 4.0]]),
                                    [-1.0 / np.sqrt(2), -4.0 / np.sqrt(2)])
 
-    def test_quadratic_forward(self):
-        net = TwoLayerNet(W=np.array([[2.0, 0.0]]), a=np.array([1.0]),
-                          activation="quadratic")
-        assert net.forward([3.0, 5.0]) == pytest.approx([36.0])
-
-    def test_node_set_forward_is_sum_of_nodes(self):
-        rng = np.random.default_rng(0)
-        net = TwoLayerNet(rng.standard_normal((16, 3)),
-                          np.where(rng.random(16) < 0.5, -1.0, 1.0))
-        X = rng.standard_normal((5, 4, 3))
-        per_node = np.array([[net.forward(X[i, j])[0] for j in range(4)]
-                             for i in range(5)])
-        np.testing.assert_allclose(net.forward(X), per_node.sum(axis=1),
-                                   rtol=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TwoLayerNet(np.ones((4, 2)), np.ones(3))
         with pytest.raises(ValueError):
             TwoLayerNet(np.ones((4, 2)), np.full(4, 0.5))
-        with pytest.raises(ValueError):
-            TwoLayerNet(np.ones((4, 2)), np.ones(4), activation="tanh")
-        with pytest.raises(ValueError):
-            net = TwoLayerNet(np.ones((4, 2)), np.ones(4))
-            net.forward(np.ones((2, 2, 2, 2)))
+        net = TwoLayerNet(np.ones((4, 2)), np.ones(4))
+        # node sets (m, n, d) are not an input: the net reads flat vectors
+        for shape in ((3, 5, 2), (2, 2, 2, 2)):
+            with pytest.raises(ValueError, match="inputs must be"):
+                net.forward(np.ones(shape))
 
-    def test_grad_w_finite_difference(self):
-        rng = np.random.default_rng(1)
-        for activation in ("relu", "quadratic"):
-            net = TwoLayerNet(rng.standard_normal((8, 3)),
-                              np.where(rng.random(8) < 0.5, -1.0, 1.0),
-                              activation=activation)
-            X = rng.standard_normal((6, 3))
-            dout = rng.standard_normal(6)
-            G = net.grad_W(X, dout)
-            h = 1e-6
-            for r, c in [(0, 0), (3, 2), (7, 1)]:
-                Wp, Wm = net.W.copy(), net.W.copy()
-                Wp[r, c] += h
-                Wm[r, c] -= h
-                fp = TwoLayerNet(Wp, net.a, activation).forward(X) @ dout
-                fm = TwoLayerNet(Wm, net.a, activation).forward(X) @ dout
-                assert G[r, c] == pytest.approx((fp - fm) / (2 * h), rel=1e-5)
-
-    @pytest.mark.parametrize("activation", ["relu", "quadratic"])
-    @pytest.mark.parametrize("nodes", [None, 4])
     @pytest.mark.parametrize("dead", [False, True])
-    def test_fused_step_matches_forward_then_grad_w(self, activation, nodes,
-                                                    dead):
-        # gradients computes the pre-activation once; its outputs must be
-        # the bits of a forward pass followed by a separate grad_W pass
+    def test_fused_step_matches_two_pass_step(self, dead):
+        # gradients computes the pre-activation once; its outputs and dW
+        # must be the bits of a forward pass followed by a separate
+        # backward pass, both written out here
         d, r, m = 3, 64, 9
-        ds = gaussian_node_dataset(nodes or 1, m, d, seed=12)
+        ds = gaussian_node_dataset(1, m, d, seed=12)
         if dead:
             # positive inputs, a negative and a zero weight row: two
             # columns of Z that are <= 0 everywhere (one exactly 0), so
-            # under relu those neurons get no gradient
+            # those neurons get no gradient
             ds = replace(ds, node_features=np.abs(ds.node_features),
                          flat_features=np.abs(ds.flat_features))
         ds = replace(ds, labels=synthetic_labels(ds, np.ones(d), 2))
         net = init_net("two-layer", d, r, seed=13)
-        net = TwoLayerNet(net.W, net.a, activation)
         if dead:
             net.W[0] = -np.abs(net.W[0])
             net.W[1] = 0.0
-        X = ds.flat_features if nodes is None else ds.node_features
-        Xn = X.reshape(-1, d)
+        X = ds.flat_features
 
         # the two-pass step, written out
-        Z = Xn @ net.W.T
+        Z = X @ net.W.T
         if dead:
             assert np.all(Z[:, :2] <= 0) and not Z[:, 1].any()
-        act = np.maximum(Z, 0.0) if activation == "relu" else Z ** 2
-        u = act @ net.a / np.sqrt(r)
-        if nodes is not None:
-            u = u.reshape(m, nodes).sum(axis=1)
+        u = np.maximum(Z, 0.0) @ net.a / np.sqrt(r)
         resid = u - ds.labels
-        g = resid if nodes is None else np.repeat(resid, nodes)
-        Z = Xn @ net.W.T
-        S = ((Z > 0).astype(float) if activation == "relu" else 2.0 * Z) * net.a
-        want = (S * g[:, None]).T @ Xn / np.sqrt(r)
+        Z = X @ net.W.T
+        S = (Z > 0).astype(float) * net.a
+        want = (S * resid[:, None]).T @ X / np.sqrt(r)
 
         grads, loss = gradients(net, ds)
         assert np.array_equal(grads["W"], want)
         assert loss == 0.5 * float(np.sum(resid ** 2))
         assert np.array_equal(net.forward(X), u)
-        assert np.array_equal(net.grad_W(X, resid), want)
-        if dead and activation == "relu":
+        if dead:
             assert not grads["W"][:2].any()
 
     def test_init_deterministic_in_seed(self):
@@ -286,17 +242,6 @@ class TestTwoLayerNet:
             init_net("two-layer", 5, 0, seed=0)
         with pytest.raises(ValueError):
             init_net("three-layer", 5, 4, seed=0)
-
-    def test_output_jacobians_match_grad_w(self):
-        rng = np.random.default_rng(2)
-        net = init_net("two-layer", 4, 8, seed=3)
-        X = rng.standard_normal((5, 4))
-        J = output_jacobians(net, X)
-        assert J.shape == (5, 32)
-        for i in range(5):
-            np.testing.assert_allclose(
-                J[i], net.grad_W(X[i][None], np.ones(1)).reshape(-1)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +319,6 @@ class TestWcgcn:
         net.forward_batch(batch.mags, batch.weights, train=True)
         assert any(not np.array_equal(net.state[k], before[k]) for k in before)
 
-    def test_output_jacobians_match_full_batch_backward(self):
-        # the per-sample Jacobian against one full-batch backward pass per
-        # (sample, output), the O(m^2 K) form it replaced
-        net = WcgcnNet.create(hidden=4, layers=2, seed=16)
-        batch = channel_batch(4, 5, seed=17)
-        m, K = 5, 4
-        _, cache = net.forward_batch(batch.mags, np.ones((m, K)), train=False)
-        keys = sorted(net.params)
-        rows = []
-        for i in range(m):
-            for k in range(K):
-                dP = np.zeros((m, K))
-                dP[i, k] = 1.0
-                g = net.backward_batch(batch.mags, list(cache), dP,
-                                       train=False)
-                rows.append(np.concatenate([g[key].reshape(-1) for key in keys]))
-        J_ref = np.asarray(rows)
-        J = output_jacobians(net, batch.mags)
-        np.testing.assert_allclose(J, J_ref, rtol=1e-12,
-                                   atol=1e-12 * np.abs(J_ref).max())
-
     def test_backward_batch_consumes_its_caches(self):
         # backward pops each layer's cache as it reaches it, so the edge
         # arrays die during the pass; a copy of the list leaves the cache
@@ -409,57 +333,6 @@ class TestWcgcn:
         assert caches == []
         for key in g:
             assert np.array_equal(g[key], g_copy[key]), key
-
-    def test_output_jacobian_directional_derivative(self):
-        # directional derivatives reconstructed from J must match finite
-        # differences of the power outputs under a parameter perturbation
-        net = WcgcnNet.create(hidden=3, layers=2, seed=0)
-        # lift the biases so no hidden unit is relu-dead: dead units tie
-        # under the max aggregation and the output stops being
-        # differentiable exactly where finite differences would probe it
-        for j in range(2):
-            for b in ("b1a", "b1b", "b2a"):
-                net.params[f"l{j}.{b}"] += 5.0
-        batch = channel_batch(3, 2, seed=14)
-        _, caches = net.forward_batch(batch.mags, np.ones((2, 3)), train=False)
-        assert all(np.all(c[3]) for c in caches)   # M2: nothing dead
-        J = output_jacobians(net, batch.mags)
-        assert J.shape == (2 * 3, n_params(net))
-        rng = np.random.default_rng(15)
-        keys = sorted(net.params)
-        direction = {k: rng.standard_normal(net.params[k].shape) for k in keys}
-        dvec = np.concatenate([direction[k].reshape(-1) for k in keys])
-        eps = 1e-6
-        p_out = []
-        for sign in (+1, -1):
-            for k in keys:
-                net.params[k] += sign * eps * direction[k]
-            P, _ = net.forward_batch(batch.mags, np.ones((2, 3)), train=False)
-            p_out.append(P.reshape(-1))
-            for k in keys:
-                net.params[k] -= sign * eps * direction[k]
-        fd = (p_out[0] - p_out[1]) / (2 * eps)
-        np.testing.assert_allclose(J @ dvec, fd, rtol=1e-4, atol=1e-7)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("kind", ["two-layer", "wcgcn"])
-def test_output_jacobians_reject_non_finite_input(kind, bad):
-    # MAX routing is defined only for finite maxima: the first bad sample
-    # is named up front, not found later as a non-finite kernel
-    if kind == "wcgcn":
-        net = WcgcnNet.create(hidden=3, layers=2, seed=1)
-        X = channel_batch(3, 4, seed=2).mags.copy()
-        X[2, 0, 1] = X[3, 1, 1] = bad
-    else:
-        net = init_net("two-layer", 3, width=8, seed=1)
-        X = np.ones((4, 3))
-        X[2, 1] = X[3, 0] = bad
-    with pytest.raises(ValueError, match="non-finite input at sample 2"):
-        output_jacobians(net, X)
-    if kind == "wcgcn":
-        with pytest.raises(ValueError, match="non-finite input at sample 2"):
-            empirical_ntk(net, X)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +438,16 @@ class TestLosses:
             loss_value(net, ds)
         with pytest.raises(ValueError, match="needs channel instances"):
             gradients(net, ds)
+
+    def test_two_layer_reads_only_flat_features(self):
+        # a node-set dataset whose node dimension is the net's input
+        # dimension is still a mismatch: the net reads the flat n*d vector
+        ds = gaussian_node_dataset(2, 4, 3, seed=8)
+        ds = replace(ds, labels=synthetic_labels(ds, beta=np.ones(3), p_degree=1))
+        net = init_net("two-layer", 3, 8, seed=9)
+        with pytest.raises(ValueError, match="do not match"):
+            loss_value(net, ds)
+        assert loss_value(init_net("two-layer", 6, 8, seed=9), ds) > 0
 
     def test_squared_loss_without_labels_rejected(self):
         ds = gaussian_node_dataset(1, 4, 3, seed=8)

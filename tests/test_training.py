@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ntklab import DivergenceError
-from ntklab.nets import TwoLayerNet, WcgcnNet, init_net, loss_value, n_params
+from ntklab.nets import WcgcnNet, init_net, loss_value, n_params
 from ntklab.netsim import gaussian_node_dataset, generate_instances, synthetic_labels
 from ntklab.training import (
     TraceRow,
@@ -88,7 +88,7 @@ def test_full_batch_explicit_and_default_agree():
 def test_full_batch_gd_matches_two_pass_loop():
     # full-batch steps train on the dataset itself through the fused
     # TwoLayerNet step; the trace must equal the loop with a forward pass
-    # and a separate grad_W pass over a per-epoch copy of the batch
+    # and a separate gradient pass over a per-epoch copy of the batch
     tr, te = labeled_gaussian(12, 0, d=4), labeled_gaussian(5, 1, d=4)
     lr, epochs, eval_every = 2e-3, 30, 4
     net = init_net("two-layer", 4, 32, seed=2)
@@ -238,19 +238,27 @@ def test_evaluate_squared_metrics():
     )
 
 
-def test_evaluate_oracle_uses_the_nets_activation():
-    # a quadratic net's oracle is quadratic-kernel regression, which fits the
-    # degree-2 targets exactly; a relu-kernel oracle would miss by about 1.3
+def test_evaluate_oracle_is_relu_kernel_regression():
+    # the oracle is the pinv kernel-regression predictor of the closed-form
+    # ReLU kernel H(x, z) = (x.z) (pi - arccos(rho)) / (2 pi) on the flat
+    # features, written out here
+    def relu_kernel(X, Z):
+        G = X @ Z.T
+        norms = np.outer(np.linalg.norm(X, axis=1), np.linalg.norm(Z, axis=1))
+        return G * (np.pi - np.arccos(np.clip(G / norms, -1.0, 1.0))) / (2 * np.pi)
+
     train_ds = labeled_gaussian(12, seed=22)
     test_ds = labeled_gaussian(8, seed=23)
-    relu = init_net("two-layer", 3, 16, seed=24)
-    net = TwoLayerNet(relu.W, relu.a, activation="quadratic")
+    net = init_net("two-layer", 3, 16, seed=24)
     metrics = evaluate(net, test_ds, train_ds=train_ds)
     Xtr, Xte = train_ds.flat_features, test_ds.flat_features
-    coef = np.linalg.pinv(4.0 * (Xtr @ Xtr.T) ** 2, rcond=1e-12) @ train_ds.labels
-    oracle = np.mean(((4.0 * (Xte @ Xtr.T) ** 2) @ coef - test_ds.labels) ** 2)
-    assert metrics["oracle_loss"] == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-    assert metrics["oracle_loss"] < 1e-12 * np.mean(test_ds.labels ** 2)
+    coef = np.linalg.pinv(relu_kernel(Xtr, Xtr), rcond=1e-12) @ train_ds.labels
+    oracle_err = relu_kernel(Xte, Xtr) @ coef - test_ds.labels
+    assert metrics["oracle_loss"] == pytest.approx(
+        float(np.mean(oracle_err ** 2)), rel=1e-9)
+    err = net.forward(Xte) - test_ds.labels
+    assert metrics["e_gen"] == pytest.approx(
+        float(np.mean(err ** 2 - oracle_err ** 2)), rel=1e-9)
 
 
 def test_evaluate_validation():
