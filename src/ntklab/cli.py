@@ -189,6 +189,13 @@ def _cmd_spectral(args):
     return 0
 
 
+# the [train] keys that only some archs read; the rest are read by all.
+# The power-mlp always has two hidden layers, so it reads no ``layers``.
+_ARCH_KEYS = {"two-layer": ("n", "d", "label_degree", "width"),
+              "wcgcn": ("k", "hidden", "layers"),
+              "power-mlp": ("k", "hidden")}
+
+
 def _cmd_train(args):
     if not args.config:
         raise _UsageError("train requires --config\n"
@@ -201,6 +208,13 @@ def _cmd_train(args):
     spec = ExperimentConfig.build(TRAIN, user, seed=args.seed, out=args.out)
     seed = spec.seed
     arch = spec.get_str("arch")
+    if arch not in _ARCH_KEYS:
+        raise ValueError(f"unknown architecture {arch!r}")
+    unread = set().union(*_ARCH_KEYS.values()) - set(_ARCH_KEYS[arch])
+    rejected = sorted(unread & set(user[TRAIN]))
+    if rejected:
+        raise ValueError(f"[train] keys that arch = {arch} does not read: "
+                         f"{', '.join(rejected)}")
     m_train = spec.get_int("m_train")
     m_test = spec.get_int("m_test")
     if arch == "two-layer":
@@ -220,7 +234,8 @@ def _cmd_train(args):
     files = RunFiles(spec.out)
     echo = [f"seed = {seed}", f"out = {spec.out}"] + [
         f"{TRAIN}.{key} = {value}"
-        for key, value in sorted(spec.sections[TRAIN].items())]
+        for key, value in sorted(spec.sections[TRAIN].items())
+        if key not in unread]
     try:
         trace = train(net, train_ds, test_ds, optimizer=spec.get_str("optimizer"),
                       lr=spec.get_float("lr"), epochs=spec.get_int("epochs"),

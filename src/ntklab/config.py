@@ -162,10 +162,15 @@ class ExperimentConfig:
         return max(minimum, int(round(value * self.scale)))
 
     def echo_lines(self):
-        """Flattened config echo for manifests."""
+        """Flattened config echo for manifests.  The [common] keys show the
+        values the run used, flags over config files."""
+        used = {"seed": self.seed, "out": self.out, "threads": self.threads,
+                "scale": self.scale}
         lines = [f"experiment = {self.experiment}", f"seed = {self.seed}",
                  f"scale = {self.scale}", f"threads = {self.threads}"]
         for section in sorted(self.sections):
-            for key in sorted(self.sections[section]):
-                lines.append(f"{section}.{key} = {self.sections[section][key]}")
+            for key, value in sorted(self.sections[section].items()):
+                if section == "common":
+                    value = used.get(key, value)
+                lines.append(f"{section}.{key} = {value}")
         return lines

@@ -137,11 +137,12 @@ class TwoLayerNet:
     """f(x) = (1/sqrt(r)) sum_r a_r relu(w_r . x) on flat inputs; only W is
     trainable.
 
-    ``forward`` and the squared-loss step in :func:`gradients` share
-    ``_preact`` (the pre-activation Z = X @ W.T) and ``_readout`` (relu(Z),
-    read out through a); the step then feeds Z to ``_backprop``
-    (1[Z > 0] * a * dout, contracted with X).  It computes Z once, so its
-    outputs have the bits of ``forward``."""
+    ``forward`` and the squared-loss step in :func:`gradients` make the same
+    two calls on one (m, r) buffer: ``_preact`` (the pre-activation
+    Z = X @ W.T) and ``_readout`` (relu(Z) in place, read out through a), so
+    the step's outputs have the bits of ``forward``.  The step then hands
+    relu(Z) to ``_backprop`` (1[Z > 0] * dout, contracted with X, then the
+    +-1 signs on dW's rows), which reuses the buffer again."""
 
     kind = "two-layer"
 
@@ -182,13 +183,18 @@ class TwoLayerNet:
         return out @ self.a / np.sqrt(self.width)
 
     def _backprop(self, X, Z, dout):
-        """d(sum_i dout_i * f(x_i))/dW from the pre-activation: Z is
-        overwritten by the signal 1[Z > 0] * a * dout reaching it, which is
-        then contracted with the inputs."""
+        """d(sum_i dout_i * f(x_i))/dW from the pre-activation or its relu
+        (both are > 0 at the same entries): Z is overwritten by
+        1[Z > 0] * dout, which is contracted with the inputs; the +-1 signs
+        a then flip dW's rows.  A sign flip of a whole row of the gemm's
+        left operand flips that output row exactly, in any BLAS kernel, so
+        this has the bits of applying a to Z's columns first, without that
+        full (m, r) pass; only an all-zero row (a dead unit) may carry -0.0
+        for 0.0, which leaves W - lr * dW unchanged."""
         np.greater(Z, 0.0, out=Z)
-        Z *= self.a
         Z *= np.asarray(dout, dtype=float)[:, None]
         dW = Z.T @ X
+        dW *= self.a[:, None]
         dW /= np.sqrt(self.width)
         return dW
 
@@ -531,9 +537,9 @@ def gradients(net, batch, train=False, chunk=None):
     """Exact parameter gradients of the net's batch loss (the one
     :func:`loss_value` gives).  Returns (grads, loss).
 
-    A TwoLayerNet's step computes its pre-activation Z once: the outputs
-    come from it through a second buffer, with the bits of ``forward``, then
-    dW from it in place.
+    A TwoLayerNet's step holds one (m, r) buffer: the pre-activation Z,
+    which becomes relu(Z) as the outputs are read out, with the bits of
+    ``forward``, and then the backward signal that dW contracts.
     Non-finite outputs raise NumericFailureError naming the first such
     sample before any gradient is formed.
 
@@ -561,7 +567,7 @@ def gradients(net, batch, train=False, chunk=None):
     if isinstance(net, TwoLayerNet):
         y = _labels(batch)
         X, Z = net._preact(_batch_features(net, batch))
-        u = net._readout(Z, np.empty_like(Z))
+        u = net._readout(Z, Z)
         _check_finite_per_sample(u, "output")
         resid = u - y
         return ({"W": net._backprop(X, Z, resid)},

@@ -70,12 +70,18 @@ class _Adam:
 
 
 class _Gd:
+    """Plain gradient descent, params[k] -= lr * grads[k]."""
+
     def __init__(self, lr):
         self.lr = lr
 
     def step(self, params, grads):
+        """One update in place.  Consumes ``grads``: each array is scaled
+        by lr in its own buffer, the same rounding as ``lr * g`` without
+        the temporary."""
         for k, g in grads.items():
-            params[k] -= self.lr * g
+            g *= self.lr
+            params[k] -= g
 
 
 def _grad_norm(grads):

@@ -304,21 +304,57 @@ def test_train_rejects_the_loss_key(tmp_path, capsys):
     assert not out.exists()
 
 
+# the [train] keys each arch reads beyond the shared ones
+ARCH_KEYS = {"two-layer": ("n", "d", "label_degree", "width"),
+             "wcgcn": ("k", "hidden", "layers"),
+             "power-mlp": ("k", "hidden")}
+
+
 @pytest.mark.parametrize("arch", ["wcgcn", "power-mlp", "two-layer"])
 def test_train_runs_every_arch(tmp_path, arch):
+    keys = ("n = 2\nd = 3\nwidth = 16\n" if arch == "two-layer"
+            else "k = 3\nhidden = 4\n")
+    unread = set().union(*ARCH_KEYS.values()) - set(ARCH_KEYS[arch])
     cfg = tmp_path / "t.cfg"
-    cfg.write_text(f"[train]\narch = {arch}\nk = 3\nn = 2\nd = 3\nhidden = 4\n"
-                   "width = 16\nm_train = 12\nm_test = 6\nepochs = 2\n")
+    cfg.write_text(f"[train]\narch = {arch}\n{keys}"
+                   "m_train = 12\nm_test = 6\nepochs = 2\n")
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     for name in ("trace.csv", "checkpoint.txt", "train_summary.csv"):
         assert (out / name).exists()
-    assert f"# train.arch = {arch}" in (out / "manifest.txt").read_text()
+    echo = _echo(out / "manifest.txt")
+    assert f"train.arch = {arch}" in echo
+    # the manifest echoes the keys the arch read, not the other arch's
+    echoed = {line.split(" = ")[0] for line in echo}
+    assert not echoed & {f"train.{key}" for key in unread}
+
+
+@pytest.mark.parametrize("arch, line, key", [
+    ("wcgcn", "width = 5", "width"),
+    ("wcgcn", "label_degree = 7", "label_degree"),
+    ("power-mlp", "n = 2", "n"),
+    ("power-mlp", "d = 3", "d"),
+    ("power-mlp", "layers = 3", "layers"),
+    ("two-layer", "k = 3", "k"),
+    ("two-layer", "hidden = 4", "hidden"),
+    ("two-layer", "layers = 3", "layers")])
+def test_train_rejects_keys_its_arch_does_not_read(tmp_path, capsys, arch,
+                                                   line, key):
+    # a key of the other arch family would be accepted, ignored and echoed
+    # as if the run had used it
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"[train]\narch = {arch}\n{line}\n"
+                   "m_train = 12\nm_test = 6\nepochs = 2\n")
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"arch = {arch} does not read: {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_manifest_echoes_its_job(tmp_path):
-    # the seed, out and every [train] key the job ran with, user keys over
-    # the defaults.cfg ones, in the section.key form of exp manifests
+    # the seed, out and every [train] key the job read, user keys over the
+    # defaults.cfg ones, in the section.key form of exp manifests; a
+    # two-layer job reads no k, hidden or layers
     user = {"arch": "two-layer", "n": "2", "d": "3", "width": "16",
             "m_train": "12", "m_test": "6", "epochs": "2"}
     cfg = tmp_path / "t.cfg"
@@ -327,6 +363,8 @@ def test_train_manifest_echoes_its_job(tmp_path):
     assert cli_main(["train", "--config", str(cfg), "--seed", "5",
                      "--out", str(out)]) == 0
     job = {**default_config()["train"], **user}
+    for key in ("k", "hidden", "layers"):
+        del job[key]
     assert _echo(out / "manifest.txt") == (
         ["command = train", "seed = 5", f"out = {out}"]
         + [f"train.{key} = {value}" for key, value in sorted(job.items())])
@@ -380,6 +418,24 @@ def test_exp_threads_from_config(tmp_path):
                      "--out", str(out)]) == 0
     manifest = (out / "manifest.txt").read_text()
     assert "# threads = 2" in manifest
+
+
+def test_exp_manifest_echoes_the_values_the_run_used(tmp_path):
+    # flags override the config file's [common] keys, and the echo of
+    # [common] shows what the run used, not the merged file values
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(f"[common]\nseed = 7\nthreads = 2\nout = {tmp_path / 'no'}\n"
+                   "[fig2]\nn_list = 1, 2\n")
+    out = tmp_path / "run"
+    assert cli_main(["exp", "fig2", "--config", str(cfg), "--scale", "0.05",
+                     "--seed", "3", "--threads", "1", "--out", str(out)]) == 0
+    echo = _echo(out / "manifest.txt")
+    assert echo[:4] == ["experiment = fig2", "seed = 3", "scale = 0.05",
+                        "threads = 1"]
+    assert [line for line in echo if line.startswith("common.")] == [
+        f"common.out = {out}", "common.scale = 0.05", "common.seed = 3",
+        "common.threads = 1"]
+    assert not (tmp_path / "no").exists()
 
 
 def test_exp_scale_validation(tmp_path, capsys):

@@ -7,6 +7,7 @@ sitting on a kink are skipped (they are rare at generic Gaussian inputs,
 and the test insists that most coordinates survive).
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from ntklab.nets import (
 from ntklab.netsim import (
     gaussian_node_dataset,
     generate_instances,
+    labelled_gaussian_dataset,
     sum_rate_batch,
     synthetic_labels,
 )
@@ -193,11 +195,13 @@ class TestTwoLayerNet:
                 net.forward(np.ones(shape))
 
     @pytest.mark.parametrize("dead", [False, True])
-    def test_fused_step_matches_two_pass_step(self, dead):
-        # gradients computes the pre-activation once; its outputs and dW
-        # must be the bits of a forward pass followed by a separate
-        # backward pass, both written out here
-        d, r, m = 3, 64, 9
+    @pytest.mark.parametrize("m, d, r", [(9, 3, 64), (1, 8, 256), (12, 4, 32),
+                                         (50, 8, 4096), (257, 60, 100)])
+    def test_fused_step_matches_two_pass_step(self, m, d, r, dead):
+        # gradients computes the pre-activation once and applies the output
+        # signs to dW's rows; its outputs and dW must be the bits of a
+        # forward pass followed by a separate backward pass, both written
+        # out here, at the ntk-regime shape and at gemm shapes around it
         ds = gaussian_node_dataset(1, m, d, seed=12)
         if dead:
             # positive inputs, a negative and a zero weight row: two
@@ -228,6 +232,21 @@ class TestTwoLayerNet:
         assert np.array_equal(net.forward(X), u)
         if dead:
             assert not grads["W"][:2].any()
+
+    def test_step_holds_one_preactivation_buffer(self):
+        # Z becomes relu(Z) and then the backward signal in one (m, r)
+        # buffer; a separate relu output doubled the peak (2.0 measured)
+        m, d, r = 50, 8, 4096
+        ds = labelled_gaussian_dataset(1, m, d, 0, 1)
+        net = init_net("two-layer", d, r, seed=1)
+        gradients(net, ds, train=True)      # warm caches
+        tracemalloc.start()
+        try:
+            gradients(net, ds, train=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * m * r * 8, f"peak {peak / (m * r * 8):.2f} buffers"
 
     def test_init_deterministic_in_seed(self):
         n1 = init_net("two-layer", 5, 32, seed=9)

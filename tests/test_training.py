@@ -17,6 +17,7 @@ from ntklab.training import (
     save_checkpoint,
     train,
     write_trace_csv,
+    _Gd,
 )
 
 
@@ -120,6 +121,20 @@ def test_full_batch_gd_matches_two_pass_loop():
     assert train(net, tr, te, optimizer="gd", lr=lr, epochs=epochs,
                  eval_every=eval_every) == want
     assert np.array_equal(net.W, W)
+
+
+def test_gd_step_is_w_minus_lr_g():
+    # the step scales g in its own buffer, then subtracts: the two
+    # roundings of W - lr * g
+    rng = np.random.default_rng(3)
+    W = rng.standard_normal((64, 8))
+    g = rng.standard_normal((64, 8)) * np.logspace(-12, 3, 8)
+    lr = 2e-3
+    want = W - lr * g
+    params = {"W": W}
+    _Gd(lr).step(params, {"W": g})
+    assert params["W"] is W
+    assert np.array_equal(W, want)
 
 
 def test_minibatch_runs_are_deterministic():
