@@ -141,18 +141,26 @@ class TwoLayerNet:
     two calls on one (m, r) buffer: ``_preact`` (the pre-activation
     Z = X @ W.T) and ``_readout`` (relu(Z) in place, read out through a), so
     the step's outputs have the bits of ``forward``.  The step then hands
-    relu(Z) to ``_backprop`` (1[Z > 0] * dout, contracted with X, then the
-    +-1 signs on dW's rows), which reuses the buffer again."""
+    relu(Z) to ``_backprop`` (1[Z > 0] * dout, contracted with X, then one
+    division by the signed scale a * sqrt(r)), which reuses the buffer
+    again.
+
+    The net keeps a read-only copy of a: the signed divisor is built from it
+    once, here, and must not drift from it."""
 
     kind = "two-layer"
 
     def __init__(self, W, a):
         self.W = np.asarray(W, dtype=float)
-        self.a = np.asarray(a, dtype=float)
+        self.a = np.array(a, dtype=float)
         if self.W.ndim != 2 or self.a.shape != (self.W.shape[0],):
             raise ValueError("W must be (r, d) and a an r-vector")
         if not np.all(np.isin(self.a, (-1.0, 1.0))):
             raise ValueError("output signs must be +-1")
+        self.a.flags.writeable = False
+        self._root_r = float(np.sqrt(self.width))
+        self._signed_root = np.repeat(self.a[:, None] * self._root_r,
+                                      self.d, axis=1)
 
     @property
     def width(self):
@@ -180,22 +188,25 @@ class TwoLayerNet:
         """Outputs (m,) from the pre-activation: relu(Z) is written into
         ``out`` (which may be ``Z`` itself), then read out through a."""
         np.maximum(Z, 0.0, out=out)
-        return out @ self.a / np.sqrt(self.width)
+        return out @ self.a / self._root_r
 
     def _backprop(self, X, Z, dout):
         """d(sum_i dout_i * f(x_i))/dW from the pre-activation or its relu
         (both are > 0 at the same entries): Z is overwritten by
-        1[Z > 0] * dout, which is contracted with the inputs; the +-1 signs
-        a then flip dW's rows.  A sign flip of a whole row of the gemm's
-        left operand flips that output row exactly, in any BLAS kernel, so
-        this has the bits of applying a to Z's columns first, without that
-        full (m, r) pass; only an all-zero row (a dead unit) may carry -0.0
-        for 0.0, which leaves W - lr * dW unchanged."""
+        1[Z > 0] * dout, which is contracted with the inputs, and dW is
+        divided by the contiguous (r, d) array a * sqrt(r).
+
+        A sign flip of a whole row of the gemm's left operand flips that
+        output row exactly, in any BLAS kernel, and a * sqrt(r) is
+        +-fl(sqrt(r)), by which IEEE division is exact up to the sign; so
+        this has the bits of applying a to Z's columns first and dividing
+        by sqrt(r), without that full (m, r) pass.  Only an all-zero row (a
+        dead unit) may carry -0.0 for 0.0, which leaves W - lr * dW
+        unchanged."""
         np.greater(Z, 0.0, out=Z)
         Z *= np.asarray(dout, dtype=float)[:, None]
         dW = Z.T @ X
-        dW *= self.a[:, None]
-        dW /= np.sqrt(self.width)
+        dW /= self._signed_root
         return dW
 
     def forward(self, X):

@@ -101,6 +101,13 @@ def train(net, train_ds, test_ds, *, optimizer="adam", lr=1e-3, epochs=100,
     comparable across batch sizes.  Aborts with DivergenceError — carrying
     the rows recorded so far — if any step loss exceeds 1e6 or goes
     non-finite.
+
+    A step right after a snapshot takes that snapshot's gradient and loss
+    when the two would run the same computation: a full-batch run of a
+    TwoLayerNet (whose pass does not depend on ``train``; the BatchNorm of
+    the other nets does) on at most SNAPSHOT_CHUNK samples (so the
+    snapshot is one unchunked call).  Such a run makes one gradient call
+    per epoch, plus the one at epoch 0.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -116,6 +123,10 @@ def train(net, train_ds, test_ds, *, optimizer="adam", lr=1e-3, epochs=100,
         raise ValueError("datasets must be nonempty")
     opt = _Adam(lr) if optimizer == "adam" else _Gd(lr)
     rows = []
+    m = train_ds.m
+    bs = batch_size or m
+    reuse = (isinstance(net, TwoLayerNet) and bs >= m
+             and m <= SNAPSHOT_CHUNK)
 
     def snapshot(epoch):
         g, train_loss = gradients(net, train_ds, train=False,
@@ -125,10 +136,9 @@ def train(net, train_ds, test_ds, *, optimizer="adam", lr=1e-3, epochs=100,
                              _grad_norm(g)))
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
             raise DivergenceError(f"non-finite loss at epoch {epoch}", trace=rows)
+        return (g, train_loss) if reuse else None
 
-    snapshot(0)
-    m = train_ds.m
-    bs = batch_size or m
+    last = snapshot(0)      # what the next step reuses, or None
     for epoch in range(1, epochs + 1):
         if bs >= m:
             batches = (train_ds,)
@@ -137,14 +147,18 @@ def train(net, train_ds, test_ds, *, optimizer="adam", lr=1e-3, epochs=100,
             batches = (train_ds.subset(order[start:start + bs])
                        for start in range(0, m, bs))
         for batch in batches:
-            grads, batch_loss = gradients(net, batch, train=True)
+            if last is not None:
+                grads, batch_loss = last
+            else:
+                grads, batch_loss = gradients(net, batch, train=True)
+            last = None
             if not np.isfinite(batch_loss) or batch_loss > DIVERGENCE_LIMIT:
                 raise DivergenceError(
                     f"loss diverged at epoch {epoch} ({batch_loss:.3g})",
                     trace=rows)
             opt.step(net.params, grads)
         if epoch % eval_every == 0 or epoch == epochs:
-            snapshot(epoch)
+            last = snapshot(epoch)
     return rows
 
 

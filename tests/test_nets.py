@@ -196,12 +196,14 @@ class TestTwoLayerNet:
 
     @pytest.mark.parametrize("dead", [False, True])
     @pytest.mark.parametrize("m, d, r", [(9, 3, 64), (1, 8, 256), (12, 4, 32),
-                                         (50, 8, 4096), (257, 60, 100)])
+                                         (50, 8, 4096), (257, 60, 100),
+                                         (5, 2, 3), (40, 8, 1000)])
     def test_fused_step_matches_two_pass_step(self, m, d, r, dead):
-        # gradients computes the pre-activation once and applies the output
-        # signs to dW's rows; its outputs and dW must be the bits of a
+        # gradients computes the pre-activation once and divides dW by the
+        # signed scale a * sqrt(r); its outputs and dW must be the bits of a
         # forward pass followed by a separate backward pass, both written
-        # out here, at the ntk-regime shape and at gemm shapes around it
+        # out here, at the ntk-regime shape, at gemm shapes around it and
+        # at widths whose square root rounds
         ds = gaussian_node_dataset(1, m, d, seed=12)
         if dead:
             # positive inputs, a negative and a zero weight row: two
@@ -232,6 +234,16 @@ class TestTwoLayerNet:
         assert np.array_equal(net.forward(X), u)
         if dead:
             assert not grads["W"][:2].any()
+
+    def test_output_signs_are_frozen(self):
+        # the signed divisor is built from a once: the net's a is its own
+        # read-only copy, and the caller's array stays writable
+        a = np.array([-1.0, 1.0, -1.0])
+        net = TwoLayerNet(np.ones((3, 2)), a)
+        with pytest.raises(ValueError):
+            net.a[0] = 1.0
+        a[0] = 1.0
+        assert net.a[0] == -1.0
 
     def test_step_holds_one_preactivation_buffer(self):
         # Z becomes relu(Z) and then the backward signal in one (m, r)

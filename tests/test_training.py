@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ntklab import DivergenceError
-from ntklab.nets import WcgcnNet, init_net, loss_value, n_params
+from ntklab import DivergenceError, training
+from ntklab.nets import WcgcnNet, gradients, init_net, loss_value, n_params
 from ntklab.netsim import gaussian_node_dataset, generate_instances, synthetic_labels
 from ntklab.training import (
+    DIVERGENCE_LIMIT,
+    SNAPSHOT_CHUNK,
     TraceRow,
     epochs_to_level,
     evaluate,
@@ -86,14 +88,10 @@ def test_full_batch_explicit_and_default_agree():
         assert ra.grad_norm == rb.grad_norm
 
 
-def test_full_batch_gd_matches_two_pass_loop():
-    # full-batch steps train on the dataset itself through the fused
-    # TwoLayerNet step; the trace must equal the loop with a forward pass
-    # and a separate gradient pass over a per-epoch copy of the batch
-    tr, te = labeled_gaussian(12, 0, d=4), labeled_gaussian(5, 1, d=4)
-    lr, epochs, eval_every = 2e-3, 30, 4
-    net = init_net("two-layer", 4, 32, seed=2)
-    W, a, r = net.W.copy(), net.a, net.width
+def _written_out(net):
+    """A TwoLayerNet's outputs and its dW for the backward signal dout,
+    written out from its W and a."""
+    a, r = net.a, net.width
 
     def out(W, X):
         return np.maximum(X @ W.T, 0.0) @ a / np.sqrt(r)
@@ -101,6 +99,22 @@ def test_full_batch_gd_matches_two_pass_loop():
     def grad(W, X, dout):
         S = (X @ W.T > 0).astype(float) * a
         return (S * dout[:, None]).T @ X / np.sqrt(r)
+
+    return out, grad
+
+
+@pytest.mark.parametrize("eval_every", [1, 4, 7])
+def test_full_batch_gd_matches_two_pass_loop(eval_every):
+    # full-batch steps train on the dataset itself through the fused
+    # TwoLayerNet step, and a step right after a snapshot takes the
+    # snapshot's gradient (every epoch at 1, at a divisor of 30 and at a
+    # non-divisor); the trace must equal the loop with a forward pass and a
+    # separate gradient pass over a per-epoch copy of the batch
+    tr, te = labeled_gaussian(12, 0, d=4), labeled_gaussian(5, 1, d=4)
+    lr, epochs = 2e-3, 30
+    net = init_net("two-layer", 4, 32, seed=2)
+    W = net.W.copy()
+    out, grad = _written_out(net)
 
     def row(epoch):
         resid = out(W, tr.flat_features) - tr.labels
@@ -121,6 +135,84 @@ def test_full_batch_gd_matches_two_pass_loop():
     assert train(net, tr, te, optimizer="gd", lr=lr, epochs=epochs,
                  eval_every=eval_every) == want
     assert np.array_equal(net.W, W)
+
+
+def test_divergence_on_the_step_after_a_snapshot():
+    # the step after the snapshot at epoch e takes that snapshot's loss;
+    # when it exceeds the limit the step still raises, with the rows
+    # recorded before it (the snapshot's row last)
+    tr, te = labeled_gaussian(12, 0, d=4), labeled_gaussian(5, 1, d=4)
+    lr = 1.0
+    net = init_net("two-layer", 4, 32, seed=2)
+    W = net.W.copy()
+    out, grad = _written_out(net)
+    X, y = tr.flat_features, tr.labels
+    losses = []
+    for _ in range(50):
+        resid = out(W, X) - y
+        losses.append(0.5 * float(np.sum(resid ** 2)))
+        if losses[-1] > DIVERGENCE_LIMIT:
+            break
+        W -= lr * grad(W, X, resid)
+    e = len(losses) - 1          # the first epoch whose loss is too large
+    assert 2 <= e < 49 and np.isfinite(losses[e])
+
+    with pytest.raises(DivergenceError, match=f"at epoch {e + 1} ") as err:
+        train(net, tr, te, optimizer="gd", lr=lr, epochs=e + 5, eval_every=e)
+    assert [(r.epoch, r.train_loss) for r in err.value.trace] == [
+        (0, losses[0]), (e, losses[e])]
+
+
+def _count_gradient_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("train"))
+        return gradients(*args, **kwargs)
+
+    monkeypatch.setattr(training, "gradients", counted)
+    return calls
+
+
+@pytest.mark.parametrize("eval_every", [1, 3, 7, 10])
+def test_full_batch_two_layer_run_makes_one_gradient_call_per_epoch(
+        monkeypatch, eval_every):
+    calls = _count_gradient_calls(monkeypatch)
+    ds = labeled_gaussian(SNAPSHOT_CHUNK, seed=20)
+    net = init_net("two-layer", 3, 16, seed=21)
+    epochs = 7
+    train(net, ds, ds, optimizer="gd", lr=1e-3, epochs=epochs,
+          eval_every=eval_every)
+    assert len(calls) == epochs + 1
+
+
+# per run: the net, its train set and train() keywords; none of these
+# steps runs the computation of the snapshot before it
+NO_REUSE_RUNS = {
+    "wcgcn": lambda: (WcgcnNet.create(hidden=4, layers=2, seed=22),
+                      generate_instances(3, 8, seed=23), {}),
+    "power-mlp-gd": lambda: (init_net("power-mlp", (12, 3), 6, seed=24),
+                             generate_instances(3, 8, seed=25),
+                             {"optimizer": "gd"}),
+    "two-layer-chunked": lambda: (init_net("two-layer", 3, 16, seed=26),
+                                  labeled_gaussian(300, seed=27),
+                                  {"optimizer": "gd"}),
+    "two-layer-minibatch": lambda: (init_net("two-layer", 3, 16, seed=28),
+                                    labeled_gaussian(20, seed=29),
+                                    {"optimizer": "gd", "batch_size": 8}),
+}
+
+
+@pytest.mark.parametrize("run", list(NO_REUSE_RUNS))
+def test_runs_that_cannot_reuse_a_snapshot_call_gradients_per_step(
+        monkeypatch, run):
+    net, ds, kwargs = NO_REUSE_RUNS[run]()
+    calls = _count_gradient_calls(monkeypatch)
+    epochs = 4
+    trace = train(net, ds, ds, lr=1e-3, epochs=epochs, eval_every=2, **kwargs)
+    steps = epochs * -(-ds.m // kwargs.get("batch_size", ds.m))
+    assert calls.count(True) == steps
+    assert calls.count(False) == len(trace) == 3
 
 
 def test_gd_step_is_w_minus_lr_g():
