@@ -15,6 +15,11 @@ Subcommands, with the shared flags each one takes::
     exp ID    run an experiment pipeline (fig1 fig2 fig3      --config --seed
               ntk-regime thm3 thm4-thm5)                      --out --threads
 
+``--threads`` is the number of worker processes for independent cells;
+with more than one, each worker runs on one BLAS thread.  The analytic
+kernels that run outside the cells use the cores of the BLAS pool
+(``OPENBLAS_NUM_THREADS``) whatever ``--threads`` is.
+
 A flag that a subcommand does not take is a usage error.  Exit codes: 0
 success, 1 invalid arguments or config, 2 numeric failure (divergence,
 non-finite values).  Flags override the config file's ``[common]`` keys.
@@ -59,7 +64,8 @@ def _build_parser():
     def common(p, *names):
         flags = {"config": dict(help="sectioned key = value config file"),
                  "seed": dict(type=int), "out": dict(help="output directory"),
-                 "threads": dict(type=int)}
+                 "threads": dict(type=int, help="worker processes for "
+                                                "independent cells")}
         for name in names:
             p.add_argument(f"--{name}", **flags[name])
 

@@ -9,13 +9,13 @@ files are written by the parent, atomically (temp file + rename), and the
 manifest lists exactly the files the run wrote.
 """
 
+import concurrent.futures
 import ctypes
 import hashlib
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -95,8 +95,10 @@ def _keep_heap_mapped():
     top; larger one-off arrays still go back to the kernel.  Both
     thresholds must be set: setting either one turns off glibc's dynamic
     thresholds, and the other then stays fixed, usually at its 128 KiB
-    default.  Does nothing without glibc's ``mallopt``; changes no
-    arithmetic.
+    default.  Every thread allocates from the one main arena, so the block
+    threads of ``kernels.gnn_kernel_function`` reuse the heap that training
+    freed instead of faulting in arenas of their own.  Does nothing without
+    glibc's ``mallopt``; changes no arithmetic.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -107,6 +109,7 @@ def _keep_heap_mapped():
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
     mallopt(-1, 1 << 30)            # M_TRIM_THRESHOLD
+    mallopt(-8, 1)                  # M_ARENA_MAX
 
 
 def _run_cells(cell, jobs, threads):
@@ -116,9 +119,10 @@ def _run_cells(cell, jobs, threads):
     order."""
     if threads <= 1 or len(jobs) <= 1:
         return [_call(cell, j) for j in jobs]
-    with _single_thread_blas_env(), ProcessPoolExecutor(
+    # the package loads its process-pool module on this first use only
+    with _single_thread_blas_env(), concurrent.futures.ProcessPoolExecutor(
             max_workers=min(threads, len(jobs)),
-            mp_context=get_context("spawn"),
+            mp_context=multiprocessing.get_context("spawn"),
             initializer=_keep_heap_mapped) as ex:
         return list(ex.map(_call, [cell] * len(jobs), jobs))
 

@@ -15,13 +15,20 @@ node with a sum readout, giving the pairwise sum over node pairs.  Node-set
 arrays are evaluated in square sample blocks of about ``_BLOCK_ENTRIES``
 base-kernel entries each, so memory stays bounded whatever m is; only the
 upper block triangle is evaluated, and each mirror block is filled from its
-transposed base block.  In ``mc_ntk``, flat (m, d) samples select the
-flat kernel and (m, n, d) node sets the sum-readout one.
+transposed base block.  The blocks run on a thread pool as wide as the
+OpenBLAS pool, each thread on one BLAS thread, and the ReLU chain runs in
+place over L2-sized tiles of the Gram block; neither the pool size nor the
+tiles move a bit.  In ``mc_ntk``, flat (m, d) samples select the flat
+kernel and (m, n, d) node sets the sum-readout one.
 
 Kernels persist as one text format, ``save_kernel_csv``: 17 significant
 digits, so a saved kernel loads back bit for bit.
 """
 
+import concurrent.futures
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +52,10 @@ __all__ = [
 SYMMETRY_TOL = 1e-10
 # entries of one base-kernel block in gnn_kernel_function (8 MB of float64)
 _BLOCK_ENTRIES = 1_000_000
+# entries of one ReLU-chain tile (256 KB) and of one transposed mirror
+# sub-block (2 MB)
+_TILE_ENTRIES = 32_768
+_MIRROR_ENTRIES = 262_144
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,29 @@ def _check_samples(X):
     return X, norms
 
 
+def _relu_in_place(G, nx, nz):
+    """G * (pi - arccos(rho)) / (2 pi), rho = G / outer(nx, nz) clamped to
+    [-1, 1], written over the (rows, cols) Gram matrix G and returned.
+
+    Runs over row tiles of about ``_TILE_ENTRIES`` entries, so the one
+    temporary stays in L2.  Every entry goes through the same ufuncs in the
+    same order as in a whole-array pass, so the tile size moves no bit.
+    """
+    rows = max(1, _TILE_ENTRIES // max(G.shape[1], 1))
+    tile = np.empty((min(rows, G.shape[0]), G.shape[1]))
+    for lo in range(0, G.shape[0], rows):
+        g = G[lo:lo + rows]
+        t = tile[:len(g)]
+        np.multiply.outer(nx[lo:lo + rows], nz, out=t)
+        np.divide(g, t, out=t)
+        np.clip(t, -1.0, 1.0, out=t)
+        np.arccos(t, out=t)
+        np.subtract(np.pi, t, out=t)
+        np.multiply(g, t, out=g)
+        g /= 2.0 * np.pi
+    return G
+
+
 def mlp_kernel_function(X, Z=None, activation="relu"):
     """Base-kernel values between two sample sets (plain ndarray)."""
     X, nx = _check_samples(np.atleast_2d(X))
@@ -85,15 +119,7 @@ def mlp_kernel_function(X, Z=None, activation="relu"):
         Z, nz = _check_samples(np.atleast_2d(Z))
     G = X @ Z.T
     if activation == "relu":
-        # one buffer, in place, in the order G * (pi - arccos(rho)) / (2 pi)
-        K = np.multiply.outer(nx, nz)
-        np.divide(G, K, out=K)
-        np.clip(K, -1.0, 1.0, out=K)
-        np.arccos(K, out=K)
-        np.subtract(np.pi, K, out=K)
-        np.multiply(G, K, out=K)
-        K /= 2.0 * np.pi
-        return K
+        return _relu_in_place(G, nx, nz)
     if activation == "quadratic":
         return 4.0 * G ** 2
     raise ValueError(f"unknown activation {activation!r}")
@@ -115,19 +141,87 @@ def _pair_sums(base):
     return out
 
 
+def _mirror_pair_sums(base):
+    """_pair_sums of the (s2, nb, s, na) transpose of an (s, na, s2, nb)
+    block, with the transposed copy made a few second samples (about
+    ``_MIRROR_ENTRIES`` entries) at a time rather than whole."""
+    s, na, s2, nb = base.shape
+    step = max(1, _MIRROR_ENTRIES // max(s * na * nb, 1))
+    return np.concatenate([
+        _pair_sums(np.ascontiguousarray(base[:, :, lo:lo + step].transpose(2, 3, 0, 1)))
+        for lo in range(0, s2, step)])
+
+
+@functools.cache
+def _openblas_threads():
+    """(get_num_threads, set_num_threads, set_num_threads_local) of numpy's
+    bundled OpenBLAS as ctypes functions, or None where there is no such
+    library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    try:
+        name = min(f for f in os.listdir(libs) if "openblas" in f)
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get = lib.scipy_openblas_get_num_threads64_
+        set_all = lib.scipy_openblas_set_num_threads64_
+        set_local = lib.openblas_set_num_threads_local
+    except (OSError, ValueError, AttributeError):
+        # no numpy.libs directory, no OpenBLAS in it, or other symbol names
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_all.argtypes, set_all.restype = (ctypes.c_int,), None
+    set_local.argtypes, set_local.restype = (ctypes.c_int,), ctypes.c_int
+    return get, set_all, set_local
+
+
+def _block_threads():
+    """Size of gnn_kernel_function's block pool: the cores this process may
+    run on, capped at OpenBLAS's own thread count (1 in a worker process
+    started with one BLAS thread); 1, a serial run, without the OpenBLAS
+    hooks that hold each block thread to one BLAS thread."""
+    hooks = _openblas_threads()
+    if hooks is None:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), hooks[0]()))
+
+
+def _run_blocks(block, spans):
+    """block(span) for every span, on a pool of ``_block_threads()``
+    threads that each run one OpenBLAS thread, or in order without one.
+    Two threads whose BLAS calls each woke the BLAS pool were slower than
+    one thread."""
+    threads = min(_block_threads(), len(spans))
+    if threads <= 1:
+        for span in spans:
+            block(span)
+        return
+    get, set_all, set_local = _openblas_threads()
+    blas = get()
+    try:
+        with concurrent.futures.ThreadPoolExecutor(
+                threads, initializer=set_local, initargs=(1,)) as pool:
+            list(pool.map(block, spans))
+    finally:
+        # a BLAS call at a thread's own count sets the process's count too
+        set_all(blas)
+
+
 def gnn_kernel_function(nodes, activation="relu"):
     """Pairwise-sum kernel of node-feature sets: an (m, n, d) array gives
     H (m, m), H[a, b] = sum over node pairs of the base kernel.  Input that
     is not a 3-D array raises ValueError.
 
     The samples are evaluated in square blocks whose base kernel holds
-    about ``_BLOCK_ENTRIES`` entries (8 MB), so the temporaries stay a few
-    such blocks whatever m is.  Only the blocks on and above the diagonal
-    are evaluated; each mirror block is filled from the transposed base
-    block, summed in the order the mirror's own evaluation would use.
-    Every entry is summed in the same order whatever the block size; only
-    the BLAS product that forms the base Gram may round differently at
-    different block shapes.
+    about ``_BLOCK_ENTRIES`` entries (8 MB).  Only the blocks on and above
+    the diagonal are evaluated; each mirror block is filled from the
+    transposed base block, summed in the order the mirror's own evaluation
+    would use.  The blocks run on a pool of ``_block_threads()`` threads,
+    each held to one OpenBLAS thread; each block writes only its own
+    entries of H, so the schedule and the pool size move no bit.  A block
+    holds its base kernel and a few small tiles, so the temporaries stay
+    about one 8 MB block per thread whatever m is.  Every entry is summed
+    in the same order whatever the block size; only the BLAS product that
+    forms the base Gram may round differently at different block shapes.
     """
     nodes = np.asarray(nodes)
     if nodes.ndim != 3:
@@ -135,18 +229,20 @@ def gnn_kernel_function(nodes, activation="relu"):
     m, n, d = nodes.shape
     step = max(1, int(np.sqrt(_BLOCK_ENTRIES / max(n * n, 1))))
     out = np.empty((m, m))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        for lo2 in range(lo, m, step):
-            hi2 = min(lo2 + step, m)
-            base = mlp_kernel_function(
-                nodes[lo:hi].reshape((hi - lo) * n, d),
-                nodes[lo2:hi2].reshape((hi2 - lo2) * n, d), activation,
-            ).reshape(hi - lo, n, hi2 - lo2, n)
-            out[lo:hi, lo2:hi2] = _pair_sums(base)
-            if lo2 > lo:
-                out[lo2:hi2, lo:hi] = _pair_sums(
-                    np.ascontiguousarray(base.transpose(2, 3, 0, 1)))
+
+    def block(span):
+        lo, hi, lo2, hi2 = span
+        base = mlp_kernel_function(
+            nodes[lo:hi].reshape((hi - lo) * n, d),
+            nodes[lo2:hi2].reshape((hi2 - lo2) * n, d), activation,
+        ).reshape(hi - lo, n, hi2 - lo2, n)
+        out[lo:hi, lo2:hi2] = _pair_sums(base)
+        if lo2 > lo:
+            out[lo2:hi2, lo:hi] = _mirror_pair_sums(base)
+
+    _run_blocks(block, [(lo, min(lo + step, m), lo2, min(lo2 + step, m))
+                        for lo in range(0, m, step)
+                        for lo2 in range(lo, m, step)])
     return out
 
 

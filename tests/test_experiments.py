@@ -342,6 +342,34 @@ def test_spawned_workers_keep_training_steps_fault_free():
     assert all(f < 100 for f in faults), faults
 
 
+_THREAD_REUSE = """
+import resource, threading
+import numpy as np
+held = [np.ones(1 << 20) for _ in range(8)]     # 64 MB in 8 MB blocks
+del held
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def work():
+    work.kept = [np.ones(1 << 20) for _ in range(6)]
+worker = threading.Thread(target=work)
+worker.start()
+worker.join(60)
+assert not worker.is_alive() and len(work.kept) == 6
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@needs_mallopt
+def test_worker_threads_reuse_the_heap_the_main_thread_freed():
+    # one malloc arena: a thread's 48 MB land in the 64 MB the main thread
+    # freed; with an arena of its own the thread faults in all 48 MB anew
+    code = (f"import sys; sys.path[:0] = {_PATHS!r}\n"
+            "from ntklab.experiments import _keep_heap_mapped\n"
+            f"_keep_heap_mapped()\n{_THREAD_REUSE}")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(done.stdout.split()[-1]) < 8 * 1024     # ru_maxrss is in KiB
+
+
 @needs_mallopt
 def test_policy_is_a_no_op_without_mallopt():
     # a C library without mallopt, and a platform without a process-wide

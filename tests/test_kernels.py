@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -145,16 +146,110 @@ def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
                                    rtol=1e-12)
 
 
-def test_gnn_kernel_peak_memory_is_bounded():
-    # tracemalloc sees numpy's buffers; one unblocked slab here took ~490 MB
+needs_openblas_hooks = pytest.mark.skipif(
+    kernels._openblas_threads() is None,
+    reason="no bundled OpenBLAS to hold a block thread to one BLAS thread")
+
+
+def _pool_cases():
+    """(nodes, block entries) pairs: the memory test's float features, the
+    slab test's small-integer features at its block sizes, and the bounds
+    pipeline's shapes (m = 200 sets of 20 nodes in R^4)."""
+    rng = np.random.default_rng(7)
+    cases = [(np.random.default_rng(0).standard_normal((200, 20, 2)), None),
+             (gaussian_node_dataset(20, 200, 4, seed=0).node_features, None)]
+    for m, n in ((40, 10), (25, 9)):
+        nodes = rng.integers(1, 4, (m, n, 3)) * rng.choice([-1.0, 1.0], (m, n, 3))
+        cases += [(nodes, n * n * b ** 2) for b in (3, 7)]
+    return cases
+
+
+@needs_openblas_hooks
+@pytest.mark.parametrize("activation", ["relu", "quadratic"])
+def test_gnn_kernel_bits_do_not_depend_on_the_pool_size(monkeypatch, activation):
+    for nodes, block_entries in _pool_cases():
+        if block_entries is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
+        results = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(kernels, "_block_threads", lambda: threads)
+            results.append(gnn_kernel_function(nodes, activation))
+        assert all(np.array_equal(r, results[0]) for r in results[1:])
+
+
+@needs_openblas_hooks
+def test_gnn_kernel_pool_keeps_the_blas_thread_count_and_raises(monkeypatch):
+    # a block thread's one-thread BLAS call resets OpenBLAS's process-wide
+    # count; the pool restores it, also when a block raises
+    get_num_threads, set_num_threads, _ = kernels._openblas_threads()
+    before = get_num_threads()
+    monkeypatch.setattr(kernels, "_block_threads", lambda: 2)
     nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
-    tracemalloc.start()
+    set_num_threads(2)
     try:
         gnn_kernel_function(nodes)
-        _, peak = tracemalloc.get_traced_memory()
+        assert get_num_threads() == 2
+        nodes[150, 3] = 0.0
+        with pytest.raises(DegenerateInputError):
+            gnn_kernel_function(nodes)
+        assert get_num_threads() == 2
     finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+        set_num_threads(before)
+
+
+def test_gnn_kernel_without_the_openblas_hooks_starts_no_thread(monkeypatch):
+    nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
+    pooled = gnn_kernel_function(nodes)
+
+    def start(thread):
+        raise AssertionError(f"{thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(kernels, "_openblas_threads", lambda: None)
+    assert np.array_equal(gnn_kernel_function(nodes), pooled)
+
+
+def _relu_out_of_place(X, Z):
+    """The ReLU chain as one whole-array pass into a second buffer."""
+    nx, nz = np.linalg.norm(X, axis=-1), np.linalg.norm(Z, axis=-1)
+    G = X @ Z.T
+    K = np.multiply.outer(nx, nz)
+    np.divide(G, K, out=K)
+    np.clip(K, -1.0, 1.0, out=K)
+    np.arccos(K, out=K)
+    np.subtract(np.pi, K, out=K)
+    np.multiply(G, K, out=K)
+    K /= 2.0 * np.pi
+    return K
+
+
+@pytest.mark.parametrize("cols, rows", [(1, 40_000), (7, 10_000), (1001, 100)])
+def test_relu_tiles_match_the_whole_array_chain(cols, rows):
+    # row counts that leave a partial last tile of 32,768 entries; parallel,
+    # antiparallel and scaled copies of Z's rows push rho to the clamp
+    rng = np.random.default_rng(cols)
+    Z = rng.standard_normal((cols, 3))
+    X = rng.standard_normal((rows, 3))
+    k = min(cols, rows // 3)
+    X[:k], X[k:2 * k], X[2 * k:3 * k] = Z[:k], -Z[:k], 2.5 * Z[:k]
+    assert np.array_equal(mlp_kernel_function(X, Z), _relu_out_of_place(X, Z))
+
+
+def test_gnn_kernel_peak_memory_is_bounded(monkeypatch):
+    # tracemalloc sees numpy's buffers from every thread; one unblocked slab
+    # here took ~490 MB, and a block's base kernel is 8 MB (7.6 MiB)
+    nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
+    for threads in (1, 2):
+        if threads > 1 and kernels._openblas_threads() is None:
+            continue
+        monkeypatch.setattr(kernels, "_block_threads", lambda: threads)
+        tracemalloc.start()
+        try:
+            gnn_kernel_function(nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < threads * 12 * 2 ** 20, (threads, peak)
 
 
 @pytest.mark.parametrize("block_entries", [None, 25 * 7 * 7])
