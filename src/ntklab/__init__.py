@@ -12,6 +12,8 @@ Submodules:
 * nets      — finite-width trainable networks with exact gradients
 * training  — seeded training loops, traces, evaluation, checkpoints
 * artifacts — the atomic file writer and CSV text every output goes through
+* pool      — the thread pool, each thread on one OpenBLAS thread, that the
+  net passes and the GNN kernel share
 * experiments, config, cli — reproducible artifact generation
 """
 

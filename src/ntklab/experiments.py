@@ -95,10 +95,11 @@ def _keep_heap_mapped():
     top; larger one-off arrays still go back to the kernel.  Both
     thresholds must be set: setting either one turns off glibc's dynamic
     thresholds, and the other then stays fixed, usually at its 128 KiB
-    default.  Every thread allocates from the one main arena, so the block
-    threads of ``kernels.gnn_kernel_function`` reuse the heap that training
-    freed instead of faulting in arenas of their own.  Does nothing without
-    glibc's ``mallopt``; changes no arithmetic.
+    default.  Every thread allocates from the one main arena, so the
+    threads of :mod:`ntklab.pool` (the GNN kernel's blocks, the net passes'
+    tiles) reuse the heap that training freed instead of faulting in arenas
+    of their own.  Does nothing without glibc's ``mallopt``; changes no
+    arithmetic.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

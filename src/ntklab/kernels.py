@@ -25,16 +25,13 @@ Kernels persist as one text format, ``save_kernel_csv``: 17 significant
 digits, so a saved kernel loads back bit for bit.
 """
 
-import concurrent.futures
-import ctypes
-import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import atomic_write, csv_text
 from .errors import DegenerateInputError
+from .pool import _run_blocks, one_blas_thread
 from .rng import DOMAIN_MC, stream
 
 __all__ = [
@@ -121,7 +118,10 @@ def mlp_kernel_function(X, Z=None, activation="relu"):
     if activation == "relu":
         return _relu_in_place(G, nx, nz)
     if activation == "quadratic":
-        return 4.0 * G ** 2
+        # 4 * G ** 2 in G's own buffer, with the same two roundings
+        np.square(G, out=G)
+        G *= 4.0
+        return G
     raise ValueError(f"unknown activation {activation!r}")
 
 
@@ -152,60 +152,6 @@ def _mirror_pair_sums(base):
         for lo in range(0, s2, step)])
 
 
-@functools.cache
-def _openblas_threads():
-    """(get_num_threads, set_num_threads, set_num_threads_local) of numpy's
-    bundled OpenBLAS as ctypes functions, or None where there is no such
-    library."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs")
-    try:
-        name = min(f for f in os.listdir(libs) if "openblas" in f)
-        lib = ctypes.CDLL(os.path.join(libs, name))
-        get = lib.scipy_openblas_get_num_threads64_
-        set_all = lib.scipy_openblas_set_num_threads64_
-        set_local = lib.openblas_set_num_threads_local
-    except (OSError, ValueError, AttributeError):
-        # no numpy.libs directory, no OpenBLAS in it, or other symbol names
-        return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_all.argtypes, set_all.restype = (ctypes.c_int,), None
-    set_local.argtypes, set_local.restype = (ctypes.c_int,), ctypes.c_int
-    return get, set_all, set_local
-
-
-def _block_threads():
-    """Size of gnn_kernel_function's block pool: the cores this process may
-    run on, capped at OpenBLAS's own thread count (1 in a worker process
-    started with one BLAS thread); 1, a serial run, without the OpenBLAS
-    hooks that hold each block thread to one BLAS thread."""
-    hooks = _openblas_threads()
-    if hooks is None:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), hooks[0]()))
-
-
-def _run_blocks(block, spans):
-    """block(span) for every span, on a pool of ``_block_threads()``
-    threads that each run one OpenBLAS thread, or in order without one.
-    Two threads whose BLAS calls each woke the BLAS pool were slower than
-    one thread."""
-    threads = min(_block_threads(), len(spans))
-    if threads <= 1:
-        for span in spans:
-            block(span)
-        return
-    get, set_all, set_local = _openblas_threads()
-    blas = get()
-    try:
-        with concurrent.futures.ThreadPoolExecutor(
-                threads, initializer=set_local, initargs=(1,)) as pool:
-            list(pool.map(block, spans))
-    finally:
-        # a BLAS call at a thread's own count sets the process's count too
-        set_all(blas)
-
-
 def gnn_kernel_function(nodes, activation="relu"):
     """Pairwise-sum kernel of node-feature sets: an (m, n, d) array gives
     H (m, m), H[a, b] = sum over node pairs of the base kernel.  Input that
@@ -215,8 +161,8 @@ def gnn_kernel_function(nodes, activation="relu"):
     about ``_BLOCK_ENTRIES`` entries (8 MB).  Only the blocks on and above
     the diagonal are evaluated; each mirror block is filled from the
     transposed base block, summed in the order the mirror's own evaluation
-    would use.  The blocks run on a pool of ``_block_threads()`` threads,
-    each held to one OpenBLAS thread; each block writes only its own
+    would use.  The blocks run on the pool of :mod:`ntklab.pool`, each
+    thread held to one OpenBLAS thread; each block writes only its own
     entries of H, so the schedule and the pool size move no bit.  A block
     holds its base kernel and a few small tiles, so the temporaries stay
     about one 8 MB block per thread whatever m is.  Every entry is summed
@@ -240,9 +186,10 @@ def gnn_kernel_function(nodes, activation="relu"):
         if lo2 > lo:
             out[lo2:hi2, lo:hi] = _mirror_pair_sums(base)
 
-    _run_blocks(block, [(lo, min(lo + step, m), lo2, min(lo2 + step, m))
-                        for lo in range(0, m, step)
-                        for lo2 in range(lo, m, step)])
+    with one_blas_thread() as threads:
+        _run_blocks(block, [(lo, min(lo + step, m), lo2, min(lo2 + step, m))
+                            for lo in range(0, m, step)
+                            for lo2 in range(lo, m, step)], threads)
     return out
 
 

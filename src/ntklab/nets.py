@@ -20,12 +20,26 @@ BatchNorm, following the reference message-passing implementations for this
 problem; without the normalization the sigmoid head saturates at the
 full-power fixed point and training stalls.  All gradients are hand-written
 reverse mode and checked against central finite differences in the tests.
+
+A WcgcnNet or PowerMlp pass holds OpenBLAS at one thread for its length
+(:func:`ntklab.pool.one_blas_thread`), whatever ``--threads`` is.  The
+WCGCN's edge rows, m K (K - 1) of them, run in tiles of whole samples of
+about ``_TILE_ENTRIES`` entries on the pool of :mod:`ntklab.pool`, when a
+pass has at least two tiles; each tile writes only its own rows of
+preallocated arrays.  Every reduction across rows stays one whole-array
+call in the form it has without tiles: the BatchNorm means, the einsum
+variances and sums, the bias sums and the weight-gradient gemms; pairs of
+independent ones run side by side, each whole on one pool thread.  A
+gemm's rows come out the same whether it runs whole or in tiles of two or
+more rows, so a pass has the bits of the whole-array pass at one BLAS
+thread, at any pool width.
 """
 
 import numpy as np
 
 from .errors import NumericFailureError
 from .netsim import _sinr_terms, neighbor_indices, sum_rate_batch
+from .pool import _run_blocks, one_blas_thread
 from .rng import DOMAIN_INIT, stream
 
 __all__ = [
@@ -41,7 +55,12 @@ __all__ = [
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-BN_ROWS = 2048     # row block of the train-mode BatchNorm backward
+# row block of the train-mode BatchNorm backward's xhat * s temporary, one
+# per pool thread
+BN_ROWS = 512
+# entries of one edge tile of a WCGCN pass: whole samples, 16 of them at
+# K = 20 and hidden 32 (1.5 MB of float64)
+_TILE_ENTRIES = 196_608
 
 
 def _he(rng, fan_in, shape):
@@ -57,43 +76,88 @@ def _sigmoid(z):
     return out
 
 
-def _linear_relu(x, params, prefix, tag):
-    """The Linear -> ReLU half of a block on ``{prefix}W{tag}`` and ``b``.
-    Returns (A, mask): backward needs the pre-activation Z = x @ W + b only
-    as ``mask = Z > 0``, a bool array an eighth of Z's size, so Z's own
-    buffer becomes the ReLU output A in place."""
-    Z = x @ params[prefix + "W" + tag]
+class _Tiles:
+    """Row spans (lo, hi) of an array and the pool width that runs them.
+
+    ``each(step)`` calls step(lo, hi) once per span; ``whole(*calls)`` runs
+    independent whole-array calls, one to a pool thread, and returns their
+    results in order.  One span, or a width of 1, runs serially, in order,
+    on this thread."""
+
+    def __init__(self, spans, threads=1):
+        self.spans = spans
+        self.threads = threads if len(spans) > 1 else 1
+
+    @classmethod
+    def of_samples(cls, m, rows, cols, threads):
+        """Tiles of whole samples, ``rows`` rows of ``cols`` entries each,
+        with about ``_TILE_ENTRIES`` entries (at least one sample) a tile."""
+        step = max(1, _TILE_ENTRIES // max(rows * cols, 1)) * rows
+        return cls([(lo, min(lo + step, m * rows))
+                    for lo in range(0, m * rows, step)], threads)
+
+    def each(self, step):
+        _run_blocks(lambda span: step(*span), self.spans, self.threads)
+
+    def whole(self, *calls):
+        return _run_blocks(lambda call: call(), calls, self.threads)
+
+
+def _linear_relu(x, params, prefix, tag, out=None, mask=None):
+    """The Linear -> ReLU half of a block on ``{prefix}W{tag}`` and ``b``,
+    into ``out`` and ``mask`` when given.  Returns (A, mask): backward needs
+    the pre-activation Z = x @ W + b only as ``mask = Z > 0``, a bool array
+    an eighth of Z's size, so Z's own buffer becomes the ReLU output A in
+    place."""
+    Z = np.matmul(x, params[prefix + "W" + tag], out=out)
     Z += params[prefix + "b" + tag]
-    mask = Z > 0
+    mask = np.greater(Z, 0.0, out=mask)
     np.maximum(Z, 0.0, out=Z)
     return Z, mask
 
 
-def _bn_forward(A, gamma, beta, state, prefix, tag, train):
-    """The BatchNorm half of a block, over axis 0.  Returns
-    (out, (xhat, inv)); updates running stats in train mode.  Stats live in
-    ``state`` under ``{prefix}mu{tag}`` / ``{prefix}va{tag}``.
+def _bn_stats(A, state, prefix, tag, train, tiles):
+    """(mu, inv = 1 / sqrt(var + eps)) of a BatchNorm over A's rows.  Stats
+    live in ``state`` under ``{prefix}mu{tag}`` / ``{prefix}va{tag}``.
 
-    ``A`` is overwritten: it becomes the normalized ``xhat`` kept in the
-    cache, so callers must pass a fresh buffer (the ReLU output) that they
-    do not read again.  ``out`` = xhat * gamma + beta is the one new buffer;
-    a backward pass that did not keep it recomputes it from xhat with the
-    same two ufuncs, in the same order, and so gets the same bits."""
+    In train mode the batch mean is one whole-array call, it is subtracted
+    from A tile by tile, the variance of the centred A is one whole-array
+    call, and the running stats update.  In eval mode A is not touched:
+    the caller subtracts the running mean."""
     mk, vk = prefix + "mu" + tag, prefix + "va" + tag
     if train:
         mu = A.mean(axis=0)
-        xhat = np.subtract(A, mu, out=A)
-        va = np.einsum("ij,ij->j", xhat, xhat) / A.shape[0]
+        tiles.each(lambda lo, hi: np.subtract(A[lo:hi], mu, out=A[lo:hi]))
+        va = np.einsum("ij,ij->j", A, A) / A.shape[0]
         state[mk] = (1 - BN_MOMENTUM) * state[mk] + BN_MOMENTUM * mu
         state[vk] = (1 - BN_MOMENTUM) * state[vk] + BN_MOMENTUM * va
     else:
-        xhat = np.subtract(A, state[mk], out=A)
-        va = state[vk]
-    inv = 1.0 / np.sqrt(va + BN_EPS)
+        mu, va = state[mk], state[vk]
+    return mu, 1.0 / np.sqrt(va + BN_EPS)
+
+
+def _bn_scale(xhat, inv, gamma, beta):
+    """Scales the centred rows ``xhat`` by ``inv`` in place and returns the
+    block output xhat * gamma + beta, a new array.  A backward pass that
+    did not keep the output recomputes it with the same two ufuncs, in the
+    same order, and so gets the same bits."""
     xhat *= inv
     out = xhat * gamma
     out += beta
-    return out, (xhat, inv)
+    return out
+
+
+def _bn_forward(A, gamma, beta, state, prefix, tag, train):
+    """The BatchNorm half of a block, over axis 0, as one whole-array
+    pass.  Returns (out, (xhat, inv)); updates running stats in train mode.
+
+    ``A`` is overwritten: it becomes the normalized ``xhat`` kept in the
+    cache, so callers must pass a fresh buffer (the ReLU output) that they
+    do not read again.  ``out`` is the one new buffer."""
+    mu, inv = _bn_stats(A, state, prefix, tag, train, _Tiles([(0, len(A))]))
+    if not train:
+        np.subtract(A, mu, out=A)
+    return _bn_scale(A, inv, gamma, beta), (A, inv)
 
 
 def _block(x, params, state, prefix, tag, train):
@@ -105,29 +169,48 @@ def _block(x, params, state, prefix, tag, train):
     return out, mask, cache
 
 
-def _bn_backward(dout, gamma, cache, train):
+def _bn_backward(dout, gamma, cache, train, mask=None, tiles=None):
     """Gradients (dA, dgamma, dbeta) of sum(dout * out) through
-    :func:`_bn_forward`.  In train mode the batch statistics depend on
-    ``A``, which gives dA = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-    * inv with dxhat = dout * gamma.
+    :func:`_bn_forward`, or (dZ = dA * mask, ...) through the ReLU mask of
+    :func:`_linear_relu` too, over the whole of ``dout`` or over the spans
+    of ``tiles``.  In train mode the batch statistics depend on ``A``,
+    which gives dA = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv
+    with dxhat = dout * gamma.
 
-    dA is returned in ``dout``'s buffer, so callers must pass a fresh buffer
+    dZ is returned in ``dout``'s buffer, so callers must pass a fresh buffer
     that they do not read again.  The operations run in the order of the
     formula above: training trajectories amplify last-bit differences, so a
-    reordered form would move the experiment CSVs.  The elementwise
-    xhat * mean(dxhat * xhat) term is formed and subtracted BN_ROWS rows at
-    a time, so no temporary of ``xhat``'s full size exists."""
+    reordered form would move the experiment CSVs.  The reductions are
+    whole-array calls, (dgamma, dbeta) and then (s, mean(dxhat)) side by
+    side on the tiles' pool; the elementwise steps run tile by tile, and
+    xhat * s is formed and subtracted BN_ROWS rows at a time, so no
+    temporary of ``xhat``'s full size exists."""
     xhat, inv = cache
-    dgamma = np.einsum("ij,ij->j", dout, xhat)
-    dbeta = dout.sum(axis=0)
-    dxhat = np.multiply(dout, gamma, out=dout)
+    if tiles is None:
+        tiles = _Tiles([(0, len(dout))])
+    dgamma, dbeta = tiles.whole(lambda: np.einsum("ij,ij->j", dout, xhat),
+                                lambda: dout.sum(axis=0))
     if train:
-        s = np.einsum("ij,ij->j", dxhat, xhat) / dout.shape[0]
-        dxhat -= dxhat.mean(axis=0)
-        for lo in range(0, len(dxhat), BN_ROWS):
-            dxhat[lo:lo + BN_ROWS] -= xhat[lo:lo + BN_ROWS] * s
-    dxhat *= inv
-    return dxhat, dgamma, dbeta
+        tiles.each(lambda lo, hi: np.multiply(dout[lo:hi], gamma, out=dout[lo:hi]))
+        s, mean = tiles.whole(
+            lambda: np.einsum("ij,ij->j", dout, xhat) / dout.shape[0],
+            lambda: dout.mean(axis=0))
+
+    def step(lo, hi):
+        dxhat = dout[lo:hi]
+        if train:
+            dxhat -= mean
+            for a in range(lo, hi, BN_ROWS):
+                b = min(a + BN_ROWS, hi)
+                dout[a:b] -= xhat[a:b] * s
+        else:
+            dxhat *= gamma
+        dxhat *= inv
+        if mask is not None:
+            np.multiply(dxhat, mask[lo:hi], out=dxhat)
+
+    tiles.each(step)
+    return dout, dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +311,21 @@ class WcgcnNet:
     and BatchNorm cache c = (xhat, inv), the node block's output B3 that
     the head's weight gradient reads, the MAX argmax and the powers p.
     Its edge-sized float arrays, (m K (K - 1), hidden) each, are the two
-    xhat: block 1a's output B1 = xhat1 * gamma + beta dies once block 1b's
-    gemm has read it, and ``backward_batch`` recomputes it.  Backward
-    consumes the cache list and frees each edge-sized array once dead."""
+    xhat: block 1a's output B1 = xhat1 * gamma + beta and block 1b's B2
+    exist one tile at a time, and ``backward_batch`` recomputes B1 whole
+    for its weight gradient.  Backward consumes the cache list and frees
+    each edge-sized array once dead.
+
+    The edge blocks and the MAX run in tiles of whole samples (see the
+    module docstring), so the MAX stays inside a tile.  A train-mode
+    forward runs, per edge block, a tile step (gemm, bias, mask, ReLU),
+    the whole-array mean, a tile step (subtract), the whole-array variance
+    and a tile step (scale, the block output, and the next block's gemm or
+    the MAX); an eval-mode forward runs the whole edge chain per tile.
+    Backward routes the MAX gradient, runs the BatchNorm backward's
+    elementwise steps and the mask, recomputes B1 and forms
+    dZ1 = dZ2 @ W1b.T tile by tile, with the reductions whole between
+    them.  The node blocks, m K rows, run whole."""
 
     kind = "wcgcn"
 
@@ -278,34 +373,79 @@ class WcgcnNet:
             E = K * (K - 1)
             h_ik = mags[:, nbr, np.arange(K)[:, None]]
             h_ki = mags[:, np.arange(K)[:, None], nbr]
-        for j in range(self.layers):
-            pf = f"l{j}."
-            if K > 1:
-                X = np.stack([p[:, nbr], h_ik, h_ki], axis=-1).reshape(m * E, 3)
-                B1, M1, c1 = _block(X, self.params, self.state, pf, "1a", train)
-                A2, M2 = _linear_relu(B1, self.params, pf, "1b")
-                del B1   # not cached: backward recomputes it from c1
-                B2, c2 = _bn_forward(A2, self.params[pf + "g1b"],
-                                     self.params[pf + "be1b"], self.state, pf,
-                                     "1b", train)
-                B2 = B2.reshape(m, K, K - 1, h)
-                y = B2.max(axis=2)
-                # the first neighbor attaining the max, as B2.argmax(axis=2)
-                # gives, but from a bool array: argmax off the last axis
-                # makes a transposed copy of its operand
-                arg = (B2 == y[:, :, None, :]).argmax(axis=2)
-                del B2
-            else:
-                # empty neighborhood: aggregated message is the zero vector
-                X = M1 = c1 = M2 = c2 = arg = None
-                y = np.zeros((m, 1, h))
-            U = np.concatenate([y, weights[..., None], diag[..., None]],
-                               axis=-1).reshape(m * K, h + 2)
-            B3, M3, c3 = _block(U, self.params, self.state, pf, "2a", train)
-            Z4 = B3 @ self.params[pf + "W2b"] + self.params[pf + "b2b"]
-            p = _sigmoid(Z4.reshape(m, K))
-            caches.append((X, M1, c1, M2, c2, arg, U, M3, c3, B3, p))
+        with one_blas_thread() as threads:
+            for j in range(self.layers):
+                pf = f"l{j}."
+                if K > 1:
+                    X = np.stack([p[:, nbr], h_ik, h_ki], axis=-1).reshape(m * E, 3)
+                    y, arg, M1, c1, M2, c2 = self._edge_forward(
+                        X, m, K, pf, train, _Tiles.of_samples(m, E, h, threads))
+                else:
+                    # empty neighborhood: aggregated message is the zero vector
+                    X = M1 = c1 = M2 = c2 = arg = None
+                    y = np.zeros((m, 1, h))
+                U = np.concatenate([y, weights[..., None], diag[..., None]],
+                                   axis=-1).reshape(m * K, h + 2)
+                B3, M3, c3 = _block(U, self.params, self.state, pf, "2a", train)
+                Z4 = B3 @ self.params[pf + "W2b"] + self.params[pf + "b2b"]
+                p = _sigmoid(Z4.reshape(m, K))
+                caches.append((X, M1, c1, M2, c2, arg, U, M3, c3, B3, p))
         return p, caches
+
+    def _edge_forward(self, X, m, K, pf, train, tiles):
+        """Blocks 1a and 1b over the edge rows X, then the MAX over each
+        node's neighbors.  Returns (y, arg, M1, (xhat1, inv1), M2,
+        (xhat2, inv2)).
+
+        The tiles hold whole samples, so the MAX stays inside a tile, and
+        each tile writes only its own rows of the preallocated outputs.  In
+        train mode the BatchNorm reductions between the tile steps are
+        whole-array calls (:func:`_bn_stats`); in eval mode there is none,
+        and each tile runs the whole chain.  Block 1a's output B1 and block
+        1b's B2 exist one tile at a time."""
+        P, h = self.params, self.hidden
+        N, E = len(X), K * (K - 1)
+        A1, A2 = np.empty((N, h)), np.empty((N, h))
+        M1, M2 = np.empty((N, h), bool), np.empty((N, h), bool)
+        y = np.empty((m, K, h))
+        arg = np.empty((m, K, h), np.intp)
+
+        def block_1a(lo, hi):
+            _linear_relu(X[lo:hi], P, pf, "1a", A1[lo:hi], M1[lo:hi])
+
+        def block_1b(lo, hi):
+            B1 = _bn_scale(A1[lo:hi], inv1, P[pf + "g1a"], P[pf + "be1a"])
+            _linear_relu(B1, P, pf, "1b", A2[lo:hi], M2[lo:hi])
+
+        def aggregate(lo, hi):
+            B2 = _bn_scale(A2[lo:hi], inv2, P[pf + "g1b"], P[pf + "be1b"])
+            B2 = B2.reshape(-1, K, K - 1, h)
+            at = slice(lo // E, hi // E)
+            np.max(B2, axis=2, out=y[at])
+            # the first neighbor attaining the max, as B2.argmax(axis=2)
+            # gives, but from a bool array: argmax off the last axis makes a
+            # transposed copy of its operand
+            np.argmax(B2 == y[at][:, :, None, :], axis=2, out=arg[at])
+
+        if train:
+            tiles.each(block_1a)
+            _, inv1 = _bn_stats(A1, self.state, pf, "1a", True, tiles)
+            tiles.each(block_1b)
+            _, inv2 = _bn_stats(A2, self.state, pf, "1b", True, tiles)
+            tiles.each(aggregate)
+        else:
+            mu1, inv1 = _bn_stats(A1, self.state, pf, "1a", False, tiles)
+            mu2, inv2 = _bn_stats(A2, self.state, pf, "1b", False, tiles)
+
+            def chain(lo, hi):
+                block_1a(lo, hi)
+                A1[lo:hi] -= mu1
+                block_1b(lo, hi)
+                A2[lo:hi] -= mu2
+                aggregate(lo, hi)
+
+            tiles.each(chain)
+        return y, arg, M1, (A1, inv1), M2, (A2, inv2)
 
     def backward_batch(self, mags, caches, dP, train=False):
         """Gradients of sum(dP * P) w.r.t. every parameter.  ``caches`` is
@@ -316,56 +456,76 @@ class WcgcnNet:
         h = self.hidden
         nbr, scatter = self._nbr(K)
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        for j in range(self.layers - 1, -1, -1):
-            pf = f"l{j}."
-            P = self.params
-            X, M1, c1, M2, c2, arg, U, M3, c3, B3, pnew = caches.pop()
-            dZ4 = (dP * pnew * (1.0 - pnew)).reshape(m * K, 1)
-            grads[pf + "W2b"] += B3.T @ dZ4
-            grads[pf + "b2b"] += dZ4.sum(axis=0)
-            dZ3, dg, dbe = _bn_backward(dZ4 @ P[pf + "W2b"].T, P[pf + "g2a"], c3, train)
-            grads[pf + "g2a"] += dg
-            grads[pf + "be2a"] += dbe
-            np.multiply(dZ3, M3, out=dZ3)
-            grads[pf + "W2a"] += U.T @ dZ3
-            grads[pf + "b2a"] += dZ3.sum(axis=0)
-            if K == 1:
-                dP = np.zeros((m, K))
-                continue
-            E = K * (K - 1)
-            dy = (dZ3 @ P[pf + "W2a"].T)[:, :h].reshape(m, K, h)
-            # MAX routes gradient to the first-attained argmax neighbor
-            dZ2 = np.zeros((m, K, K - 1, h))
-            np.put_along_axis(dZ2, arg[:, :, None, :], dy[:, :, None, :], axis=2)
-            dZ2, dg, dbe = _bn_backward(dZ2.reshape(m * E, h), P[pf + "g1b"], c2, train)
-            del c2
-            grads[pf + "g1b"] += dg
-            grads[pf + "be1b"] += dbe
-            np.multiply(dZ2, M2, out=dZ2)
-            # B1 as _bn_forward made it: same ufuncs, same order, same bits
-            B1 = c1[0] * P[pf + "g1a"]
-            B1 += P[pf + "be1a"]
-            grads[pf + "W1b"] += B1.T @ dZ2
-            del B1
-            grads[pf + "b1b"] += dZ2.sum(axis=0)
-            # a C-ordered copy of W1b.T gives the same bits as the
-            # transposed view and is about 5x faster in OpenBLAS
-            dZ1 = dZ2 @ np.ascontiguousarray(P[pf + "W1b"].T)
-            del dZ2      # dead: one edge-sized array fewer at the peak
-            dZ1, dg, dbe = _bn_backward(dZ1, P[pf + "g1a"], c1, train)
-            del c1
-            grads[pf + "g1a"] += dg
-            grads[pf + "be1a"] += dbe
-            np.multiply(dZ1, M1, out=dZ1)
-            grads[pf + "W1a"] += X.T @ dZ1
-            grads[pf + "b1a"] += dZ1.sum(axis=0)
-            if j:
+        P = self.params
+        with one_blas_thread() as threads:
+            for j in range(self.layers - 1, -1, -1):
+                pf = f"l{j}."
+                X, M1, c1, M2, c2, arg, U, M3, c3, B3, pnew = caches.pop()
+                dZ4 = (dP * pnew * (1.0 - pnew)).reshape(m * K, 1)
+                grads[pf + "W2b"] += B3.T @ dZ4
+                grads[pf + "b2b"] += dZ4.sum(axis=0)
+                dZ3, dg, dbe = _bn_backward(dZ4 @ P[pf + "W2b"].T, P[pf + "g2a"],
+                                            c3, train, M3)
+                grads[pf + "g2a"] += dg
+                grads[pf + "be2a"] += dbe
+                grads[pf + "W2a"] += U.T @ dZ3
+                grads[pf + "b2a"] += dZ3.sum(axis=0)
+                if K == 1:
+                    dP = np.zeros((m, K))
+                    continue
+                E = K * (K - 1)
+                tiles = _Tiles.of_samples(m, E, h, threads)
+                dy = (dZ3 @ P[pf + "W2a"].T)[:, :h].reshape(m, K, h)
+                dZ2 = np.empty((m * E, h))
+
+                def route(lo, hi):
+                    # MAX routes gradient to the first-attained argmax neighbor
+                    at = slice(lo // E, hi // E)
+                    d = dZ2[lo:hi].reshape(-1, K, K - 1, h)
+                    d.fill(0.0)
+                    np.put_along_axis(d, arg[at][:, :, None, :],
+                                      dy[at][:, :, None, :], axis=2)
+
+                tiles.each(route)
+                dZ2, dg, dbe = _bn_backward(dZ2, P[pf + "g1b"], c2, train, M2, tiles)
+                del c2
+                grads[pf + "g1b"] += dg
+                grads[pf + "be1b"] += dbe
+                # B1 as _bn_forward made it: same ufuncs, same order, same bits
+                B1 = np.empty_like(dZ2)
+
+                def recompute(lo, hi):
+                    np.multiply(c1[0][lo:hi], P[pf + "g1a"], out=B1[lo:hi])
+                    B1[lo:hi] += P[pf + "be1a"]
+
+                tiles.each(recompute)
+                dW, db = tiles.whole(lambda: B1.T @ dZ2, lambda: dZ2.sum(axis=0))
+                del B1
+                grads[pf + "W1b"] += dW
+                grads[pf + "b1b"] += db
+                # a C-ordered copy of W1b.T gives the same bits as the
+                # transposed view and is about 5x faster in OpenBLAS
+                W1bT = np.ascontiguousarray(P[pf + "W1b"].T)
+                dZ1 = np.empty_like(dZ2)
+                tiles.each(lambda lo, hi: np.matmul(dZ2[lo:hi], W1bT, out=dZ1[lo:hi]))
+                del dZ2      # dead: one edge-sized array fewer at the peak
+                dZ1, dg, dbe = _bn_backward(dZ1, P[pf + "g1a"], c1, train, M1, tiles)
+                del c1
+                grads[pf + "g1a"] += dg
+                grads[pf + "be1a"] += dbe
                 # powers reach a layer only through row 0 of W1a (the p_i
-                # input); layer 0's are constant.  W1a @ dZ1.T has the bits of
-                # dZ1 @ W1a.T and is several times faster in OpenBLAS; a gemv
-                # on row 0 alone rounds differently.
-                dP = (P[pf + "W1a"] @ dZ1.T)[0].reshape(m, E) @ scatter
-            del dZ1      # not carried into the next layer down
+                # input); layer 0's are constant.  W1a @ dZ1.T has the bits
+                # of dZ1 @ W1a.T and is several times faster in OpenBLAS; a
+                # gemv on row 0 alone rounds differently.
+                calls = [lambda: X.T @ dZ1, lambda: dZ1.sum(axis=0)]
+                if j:
+                    calls.append(lambda: P[pf + "W1a"] @ dZ1.T)
+                dW, db, *dX = tiles.whole(*calls)
+                grads[pf + "W1a"] += dW
+                grads[pf + "b1a"] += db
+                if j:
+                    dP = dX.pop()[0].reshape(m, E) @ scatter
+                del dZ1      # not carried into the next layer down
         return grads
 
 
@@ -400,11 +560,12 @@ class PowerMlp:
     def forward_batch(self, X, train=False):
         L = len(self.dims) - 1
         acts, blocks = [X], []
-        for l in range(L - 1):
-            B, M, c = _block(acts[-1], self.params, self.state, "", f"{l}", train)
-            blocks.append((M, c))
-            acts.append(B)
-        Z = acts[-1] @ self.params[f"W{L-1}"] + self.params[f"b{L-1}"]
+        with one_blas_thread():
+            for l in range(L - 1):
+                B, M, c = _block(acts[-1], self.params, self.state, "", f"{l}", train)
+                blocks.append((M, c))
+                acts.append(B)
+            Z = acts[-1] @ self.params[f"W{L-1}"] + self.params[f"b{L-1}"]
         acts.append(_sigmoid(Z))
         return acts[-1], (acts, blocks)
 
@@ -414,16 +575,16 @@ class PowerMlp:
         grads = {}
         P = acts[-1]
         delta = dP * P * (1.0 - P)
-        for l in range(L - 1, -1, -1):
-            grads[f"W{l}"] = acts[l].T @ delta
-            grads[f"b{l}"] = delta.sum(axis=0)
-            if l > 0:
-                M, c = blocks[l - 1]
-                delta, dg, dbe = _bn_backward(delta @ self.params[f"W{l}"].T,
-                                              self.params[f"g{l-1}"], c, train)
-                grads[f"g{l-1}"] = dg
-                grads[f"be{l-1}"] = dbe
-                np.multiply(delta, M, out=delta)
+        with one_blas_thread():
+            for l in range(L - 1, -1, -1):
+                grads[f"W{l}"] = acts[l].T @ delta
+                grads[f"b{l}"] = delta.sum(axis=0)
+                if l > 0:
+                    M, c = blocks[l - 1]
+                    delta, dg, dbe = _bn_backward(delta @ self.params[f"W{l}"].T,
+                                                  self.params[f"g{l-1}"], c, train, M)
+                    grads[f"g{l-1}"] = dg
+                    grads[f"be{l-1}"] = dbe
         return grads
 
 

@@ -1,0 +1,103 @@
+"""One thread pool for the numpy work of a single call, each thread on one
+OpenBLAS thread.
+
+``kernels.gnn_kernel_function`` runs its sample blocks here, and the
+sum-rate nets in ``nets`` run their sample tiles and their independent
+whole-array reductions here.  A call first enters :func:`one_blas_thread`,
+which holds OpenBLAS's process-wide thread count at 1 for its length and
+gives the width of the pool the call may use; the pool's threads hold their
+own count at 1 as well.  Without that, each small gemm woke OpenBLAS's
+spinning worker threads, and two pool threads were slower than one serial
+thread.
+
+Each task writes only its own slices of preallocated arrays, or returns a
+whole-array result, so neither the schedule nor the pool width moves a bit.
+The OpenBLAS library is looked up and the pool built on first use, never at
+import.  Without numpy's bundled OpenBLAS every call runs serially.
+"""
+
+import concurrent.futures
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
+
+import numpy as np
+
+__all__ = ["one_blas_thread"]
+
+
+@functools.cache
+def _openblas_threads():
+    """(get_num_threads, set_num_threads, set_num_threads_local) of numpy's
+    bundled OpenBLAS as ctypes functions, or None where there is no such
+    library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    try:
+        name = min(f for f in os.listdir(libs) if "openblas" in f)
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get = lib.scipy_openblas_get_num_threads64_
+        set_all = lib.scipy_openblas_set_num_threads64_
+        set_local = lib.openblas_set_num_threads_local
+    except (OSError, ValueError, AttributeError):
+        # no numpy.libs directory, no OpenBLAS in it, or other symbol names
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_all.argtypes, set_all.restype = (ctypes.c_int,), None
+    set_local.argtypes, set_local.restype = (ctypes.c_int,), ctypes.c_int
+    return get, set_all, set_local
+
+
+def _block_threads():
+    """The pool width: the cores this process may run on, capped at
+    OpenBLAS's own thread count (1 in a worker process started with one
+    BLAS thread); 1, a serial run, without the OpenBLAS hooks that hold
+    each pool thread to one BLAS thread."""
+    hooks = _openblas_threads()
+    if hooks is None:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), hooks[0]()))
+
+
+@functools.cache
+def _pool(threads):
+    """The persistent pool of ``threads`` threads, each held to one OpenBLAS
+    thread; built on its first use."""
+    return concurrent.futures.ThreadPoolExecutor(
+        threads, initializer=_openblas_threads()[2], initargs=(1,))
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS's process-wide thread count at 1 for the body, and
+    give the body the pool width :func:`_block_threads` read before it.
+    The count is restored on exit, also when the body raises (a pool
+    thread's BLAS call at its own count of 1 sets the process's count
+    too)."""
+    threads = _block_threads()
+    hooks = _openblas_threads()
+    if hooks is None:
+        yield threads
+        return
+    get, set_all, _ = hooks
+    blas = get()
+    set_all(1)
+    try:
+        yield threads
+    finally:
+        set_all(blas)
+
+
+def _run_blocks(block, spans, threads):
+    """[block(span) for span in spans], on the pool when ``threads`` and
+    the spans are both at least 2, else in order on this thread.  Call it
+    inside :func:`one_blas_thread`.  Every block has finished when it
+    returns or raises the first block's exception, so no pool thread still
+    writes to the caller's arrays or resets OpenBLAS's count."""
+    if min(threads, len(spans)) <= 1:
+        return [block(span) for span in spans]
+    pool = _pool(min(threads, len(spans)))
+    futures = [pool.submit(block, span) for span in spans]
+    concurrent.futures.wait(futures)
+    return [future.result() for future in futures]

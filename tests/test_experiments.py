@@ -19,7 +19,7 @@ import ntklab
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
 from ntklab.config import EXPERIMENT_IDS, ExperimentConfig, default_config
 from ntklab.netsim import generate_instances
-from ntklab.nets import gradients, init_net, n_params
+from ntklab.nets import _Tiles, gradients, init_net, n_params
 from ntklab.experiments import (
     _BLAS_THREAD_VARS,
     _mlp_hidden,
@@ -268,6 +268,23 @@ def test_ntk_regime_threads_do_not_change_results(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_fig1_threads_do_not_change_results(tmp_path):
+    # 60 samples at K = 20 and hidden 32: the node block's weight-gradient
+    # gemm reduces over 1,200 rows, which OpenBLAS rounds differently at one
+    # and at two BLAS threads (a --threads 2 worker runs one); the net
+    # passes hold every BLAS call to one thread whatever --threads is
+    overrides = dict(FIG1_TINY, k_list="20", m_train="60", m_test="8",
+                     gnn_hidden="32", batch_size="full")
+    files = ("trace_gnn_K20.csv", "trace_mlp_K20.csv", "fig1_K20.csv",
+             "fig1_summary.csv")
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        run_fig1(build("fig1", overrides, out, threads=threads))
+        outputs.append({f: (out / f).read_bytes() for f in files})
+    assert outputs[0] == outputs[1]
+
+
 def test_spawned_workers_run_one_blas_thread(monkeypatch):
     for var in _BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "3")
@@ -305,7 +322,9 @@ def _wcgcn_step_faults():
     policy every step maps and faults its temporaries afresh: about 94,600.
     Under the policy the second step may still extend the heap once (29 to
     145 pages, seen to depend on the process's earlier allocations); later
-    steps fault 0 or 1."""
+    steps fault 0 or 1.  The edge rows make two tiles of whole samples (64
+    and 36), so on a host with two cores the steps run on the pool of
+    ``ntklab.pool``, whose threads allocate from the same heap."""
     import resource
 
     ds = generate_instances(20, 100, 0)
@@ -331,6 +350,7 @@ def _step_faults_in_fresh_process(setup):
 @needs_mallopt
 def test_cli_entry_keeps_training_steps_fault_free():
     # cli_main sets the policy first thing, even on a usage error
+    assert len(_Tiles.of_samples(100, 20 * 19, 8, 2).spans) == 2
     faults = _step_faults_in_fresh_process(
         "from ntklab.cli import cli_main\nassert cli_main([]) == 1")
     assert faults < 100

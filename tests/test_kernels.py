@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntklab import kernels
+from ntklab import kernels, pool
 from ntklab.errors import DegenerateInputError
 from ntklab.kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
                             empirical_ntk, gnn_kernel_function,
@@ -147,7 +147,7 @@ def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
 
 
 needs_openblas_hooks = pytest.mark.skipif(
-    kernels._openblas_threads() is None,
+    pool._openblas_threads() is None,
     reason="no bundled OpenBLAS to hold a block thread to one BLAS thread")
 
 
@@ -172,7 +172,7 @@ def test_gnn_kernel_bits_do_not_depend_on_the_pool_size(monkeypatch, activation)
             monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
         results = []
         for threads in (1, 2, 3):
-            monkeypatch.setattr(kernels, "_block_threads", lambda: threads)
+            monkeypatch.setattr(pool, "_block_threads", lambda: threads)
             results.append(gnn_kernel_function(nodes, activation))
         assert all(np.array_equal(r, results[0]) for r in results[1:])
 
@@ -181,9 +181,9 @@ def test_gnn_kernel_bits_do_not_depend_on_the_pool_size(monkeypatch, activation)
 def test_gnn_kernel_pool_keeps_the_blas_thread_count_and_raises(monkeypatch):
     # a block thread's one-thread BLAS call resets OpenBLAS's process-wide
     # count; the pool restores it, also when a block raises
-    get_num_threads, set_num_threads, _ = kernels._openblas_threads()
+    get_num_threads, set_num_threads, _ = pool._openblas_threads()
     before = get_num_threads()
-    monkeypatch.setattr(kernels, "_block_threads", lambda: 2)
+    monkeypatch.setattr(pool, "_block_threads", lambda: 2)
     nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
     set_num_threads(2)
     try:
@@ -205,7 +205,7 @@ def test_gnn_kernel_without_the_openblas_hooks_starts_no_thread(monkeypatch):
         raise AssertionError(f"{thread.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", start)
-    monkeypatch.setattr(kernels, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(pool, "_openblas_threads", lambda: None)
     assert np.array_equal(gnn_kernel_function(nodes), pooled)
 
 
@@ -235,21 +235,30 @@ def test_relu_tiles_match_the_whole_array_chain(cols, rows):
     assert np.array_equal(mlp_kernel_function(X, Z), _relu_out_of_place(X, Z))
 
 
-def test_gnn_kernel_peak_memory_is_bounded(monkeypatch):
+@pytest.mark.parametrize("activation", ["relu", "quadratic"])
+def test_gnn_kernel_peak_memory_is_bounded(monkeypatch, activation):
     # tracemalloc sees numpy's buffers from every thread; one unblocked slab
-    # here took ~490 MB, and a block's base kernel is 8 MB (7.6 MiB)
+    # here took ~490 MB, and a block's base kernel is 8 MB (7.6 MiB).  A
+    # quadratic block that squared into a second array peaked at 15.6 MiB
     nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
     for threads in (1, 2):
-        if threads > 1 and kernels._openblas_threads() is None:
+        if threads > 1 and pool._openblas_threads() is None:
             continue
-        monkeypatch.setattr(kernels, "_block_threads", lambda: threads)
+        monkeypatch.setattr(pool, "_block_threads", lambda: threads)
         tracemalloc.start()
         try:
-            gnn_kernel_function(nodes)
+            gnn_kernel_function(nodes, activation)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < threads * 12 * 2 ** 20, (threads, peak)
+
+
+def test_quadratic_kernel_in_place_has_the_bits_of_the_formula():
+    rng = np.random.default_rng(3)
+    X, Z = rng.standard_normal((300, 5)), rng.standard_normal((70, 5))
+    G = X @ Z.T
+    assert np.array_equal(mlp_kernel_function(X, Z, "quadratic"), 4.0 * G ** 2)
 
 
 @pytest.mark.parametrize("block_entries", [None, 25 * 7 * 7])

@@ -7,6 +7,7 @@ sitting on a kink are skipped (they are rare at generic Gaussian inputs,
 and the test insists that most coordinates survive).
 """
 
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntklab import NumericFailureError
+from ntklab import NumericFailureError, nets, pool
 from ntklab.nets import (
     BN_EPS,
     BN_MOMENTUM,
@@ -364,6 +365,73 @@ class TestWcgcn:
         assert caches == []
         for key in g:
             assert np.array_equal(g[key], g_copy[key]), key
+
+
+needs_openblas_hooks = pytest.mark.skipif(
+    pool._openblas_threads() is None,
+    reason="no bundled OpenBLAS to hold a pool thread to one BLAS thread")
+
+
+class TestPassThreads:
+    """A WCGCN or PowerMlp pass holds OpenBLAS at one thread and runs its
+    edge tiles on the pool of :mod:`ntklab.pool`; the tiled bits are
+    checked against the whole-array reference in test_nets_reference."""
+
+    @needs_openblas_hooks
+    def test_passes_restore_the_blas_thread_count(self, monkeypatch):
+        get_num_threads, set_num_threads, _ = pool._openblas_threads()
+        before = get_num_threads()
+        monkeypatch.setattr(pool, "_block_threads", lambda: 2)
+        monkeypatch.setattr(nets, "_TILE_ENTRIES", 16 * 380 * 8)
+        batch = channel_batch(20, 40, seed=2)      # tiles of 16, 16 and 8
+        wcgcn = init_net("wcgcn", None, 8, seed=0)
+        mlp = init_net("power-mlp", (420, 20), 8, seed=0)
+        set_num_threads(2)
+        try:
+            for net in (wcgcn, mlp):
+                for train in (True, False):
+                    gradients(net, batch, train=train)
+                    assert get_num_threads() == 2
+            # a tile step that raises on a pool thread, and a pass that
+            # raises on this one
+            scale = nets._bn_scale
+            calls = []
+
+            def failing(*args):
+                calls.append(threading.current_thread())
+                if len(calls) == 2:
+                    raise FloatingPointError("tile")
+                return scale(*args)
+
+            monkeypatch.setattr(nets, "_bn_scale", failing)
+            with pytest.raises(FloatingPointError):
+                wcgcn.forward_batch(batch.mags, batch.weights)
+            assert threading.main_thread() not in calls
+            assert get_num_threads() == 2
+            monkeypatch.setattr(nets, "_bn_scale", scale)
+            _, cache = mlp.forward_batch(batch.flat_features, train=True)
+            with pytest.raises(ValueError):
+                mlp.backward_batch(cache, np.ones((40, 3)), train=True)
+            assert get_num_threads() == 2
+        finally:
+            set_num_threads(before)
+
+    def test_without_the_openblas_hooks_no_thread_starts(self, monkeypatch):
+        monkeypatch.setattr(nets, "_TILE_ENTRIES", 16 * 380 * 8)
+        batch = channel_batch(20, 40, seed=3)
+        net = init_net("wcgcn", None, 8, seed=1)
+        pooled = gradients(net, batch, train=True)
+
+        def start(thread):
+            raise AssertionError(f"{thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(pool, "_openblas_threads", lambda: None)
+        net = init_net("wcgcn", None, 8, seed=1)
+        serial = gradients(net, batch, train=True)
+        assert serial[1] == pooled[1]
+        for key in pooled[0]:
+            assert np.array_equal(serial[0][key], pooled[0][key]), key
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,23 @@
 float pre-activation Z, recomputes block 1a's output B1 in backward where
 the reference caches it, frees backward temporaries early, works through
 the BatchNorm backward in row blocks, finds the MAX index from a bool
-array, and skips layer 0's gradient to its constant input powers.  None of
-that may move a bit: training trajectories amplify last-bit differences
-into the experiment CSVs.  So every output, gradient
-and running statistic here is compared with ``np.array_equal``, not a
-tolerance.  A memory guard pins the buffers the lean step saves.
+array, skips layer 0's gradient to its constant input powers, and runs the
+edge rows in tiles of whole samples on a thread pool.  None of that may
+move a bit: training trajectories amplify last-bit differences into the
+experiment CSVs.  So every output, gradient and running statistic here is
+compared with ``np.array_equal``, not a tolerance, against the reference
+run as the nets run, on one OpenBLAS thread.  A memory guard pins the
+buffers the lean step saves.
 """
 
+import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from ntklab import nets, pool
 from ntklab.nets import (
     BN_EPS,
     BN_MOMENTUM,
@@ -192,23 +197,40 @@ def _ref_mlp_backward(net, cache, dP, train):
 # fixtures
 
 
-def _twin_wcgcn(seed):
-    """Two identical WCGCNs (2 layers, hidden 5) with non-trivial running
-    statistics and hidden unit 0 of block 1b dead in layer 0: its ReLU
-    output is 0 on every edge, so BatchNorm maps all of them to one value
-    and the MAX over neighbors ties."""
-    nets = []
+def _twin_wcgcn(seed, hidden=5):
+    """Two identical WCGCNs (2 layers) with non-trivial running statistics
+    and hidden unit 0 of block 1b dead in layer 0: its ReLU output is 0 on
+    every edge, so BatchNorm maps all of them to one value and the MAX over
+    neighbors ties."""
+    twins = []
     for _ in range(2):
-        net = WcgcnNet.create(hidden=5, layers=2, seed=seed)
+        net = WcgcnNet.create(hidden=hidden, layers=2, seed=seed)
         net.params["l0.b1b"][0] = -1e3
         rng = np.random.default_rng(seed)
         for key in sorted(net.state):
             if "mu" in key:
-                net.state[key] = 0.3 * rng.standard_normal(5)
+                net.state[key] = 0.3 * rng.standard_normal(hidden)
             else:
-                net.state[key] = rng.uniform(0.5, 2.0, 5)
-        nets.append(net)
-    return nets
+                net.state[key] = rng.uniform(0.5, 2.0, hidden)
+        twins.append(net)
+    return twins
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS's process-wide count at 1 for the reference, set here and
+    not through the code under test; nothing without the OpenBLAS hooks."""
+    hooks = pool._openblas_threads()
+    if hooks is None:
+        yield
+        return
+    get, set_all, _ = hooks
+    before = get()
+    set_all(1)
+    try:
+        yield
+    finally:
+        set_all(before)
 
 
 def _assert_same(a, b):
@@ -217,14 +239,16 @@ def _assert_same(a, b):
         assert np.array_equal(a[key], b[key]), key
 
 
-def _check_wcgcn_step(K, m, train):
-    net, ref = _twin_wcgcn(seed=K)
+def _check_wcgcn_step(K, m, train, hidden=5):
+    net, ref = _twin_wcgcn(seed=K, hidden=hidden)
     batch = generate_instances(K, m, seed=20 + K)
     dP = np.random.default_rng(K).standard_normal((m, K))
 
     maxed = []
-    P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags, batch.weights,
-                                           train, maxed)
+    with _one_blas_thread():
+        P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags, batch.weights,
+                                               train, maxed)
+        g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
     P, caches = net.forward_batch(batch.mags, batch.weights, train=train)
     assert np.array_equal(P, P_ref)
     _assert_same(net.state, ref.state)
@@ -245,7 +269,6 @@ def _check_wcgcn_step(K, m, train):
         assert np.all(ties[..., 0] == K - 1)
         assert (ties > 1).sum() >= m * K
 
-    g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
     g = net.backward_batch(batch.mags, caches, dP, train=train)
     _assert_same(g, g_ref)
 
@@ -265,6 +288,37 @@ def test_wcgcn_step_is_bit_identical_across_bn_row_blocks(train):
     _check_wcgcn_step(K, m, train)
 
 
+needs_openblas_hooks = pytest.mark.skipif(
+    pool._openblas_threads() is None,
+    reason="no bundled OpenBLAS to hold a pool thread to one BLAS thread")
+
+
+@needs_openblas_hooks
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("K, m, samples, hidden", [
+    (1, 5, 2, 5),        # no edges: the node blocks alone
+    (2, 9, 4, 5),        # E = 2 edge rows a sample; tiles of 4, 4 and 1
+    (5, 7, 3, 5),        # tiles of 3, 3 and a one-sample last tile
+    (20, 12, 1, 5),      # one sample (380 edge rows) a tile
+    (20, 60, None, 32),  # the default tiles: 16, 16, 16 and 12 samples
+])
+def test_tiled_wcgcn_step_is_bit_identical_at_every_pool_size(
+        monkeypatch, K, m, samples, hidden, train):
+    # at K = 20 and hidden 32 the node block's weight-gradient gemm
+    # reduces over 1,200 rows, which OpenBLAS rounds differently at one and
+    # at two BLAS threads: the tiled pass must run every BLAS call on one
+    if samples is not None:
+        monkeypatch.setattr(nets, "_TILE_ENTRIES", samples * K * (K - 1) * hidden)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # pool threads interleave as often as may be
+    try:
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(pool, "_block_threads", lambda: threads)
+            _check_wcgcn_step(K, m, train, hidden)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("train", [True, False])
 def test_wcgcn_training_steps_stay_bit_identical(train):
     # three sum-rate steps: each one's gradients move the next one's inputs
@@ -272,10 +326,12 @@ def test_wcgcn_training_steps_stay_bit_identical(train):
     batch = generate_instances(4, 9, seed=31)
     for _ in range(3):
         g, _ = gradients(net, batch, train=train)
-        P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags, batch.weights,
-                                               train, [])
-        _, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s, batch.weights, P_ref)
-        g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
+        with _one_blas_thread():
+            P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags,
+                                                   batch.weights, train, [])
+            _, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,
+                                       batch.weights, P_ref)
+            g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
         _assert_same(g, g_ref)
         _assert_same(net.state, ref.state)
         for key in net.params:
@@ -290,14 +346,15 @@ def test_power_mlp_step_is_bit_identical_to_the_reference(train):
         n.params["b0"][0] = -1e3        # one dead unit in the first block
     batch = generate_instances(4, 8, seed=4)
     dP = np.random.default_rng(5).standard_normal((8, 4))
-    P_ref, cache_ref = _ref_mlp_forward(ref, batch.flat_features, train)
+    with _one_blas_thread():
+        P_ref, cache_ref = _ref_mlp_forward(ref, batch.flat_features, train)
+        g_ref = _ref_mlp_backward(ref, cache_ref, dP, train)
     P, cache = net.forward_batch(batch.flat_features, train=train)
     assert np.array_equal(P, P_ref)
     _assert_same(net.state, ref.state)
     for (M, _), (Z, _) in zip(cache[1], cache_ref[1]):
         assert M.dtype == bool and np.array_equal(M, Z > 0)
-    _assert_same(net.backward_batch(cache, dP, train=train),
-                 _ref_mlp_backward(ref, cache_ref, dP, train))
+    _assert_same(net.backward_batch(cache, dP, train=train), g_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +387,18 @@ def test_wcgcn_train_step_memory_stays_bounded():
     BatchNorm backward temporary took 9.3."""
     peak = _step_peak_in_edge_arrays(train=True)
     assert peak < 7, f"peak {peak:.1f} edge-sized arrays"
+
+
+@needs_openblas_hooks
+def test_pooled_wcgcn_train_step_keeps_the_whole_array_peak(monkeypatch):
+    """With its edge tiles on two pool threads, a train-mode step peaks at
+    no more than the whole-array pass did, 6.38 edge-sized arrays (6.36
+    measured).  One more edge-sized array alive at the peak fails this, and
+    so did BatchNorm backward temporaries of 2048 rows on each thread
+    (6.50)."""
+    monkeypatch.setattr(pool, "_block_threads", lambda: 2)
+    peak = _step_peak_in_edge_arrays(train=True)
+    assert peak <= 6.38, f"peak {peak:.3f} edge-sized arrays"
 
 
 def test_wcgcn_eval_step_memory_stays_bounded():
