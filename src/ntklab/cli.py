@@ -15,12 +15,12 @@ Subcommands, with the shared flags each one takes::
     exp ID    run an experiment pipeline (fig1 fig2 fig3      --config --seed
               ntk-regime thm3 thm4-thm5)                      --out --threads
 
-``--threads`` is the number of worker processes for independent cells;
-with more than one, each worker runs on one BLAS thread.  Whatever
-``--threads`` is, the sum-rate net passes and the analytic GNN kernel run
-their tiles and blocks on a thread pool as wide as the BLAS pool
-(``OPENBLAS_NUM_THREADS``), each thread on one BLAS thread; their bits do
-not depend on ``--threads``.
+``--threads`` is the number of worker processes for the independent cells
+of fig1 and fig3; with more than one, each worker runs on one BLAS thread.
+Whatever ``--threads`` is, ntk-regime's width cells, the sum-rate net
+passes and the analytic GNN kernel run side by side on a thread pool as
+wide as the BLAS pool (``OPENBLAS_NUM_THREADS``), each thread on one BLAS
+thread; their bits do not depend on ``--threads``.
 
 A flag that a subcommand does not take is a usage error.  Exit codes: 0
 success, 1 invalid arguments or config, 2 numeric failure (divergence,
@@ -67,9 +67,10 @@ def _build_parser():
         flags = {"config": dict(help="sectioned key = value config file"),
                  "seed": dict(type=int), "out": dict(help="output directory"),
                  "threads": dict(type=int, help="worker processes for "
-                                                "independent cells (the net "
-                                                "passes and kernels use the "
-                                                "cores either way)")}
+                                                "fig1's and fig3's cells "
+                                                "(ntk-regime's cells, the "
+                                                "net passes and kernels "
+                                                "use the cores either way)")}
         for name in names:
             p.add_argument(f"--{name}", **flags[name])
 

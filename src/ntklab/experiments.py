@@ -4,9 +4,11 @@ checksum manifest.
 Every pipeline is a pure function of (config, seed): re-running reproduces
 identical CSV bytes, whatever the worker count.  Wall-clock times therefore
 never enter data CSVs; they live in manifest header comments only.  Cells —
-independent (model, K, m) units — may run in parallel worker processes; all
-files are written by the parent, atomically (temp file + rename), and the
-manifest lists exactly the files the run wrote.
+independent (model, K, m) units — of fig1 and fig3 run in parallel worker
+processes at ``--threads`` > 1; ntk-regime's width cells always run side by
+side on the threads of :mod:`ntklab.pool`, at one BLAS thread, whatever
+``--threads`` is.  All files are written by the parent, atomically (temp
+file + rename), and the manifest lists exactly the files the run wrote.
 """
 
 import concurrent.futures
@@ -25,6 +27,7 @@ from .kernels import analytic_ntk_gnn, analytic_ntk_mlp, empirical_ntk
 from .netsim import (gaussian_node_dataset, generate_instances,
                      label_direction, labelled_gaussian_dataset)
 from .nets import init_net, n_params
+from .pool import _run_blocks, one_blas_thread
 from .spectral import (activation_constant, condition_landscape,
                        generalization_bound, kernel_dynamics, thm3_bounds)
 from .errors import RangeViolationError, UnsupportedConstantError
@@ -97,9 +100,9 @@ def _keep_heap_mapped():
     thresholds, and the other then stays fixed, usually at its 128 KiB
     default.  Every thread allocates from the one main arena, so the
     threads of :mod:`ntklab.pool` (the GNN kernel's blocks, the net passes'
-    tiles) reuse the heap that training freed instead of faulting in arenas
-    of their own.  Does nothing without glibc's ``mallopt``; changes no
-    arithmetic.
+    tiles, ntk-regime's cells) reuse the heap that training freed instead
+    of faulting in arenas of their own.  Does nothing without glibc's
+    ``mallopt``; changes no arithmetic.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -442,10 +445,16 @@ def run_ntk_regime(cfg):
     degree = cfg.get_int("label_degree")
     loss_drop = cfg.get_float("loss_drop")
 
-    jobs = [dict(width=w, d=d, m=m, seed=cfg.seed, lr=lr, epochs=epochs,
-                 eval_every=eval_every, label_degree=degree, loss_drop=loss_drop)
-            for w in widths]
-    results = _run_cells(_ntk_cell, jobs, cfg.threads)
+    # the cells share the pool whatever --threads is, widest first so that
+    # the narrow ones run beside it; their nets and kernels are held at one
+    # BLAS thread, and nothing a cell calls submits to the pool again
+    order = sorted(range(len(widths)), key=lambda i: -widths[i])
+    with one_blas_thread() as threads:
+        done = _run_blocks(
+            lambda w: _ntk_cell(w, d, m, cfg.seed, lr, epochs, eval_every,
+                                degree, loss_drop),
+            [widths[i] for i in order], threads)
+    results = [r for _, r in sorted(zip(order, done))]
 
     files = RunFiles(cfg.out)
     for r in results:

@@ -21,8 +21,8 @@ problem; without the normalization the sigmoid head saturates at the
 full-power fixed point and training stalls.  All gradients are hand-written
 reverse mode and checked against central finite differences in the tests.
 
-A WcgcnNet or PowerMlp pass holds OpenBLAS at one thread for its length
-(:func:`ntklab.pool.one_blas_thread`), whatever ``--threads`` is.  The
+Every net pass, of all three nets, holds OpenBLAS at one thread for its
+length (:func:`ntklab.pool.one_blas_thread`), whatever ``--threads`` is.  The
 WCGCN's edge rows, m K (K - 1) of them, run in tiles of whole samples of
 about ``_TILE_ENTRIES`` entries on the pool of :mod:`ntklab.pool`, when a
 pass has at least two tiles; each tile writes only its own rows of
@@ -221,12 +221,15 @@ class TwoLayerNet:
     trainable.
 
     ``forward`` and the squared-loss step in :func:`gradients` make the same
-    two calls on one (m, r) buffer: ``_preact`` (the pre-activation
-    Z = X @ W.T) and ``_readout`` (relu(Z) in place, read out through a), so
-    the step's outputs have the bits of ``forward``.  The step then hands
-    relu(Z) to ``_backprop`` (1[Z > 0] * dout, contracted with X, then one
+    two calls on one (r, m) buffer: ``_preact`` (the transposed
+    pre-activation Z^T = W @ X.T) and ``_readout`` (relu(Z^T) in place, read
+    out as a @ relu(Z^T) / sqrt(r)), so the step's outputs have the bits of
+    ``forward``.  The step then hands relu(Z^T) to ``_backprop``
+    (1[Z^T > 0] contracted with the residual-scaled inputs, then one
     division by the signed scale a * sqrt(r)), which reuses the buffer
-    again.
+    again.  Both hold OpenBLAS at one thread
+    (:func:`ntklab.pool.one_blas_thread`), whose bits do not depend on the
+    environment's BLAS count.
 
     The net keeps a read-only copy of a: the signed divisor is built from it
     once, here, and must not drift from it."""
@@ -258,44 +261,45 @@ class TwoLayerNet:
         return {"W": self.W}
 
     def _preact(self, X):
-        """Input rows X (m, d) and the pre-activation Z = X @ W.T (m, r), a
-        fresh array."""
+        """Input rows X (m, d) and the transposed pre-activation
+        Z^T = W @ X.T (r, m), a fresh array."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
         if X.ndim != 2:
             raise ValueError("inputs must be (d,) or (m, d)")
-        return X, X @ self.W.T
+        return X, self.W @ X.T
 
-    def _readout(self, Z, out):
-        """Outputs (m,) from the pre-activation: relu(Z) is written into
-        ``out`` (which may be ``Z`` itself), then read out through a."""
-        np.maximum(Z, 0.0, out=out)
-        return out @ self.a / self._root_r
+    def _readout(self, Zt, out):
+        """Outputs (m,) from the transposed pre-activation: relu(Z^T) is
+        written into ``out`` (which may be ``Zt`` itself), then read out
+        through a."""
+        np.maximum(Zt, 0.0, out=out)
+        return self.a @ out / self._root_r
 
-    def _backprop(self, X, Z, dout):
-        """d(sum_i dout_i * f(x_i))/dW from the pre-activation or its relu
-        (both are > 0 at the same entries): Z is overwritten by
-        1[Z > 0] * dout, which is contracted with the inputs, and dW is
-        divided by the contiguous (r, d) array a * sqrt(r).
+    def _backprop(self, X, Zt, dout):
+        """d(sum_i dout_i * f(x_i))/dW from the transposed pre-activation or
+        its relu (both are > 0 at the same entries): Zt is overwritten by
+        1[Z^T > 0], which is contracted with the (m, d) inputs scaled by
+        dout, and dW is divided by the contiguous (r, d) array a * sqrt(r).
 
         A sign flip of a whole row of the gemm's left operand flips that
         output row exactly, in any BLAS kernel, and a * sqrt(r) is
         +-fl(sqrt(r)), by which IEEE division is exact up to the sign; so
-        this has the bits of applying a to Z's columns first and dividing
-        by sqrt(r), without that full (m, r) pass.  Only an all-zero row (a
+        this has the bits of applying a to Z^T's rows first and dividing
+        by sqrt(r), without that full (r, m) pass.  Only an all-zero row (a
         dead unit) may carry -0.0 for 0.0, which leaves W - lr * dW
         unchanged."""
-        np.greater(Z, 0.0, out=Z)
-        Z *= np.asarray(dout, dtype=float)[:, None]
-        dW = Z.T @ X
+        np.greater(Zt, 0.0, out=Zt)
+        dW = Zt @ (np.asarray(dout, dtype=float)[:, None] * X)
         dW /= self._signed_root
         return dW
 
     def forward(self, X):
         """Flat (d,) or (m, d) inputs -> (m,) outputs."""
-        _, Z = self._preact(X)
-        return self._readout(Z, Z)
+        with one_blas_thread():
+            _, Zt = self._preact(X)
+            return self._readout(Zt, Zt)
 
 
 # ---------------------------------------------------------------------------
@@ -709,9 +713,10 @@ def gradients(net, batch, train=False, chunk=None):
     """Exact parameter gradients of the net's batch loss (the one
     :func:`loss_value` gives).  Returns (grads, loss).
 
-    A TwoLayerNet's step holds one (m, r) buffer: the pre-activation Z,
-    which becomes relu(Z) as the outputs are read out, with the bits of
-    ``forward``, and then the backward signal that dW contracts.
+    A TwoLayerNet's step holds one (r, m) buffer at one BLAS thread: the
+    transposed pre-activation Z^T = W @ X.T, which becomes relu(Z^T) as the
+    outputs are read out, with the bits of ``forward``, and then the 0/1
+    mask that dW contracts with the residual-scaled (m, d) inputs.
     Non-finite outputs raise NumericFailureError naming the first such
     sample before any gradient is formed.
 
@@ -738,12 +743,13 @@ def gradients(net, batch, train=False, chunk=None):
         return acc, total
     if isinstance(net, TwoLayerNet):
         y = _labels(batch)
-        X, Z = net._preact(_batch_features(net, batch))
-        u = net._readout(Z, Z)
-        _check_finite_per_sample(u, "output")
-        resid = u - y
-        return ({"W": net._backprop(X, Z, resid)},
-                0.5 * float(np.sum(resid ** 2)))
+        with one_blas_thread():
+            X, Zt = net._preact(_batch_features(net, batch))
+            u = net._readout(Zt, Zt)
+            _check_finite_per_sample(u, "output")
+            resid = u - y
+            dW = net._backprop(X, Zt, resid)
+        return {"W": dW}, 0.5 * float(np.sum(resid ** 2))
     P, cache = _power_forward(net, batch, train)
     rates, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,
                                    batch.weights, P)

@@ -1,9 +1,10 @@
 """One thread pool for the numpy work of a single call, each thread on one
 OpenBLAS thread.
 
-``kernels.gnn_kernel_function`` runs its sample blocks here, and the
+``kernels.gnn_kernel_function`` runs its sample blocks here, the
 sum-rate nets in ``nets`` run their sample tiles and their independent
-whole-array reductions here.  A call first enters :func:`one_blas_thread`,
+whole-array reductions here, and ntk-regime runs its width cells here,
+widest first.  A call first enters :func:`one_blas_thread`,
 which holds OpenBLAS's process-wide thread count at 1 for its length and
 gives the width of the pool the call may use; the pool's threads hold their
 own count at 1 as well.  Without that, each small gemm woke OpenBLAS's
@@ -11,15 +12,23 @@ spinning worker threads, and two pool threads were slower than one serial
 thread.
 
 Each task writes only its own slices of preallocated arrays, or returns a
-whole-array result, so neither the schedule nor the pool width moves a bit.
+whole-array result (a whole ntk-regime cell returns its own rows), so
+neither the schedule nor the pool width moves a bit.
 The OpenBLAS library is looked up and the pool built on first use, never at
 import.  Without numpy's bundled OpenBLAS every call runs serially.
+
+Holds are re-entrant and may be taken from several threads at once: the
+outermost one sets and restores OpenBLAS's count and reads the pool width,
+and the others only count.  A pool thread runs the :func:`_run_blocks`
+calls of its own task serially, so a task that reaches a tiled pass or the
+GNN kernel never waits on the pool it runs in.
 """
 
 import concurrent.futures
 import ctypes
 import functools
 import os
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -60,33 +69,57 @@ def _block_threads():
     return max(1, min(len(os.sched_getaffinity(0)), hooks[0]()))
 
 
+_local = threading.local()        # .in_pool: set on the pool's threads
+_hold_lock = threading.Lock()
+# the open holds across all threads, and the outermost one's pool width and
+# (set_num_threads, the count to restore)
+_hold = {"depth": 0, "width": 1, "restore": None}
+
+
+def _init_pool_thread():
+    """Mark this thread as a pool thread and hold it to one OpenBLAS
+    thread."""
+    _local.in_pool = True
+    _openblas_threads()[2](1)
+
+
 @functools.cache
 def _pool(threads):
     """The persistent pool of ``threads`` threads, each held to one OpenBLAS
     thread; built on its first use."""
     return concurrent.futures.ThreadPoolExecutor(
-        threads, initializer=_openblas_threads()[2], initargs=(1,))
+        threads, initializer=_init_pool_thread)
 
 
 @contextmanager
 def one_blas_thread():
     """Hold OpenBLAS's process-wide thread count at 1 for the body, and
     give the body the pool width :func:`_block_threads` read before it.
-    The count is restored on exit, also when the body raises (a pool
-    thread's BLAS call at its own count of 1 sets the process's count
-    too)."""
-    threads = _block_threads()
-    hooks = _openblas_threads()
-    if hooks is None:
-        yield threads
-        return
-    get, set_all, _ = hooks
-    blas = get()
-    set_all(1)
+
+    Only the outermost hold, across all threads, sets the count and reads
+    the width; it restores the count when the last hold exits, also when
+    the body raises (a pool thread's BLAS call at its own count of 1 sets
+    the process's count too).  Nested and concurrent holds give the width
+    the outermost one read."""
+    with _hold_lock:
+        if _hold["depth"] == 0:
+            _hold["width"] = _block_threads()
+            hooks = _openblas_threads()
+            if hooks is not None:
+                get, set_all, _ = hooks
+                _hold["restore"] = (set_all, get())
+                set_all(1)
+        _hold["depth"] += 1
+        threads = _hold["width"]
     try:
         yield threads
     finally:
-        set_all(blas)
+        with _hold_lock:
+            _hold["depth"] -= 1
+            if _hold["depth"] == 0 and _hold["restore"] is not None:
+                set_all, blas = _hold["restore"]
+                set_all(blas)
+                _hold["restore"] = None
 
 
 def _run_blocks(block, spans, threads):
@@ -94,8 +127,10 @@ def _run_blocks(block, spans, threads):
     the spans are both at least 2, else in order on this thread.  Call it
     inside :func:`one_blas_thread`.  Every block has finished when it
     returns or raises the first block's exception, so no pool thread still
-    writes to the caller's arrays or resets OpenBLAS's count."""
-    if min(threads, len(spans)) <= 1:
+    writes to the caller's arrays or resets OpenBLAS's count.  On a pool
+    thread it runs in order, whatever ``threads`` is: a nested submit could
+    wait for a thread that waits for it."""
+    if min(threads, len(spans)) <= 1 or getattr(_local, "in_pool", False):
         return [block(span) for span in spans]
     pool = _pool(min(threads, len(spans)))
     futures = [pool.submit(block, span) for span in spans]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import ntklab
+from ntklab import pool
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
 from ntklab.config import EXPERIMENT_IDS, ExperimentConfig, default_config
 from ntklab.netsim import generate_instances
@@ -256,16 +257,38 @@ def ntk_overrides():
             "eval_every": "10", "loss_drop": "5.0"}
 
 
-def test_ntk_regime_threads_do_not_change_results(tmp_path):
+def test_ntk_regime_threads_do_not_change_results(tmp_path, monkeypatch):
+    # three width cells, listed out of width order, share the pool at
+    # widths 1 to 3 whatever --threads is, and in a process whose OpenBLAS
+    # starts at one thread (a pool of width 1); the rows follow ``widths``
+    overrides = dict(ntk_overrides(), widths="32, 8, 16")
     files = ("ntk_regime.csv", "kernel_convergence.csv", "traj_w8.csv",
-             "traj_w32.csv")
+             "traj_w16.csv", "traj_w32.csv")
+
+    def read(out):
+        return {f: (out / f).read_bytes() for f in files}
+
     outputs = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}"
-        cfg = build("ntk-regime", ntk_overrides(), out, threads=threads)
-        run_ntk_regime(cfg)
-        outputs.append({f: (out / f).read_bytes() for f in files})
-    assert outputs[0] == outputs[1]
+    for width in (1, 2, 3):
+        monkeypatch.setattr(pool, "_block_threads", lambda: width)
+        for threads in (1, 2):
+            out = tmp_path / f"p{width}t{threads}"
+            run_ntk_regime(build("ntk-regime", overrides, out, threads=threads))
+            outputs.append(read(out))
+    out = tmp_path / "env"
+    code = (f"import sys; sys.path[:0] = {_PATHS!r}\n"
+            "from ntklab.config import ExperimentConfig\n"
+            "from ntklab.experiments import run_ntk_regime\n"
+            "run_ntk_regime(ExperimentConfig.build('ntk-regime', "
+            f"{{'ntk-regime': {overrides!r}}}, out={str(out)!r}))")
+    subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
+                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    outputs.append(read(out))
+    assert all(o == outputs[0] for o in outputs[1:])
+    assert [r["width"] for r in load_csv(out / "ntk_regime.csv")] == \
+        ["32", "8", "16"]
+    assert [r["width"] for r in load_csv(out / "kernel_convergence.csv")] == \
+        ["32", "8", "16"]
 
 
 def test_fig1_threads_do_not_change_results(tmp_path):

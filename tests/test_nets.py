@@ -9,6 +9,7 @@ and the test insists that most coordinates survive).
 
 import threading
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +178,29 @@ class TestBatchNorm:
 # TwoLayerNet
 
 
+needs_openblas_hooks = pytest.mark.skipif(
+    pool._openblas_threads() is None,
+    reason="no bundled OpenBLAS to hold a pool thread to one BLAS thread")
+
+
+@contextmanager
+def _blas_threads(count):
+    """OpenBLAS's process-wide thread count at ``count`` for the body, set
+    here and not through the code under test; nothing without the OpenBLAS
+    hooks."""
+    hooks = pool._openblas_threads()
+    if hooks is None:
+        yield
+        return
+    get, set_all, _ = hooks
+    before = get()
+    set_all(count)
+    try:
+        yield
+    finally:
+        set_all(before)
+
+
 class TestTwoLayerNet:
     def test_forward_hand_computed(self):
         net = TwoLayerNet(W=np.eye(2), a=np.array([1.0, -1.0]))
@@ -200,15 +224,17 @@ class TestTwoLayerNet:
                                          (50, 8, 4096), (257, 60, 100),
                                          (5, 2, 3), (40, 8, 1000)])
     def test_fused_step_matches_two_pass_step(self, m, d, r, dead):
-        # gradients computes the pre-activation once and divides dW by the
-        # signed scale a * sqrt(r); its outputs and dW must be the bits of a
-        # forward pass followed by a separate backward pass, both written
-        # out here, at the ntk-regime shape, at gemm shapes around it and
-        # at widths whose square root rounds
+        # gradients computes the transposed pre-activation once, scales the
+        # (m, d) inputs by the residual and divides dW by the signed scale
+        # a * sqrt(r); its outputs and dW must be the bits of a forward pass
+        # followed by a separate backward pass in the (r, m) layout, both
+        # written out here, at the ntk-regime shape, at gemm shapes around
+        # it and at widths whose square root rounds.  The (m, r) layout the
+        # step had before rounds differently, by a few ulps
         ds = gaussian_node_dataset(1, m, d, seed=12)
         if dead:
             # positive inputs, a negative and a zero weight row: two
-            # columns of Z that are <= 0 everywhere (one exactly 0), so
+            # rows of Z^T that are <= 0 everywhere (one exactly 0), so
             # those neurons get no gradient
             ds = replace(ds, node_features=np.abs(ds.node_features),
                          flat_features=np.abs(ds.flat_features))
@@ -219,15 +245,17 @@ class TestTwoLayerNet:
             net.W[1] = 0.0
         X = ds.flat_features
 
-        # the two-pass step, written out
-        Z = X @ net.W.T
+        # the two-pass step in the (r, m) layout, written out, at the one
+        # BLAS thread the step holds
+        with _blas_threads(1):
+            Zt = net.W @ X.T
+            u = net.a @ np.maximum(Zt, 0.0) / np.sqrt(r)
+            resid = u - ds.labels
+            Zt = net.W @ X.T
+            S = (Zt > 0).astype(float) * net.a[:, None]
+            want = S @ (resid[:, None] * X) / np.sqrt(r)
         if dead:
-            assert np.all(Z[:, :2] <= 0) and not Z[:, 1].any()
-        u = np.maximum(Z, 0.0) @ net.a / np.sqrt(r)
-        resid = u - ds.labels
-        Z = X @ net.W.T
-        S = (Z > 0).astype(float) * net.a
-        want = (S * resid[:, None]).T @ X / np.sqrt(r)
+            assert np.all(Zt[:2] <= 0) and not Zt[1].any()
 
         grads, loss = gradients(net, ds)
         assert np.array_equal(grads["W"], want)
@@ -235,6 +263,15 @@ class TestTwoLayerNet:
         assert np.array_equal(net.forward(X), u)
         if dead:
             assert not grads["W"][:2].any()
+
+        # the same step in the (m, r) layout
+        Z = X @ net.W.T
+        u_mr = np.maximum(Z, 0.0) @ net.a / np.sqrt(r)
+        S = (Z > 0).astype(float) * net.a
+        want_mr = (S * (u_mr - ds.labels)[:, None]).T @ X / np.sqrt(r)
+        np.testing.assert_allclose(u, u_mr, rtol=1e-12)
+        np.testing.assert_allclose(grads["W"], want_mr, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_mr).max())
 
     def test_output_signs_are_frozen(self):
         # the signed divisor is built from a once: the net's a is its own
@@ -247,7 +284,7 @@ class TestTwoLayerNet:
         assert net.a[0] == -1.0
 
     def test_step_holds_one_preactivation_buffer(self):
-        # Z becomes relu(Z) and then the backward signal in one (m, r)
+        # Z^T becomes relu(Z^T) and then the backward mask in one (r, m)
         # buffer; a separate relu output doubled the peak (2.0 measured)
         m, d, r = 50, 8, 4096
         ds = labelled_gaussian_dataset(1, m, d, 0, 1)
@@ -260,6 +297,22 @@ class TestTwoLayerNet:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * m * r * 8, f"peak {peak / (m * r * 8):.2f} buffers"
+
+    @needs_openblas_hooks
+    def test_step_bits_do_not_depend_on_the_blas_thread_count(self):
+        # at r = 16384 and m = 50 the readout gemv rounds differently at one
+        # and at two OpenBLAS threads; the step and forward hold one thread
+        get_num_threads = pool._openblas_threads()[0]
+        ds = labelled_gaussian_dataset(1, 50, 8, 0, 1)
+        net = init_net("two-layer", 8, 16384, seed=1)
+        runs = []
+        for count in (1, 2):
+            with _blas_threads(count):
+                g, loss = gradients(net, ds, train=True)
+                runs.append((g["W"], loss, net.forward(ds.flat_features)))
+                assert get_num_threads() == count
+        (g1, l1, u1), (g2, l2, u2) = runs
+        assert np.array_equal(g1, g2) and l1 == l2 and np.array_equal(u1, u2)
 
     def test_init_deterministic_in_seed(self):
         n1 = init_net("two-layer", 5, 32, seed=9)
@@ -365,11 +418,6 @@ class TestWcgcn:
         assert caches == []
         for key in g:
             assert np.array_equal(g[key], g_copy[key]), key
-
-
-needs_openblas_hooks = pytest.mark.skipif(
-    pool._openblas_threads() is None,
-    reason="no bundled OpenBLAS to hold a pool thread to one BLAS thread")
 
 
 class TestPassThreads:

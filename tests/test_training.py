@@ -90,15 +90,15 @@ def test_full_batch_explicit_and_default_agree():
 
 def _written_out(net):
     """A TwoLayerNet's outputs and its dW for the backward signal dout,
-    written out from its W and a."""
+    written out from its W and a in the step's (r, m) layout."""
     a, r = net.a, net.width
 
     def out(W, X):
-        return np.maximum(X @ W.T, 0.0) @ a / np.sqrt(r)
+        return a @ np.maximum(W @ X.T, 0.0) / np.sqrt(r)
 
     def grad(W, X, dout):
-        S = (X @ W.T > 0).astype(float) * a
-        return (S * dout[:, None]).T @ X / np.sqrt(r)
+        S = (W @ X.T > 0).astype(float) * a[:, None]
+        return S @ (dout[:, None] * X) / np.sqrt(r)
 
     return out, grad
 
