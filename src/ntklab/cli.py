@@ -15,12 +15,12 @@ Subcommands, with the shared flags each one takes::
     exp ID    run an experiment pipeline (fig1 fig2 fig3      --config --seed
               ntk-regime thm3 thm4-thm5)                      --out --threads
 
-``--threads`` is the number of worker processes for the independent cells
-of fig1 and fig3; with more than one, each worker runs on one BLAS thread.
-Whatever ``--threads`` is, ntk-regime's width cells, the sum-rate net
-passes and the analytic GNN kernel run side by side on a thread pool as
-wide as the BLAS pool (``OPENBLAS_NUM_THREADS``), each thread on one BLAS
-thread; their bits do not depend on ``--threads``.
+Every command runs in this one process.  The sum-rate net passes, the
+analytic GNN kernel and ntk-regime's width cells run side by side on a
+thread pool as wide as the cores the process may use, capped at the BLAS
+pool, each thread on one BLAS thread; their bits do not depend on the pool
+width.  ``taskset`` or ``OPENBLAS_NUM_THREADS`` narrow the pool.  ``exp``
+accepts ``--threads N`` and ignores it.
 
 A flag that a subcommand does not take is a usage error.  Exit codes: 0
 success, 1 invalid arguments or config, 2 numeric failure (divergence,
@@ -36,13 +36,14 @@ import numpy as np
 from .artifacts import RunFiles, csv_text
 from .config import EXPERIMENT_IDS, TRAIN, ExperimentConfig, load_config
 from .errors import DivergenceError, NumericFailureError
-from .experiments import (_keep_heap_mapped, _sum_rate_data, _sum_rate_net,
-                          run_experiment, write_manifest)
+from .experiments import (_sum_rate_data, _sum_rate_net, run_experiment,
+                          write_manifest)
 from .kernels import (analytic_ntk_gnn, analytic_ntk_mlp, mc_ntk,
                       save_kernel_csv, load_kernel_csv)
 from .netsim import (gaussian_node_dataset, generate_instances,
                      labelled_gaussian_dataset)
 from .nets import init_net
+from .pool import _keep_heap_mapped
 from .spectral import eig_sym
 from .training import evaluate, save_checkpoint, train, write_trace_csv
 
@@ -65,12 +66,7 @@ def _build_parser():
 
     def common(p, *names):
         flags = {"config": dict(help="sectioned key = value config file"),
-                 "seed": dict(type=int), "out": dict(help="output directory"),
-                 "threads": dict(type=int, help="worker processes for "
-                                                "fig1's and fig3's cells "
-                                                "(ntk-regime's cells, the "
-                                                "net passes and kernels "
-                                                "use the cores either way)")}
+                 "seed": dict(type=int), "out": dict(help="output directory")}
         for name in names:
             p.add_argument(f"--{name}", **flags[name])
 
@@ -109,7 +105,10 @@ def _build_parser():
     common(t, "config", "seed", "out")
 
     e = sub.add_parser("exp", help="run an experiment pipeline")
-    common(e, "config", "seed", "out", "threads")
+    common(e, "config", "seed", "out")
+    e.add_argument("--threads", type=int,
+                   help="has no effect; taskset or OPENBLAS_NUM_THREADS "
+                        "narrow the thread pool")
     e.add_argument("id", choices=EXPERIMENT_IDS, metavar="ID",
                    help="|".join(EXPERIMENT_IDS))
     e.add_argument("--scale", type=float, default=None,
@@ -269,9 +268,8 @@ def _cmd_train(args):
 
 def _cmd_exp(args):
     user = load_config(args.config) if args.config else {}
-    cfg = ExperimentConfig.build(
-        args.id, user, seed=args.seed, out=args.out,
-        threads=args.threads, scale=args.scale)
+    cfg = ExperimentConfig.build(args.id, user, seed=args.seed, out=args.out,
+                                 scale=args.scale)
     run_experiment(cfg)
     return 0
 

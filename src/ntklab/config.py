@@ -83,21 +83,18 @@ class ExperimentConfig:
     sections: dict
     seed: int = 0
     out: str = "runs"
-    threads: int = 1
     scale: float = 1.0
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS + (TRAIN,):
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {', '.join(EXPERIMENT_IDS)}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if not 0 < self.scale <= 1:
             raise ValueError("scale must lie in (0, 1]")
 
     @classmethod
     def build(cls, experiment, user_sections=None, seed=None, out=None,
-              threads=None, scale=None):
+              scale=None):
         """Defaults merged with ``user_sections``; a user key that its
         section of defaults.cfg does not declare is rejected as a typo."""
         defaults = default_config()
@@ -121,8 +118,6 @@ class ExperimentConfig:
             sections=sections,
             seed=_integral("seed", common.get("seed", 0) if seed is None else seed),
             out=common.get("out", "runs") if out is None else out,
-            threads=_integral("threads", common.get("threads", 1)
-                              if threads is None else threads),
             scale=float(common.get("scale", 1.0)) if scale is None else float(scale),
         )
 
@@ -164,10 +159,9 @@ class ExperimentConfig:
     def echo_lines(self):
         """Flattened config echo for manifests.  The [common] keys show the
         values the run used, flags over config files."""
-        used = {"seed": self.seed, "out": self.out, "threads": self.threads,
-                "scale": self.scale}
+        used = {"seed": self.seed, "out": self.out, "scale": self.scale}
         lines = [f"experiment = {self.experiment}", f"seed = {self.seed}",
-                 f"scale = {self.scale}", f"threads = {self.threads}"]
+                 f"scale = {self.scale}"]
         for section in sorted(self.sections):
             for key, value in sorted(self.sections[section].items()):
                 if section == "common":

@@ -2,22 +2,19 @@
 checksum manifest.
 
 Every pipeline is a pure function of (config, seed): re-running reproduces
-identical CSV bytes, whatever the worker count.  Wall-clock times therefore
-never enter data CSVs; they live in manifest header comments only.  Cells —
-independent (model, K, m) units — of fig1 and fig3 run in parallel worker
-processes at ``--threads`` > 1; ntk-regime's width cells always run side by
-side on the threads of :mod:`ntklab.pool`, at one BLAS thread, whatever
-``--threads`` is.  All files are written by the parent, atomically (temp
-file + rename), and the manifest lists exactly the files the run wrote.
+identical CSV bytes, whatever the width of the :mod:`ntklab.pool` thread
+pool.  Wall-clock times therefore never enter data CSVs; they live in
+manifest header comments only.  Cells — independent (model, K, m) units — of
+fig1 and fig3 run one after another in this process, each net pass and
+kernel spreading its tiles and blocks over the pool; ntk-regime's width
+cells run side by side on the pool, at one BLAS thread.  All files are
+written atomically (temp file + rename), and the manifest lists exactly the
+files the run wrote.
 """
 
-import concurrent.futures
-import ctypes
 import hashlib
-import multiprocessing
 import os
 import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -58,77 +55,6 @@ def write_manifest(files, echo_lines, t0):
     lines += sorted(f"{name}\t{_sha256(os.path.join(files.out, name))}"
                     for name in set(files.names))
     atomic_write(os.path.join(files.out, "manifest.txt"), "\n".join(lines) + "\n")
-
-
-def _call(cell, kwargs):
-    return cell(**kwargs)
-
-
-# a worker process runs one cell at a time; a BLAS thread pool of its own
-# per worker would oversubscribe the cores the workers already share
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _single_thread_blas_env():
-    """os.environ with every BLAS thread variable at 1, restored on exit;
-    processes spawned inside inherit it."""
-    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
-def _keep_heap_mapped():
-    """Set this process's malloc policy so that freed numpy buffers stay
-    mapped for the next training step.
-
-    glibc's default serves each large block with its own mmap and trims the
-    freed top of the heap after every burst of temporaries, so each step
-    faults its working set in again.  Blocks under 32 MiB (every hot-path
-    array; the largest, a 256 x 380 x 32 snapshot chunk, is 24.9 MB) now
-    come from the heap, which is trimmed only once 1 GiB is free at its
-    top; larger one-off arrays still go back to the kernel.  Both
-    thresholds must be set: setting either one turns off glibc's dynamic
-    thresholds, and the other then stays fixed, usually at its 128 KiB
-    default.  Every thread allocates from the one main arena, so the
-    threads of :mod:`ntklab.pool` (the GNN kernel's blocks, the net passes'
-    tiles, ntk-regime's cells) reuse the heap that training freed instead
-    of faulting in arenas of their own.  Does nothing without glibc's
-    ``mallopt``; changes no arithmetic.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        # no process-wide symbol table (TypeError on Windows) or no mallopt
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
-    mallopt(-1, 1 << 30)            # M_TRIM_THRESHOLD
-    mallopt(-8, 1)                  # M_ARENA_MAX
-
-
-def _run_cells(cell, jobs, threads):
-    """One cell function over a list of keyword-argument jobs, in spawned
-    worker processes (one BLAS thread each, the malloc policy of
-    ``_keep_heap_mapped``) when threads > 1; results come back in job
-    order."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [_call(cell, j) for j in jobs]
-    # the package loads its process-pool module on this first use only
-    with _single_thread_blas_env(), concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(threads, len(jobs)),
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_keep_heap_mapped) as ex:
-        return list(ex.map(_call, [cell] * len(jobs), jobs))
 
 
 def _sum_rate_net(arch, k, hidden, seed, layers):
@@ -233,7 +159,7 @@ def run_fig1(cfg):
             for k in k_list
             for model, hidden in (("gnn", gnn_hidden),
                                   ("mlp", _mlp_hidden(cfg, k, gnn_hidden, layers)))]
-    results = _run_cells(_train_cell, jobs, cfg.threads)
+    results = [_train_cell(**job) for job in jobs]
 
     files = RunFiles(cfg.out)
     rows, summaries = {}, []
@@ -329,7 +255,7 @@ def run_fig3(cfg):
                  batch_size=cfg.get_batch(f"{model}_batch_size"),
                  eval_every=cfg.get_int("eval_every"))
             for model in ("gnn", "mlp") for m in m_list]
-    results = _run_cells(_train_cell, jobs, cfg.threads)
+    results = [_train_cell(**job) for job in jobs]
 
     files = RunFiles(cfg.out)
     rows = {}
@@ -373,13 +299,16 @@ def run_fig3(cfg):
 
     # analytic-kernel smallest eigenvalues on nested sample prefixes: both
     # kernels are entrywise and sample m is a prefix of sample m', so each
-    # m's kernel is the leading block of the largest one
+    # m's kernel is the leading block of the largest one.  The eigensolves
+    # run at one BLAS thread, so their bits do not depend on the
+    # environment's BLAS thread count
     big = generate_instances(k, max(lambda_ms), cfg.seed)
     H_mlp = analytic_ntk_mlp(big.flat_features).entries
     H_gnn = analytic_ntk_gnn(big.node_features).entries
-    lam_rows = [(m, float(np.linalg.eigvalsh(H_mlp[:m, :m])[0]),
-                 float(np.linalg.eigvalsh(H_gnn[:m, :m])[0]))
-                for m in lambda_ms]
+    with one_blas_thread():
+        lam_rows = [(m, float(np.linalg.eigvalsh(H_mlp[:m, :m])[0]),
+                     float(np.linalg.eigvalsh(H_gnn[:m, :m])[0]))
+                    for m in lambda_ms]
     files.write("lambda_min.csv", csv_text(
         "m,lambda_min_mlp,lambda_min_gnn", lam_rows,
         comments=[f"K = {k}, seed = {cfg.seed}; sample m is a "
@@ -445,9 +374,9 @@ def run_ntk_regime(cfg):
     degree = cfg.get_int("label_degree")
     loss_drop = cfg.get_float("loss_drop")
 
-    # the cells share the pool whatever --threads is, widest first so that
-    # the narrow ones run beside it; their nets and kernels are held at one
-    # BLAS thread, and nothing a cell calls submits to the pool again
+    # the cells share the pool, widest first so that the narrow ones run
+    # beside it; their nets and kernels are held at one BLAS thread, and
+    # nothing a cell calls submits to the pool again
     order = sorted(range(len(widths)), key=lambda i: -widths[i])
     with one_blas_thread() as threads:
         done = _run_blocks(

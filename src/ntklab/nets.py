@@ -22,7 +22,7 @@ full-power fixed point and training stalls.  All gradients are hand-written
 reverse mode and checked against central finite differences in the tests.
 
 Every net pass, of all three nets, holds OpenBLAS at one thread for its
-length (:func:`ntklab.pool.one_blas_thread`), whatever ``--threads`` is.  The
+length (:func:`ntklab.pool.one_blas_thread`).  The
 WCGCN's edge rows, m K (K - 1) of them, run in tiles of whole samples of
 about ``_TILE_ENTRIES`` entries on the pool of :mod:`ntklab.pool`, when a
 pass has at least two tiles; each tile writes only its own rows of

@@ -22,6 +22,10 @@ outermost one sets and restores OpenBLAS's count and reads the pool width,
 and the others only count.  A pool thread runs the :func:`_run_blocks`
 calls of its own task serially, so a task that reaches a tiled pass or the
 GNN kernel never waits on the pool it runs in.
+
+The process's malloc policy lives here too (:func:`_keep_heap_mapped`, set
+by the command-line entry point), since the pool's threads allocate from
+the heap it keeps.
 """
 
 import concurrent.futures
@@ -59,10 +63,10 @@ def _openblas_threads():
 
 
 def _block_threads():
-    """The pool width: the cores this process may run on, capped at
-    OpenBLAS's own thread count (1 in a worker process started with one
-    BLAS thread); 1, a serial run, without the OpenBLAS hooks that hold
-    each pool thread to one BLAS thread."""
+    """The pool width: the cores this process may run on (``taskset``
+    narrows them), capped at OpenBLAS's own thread count (which
+    ``OPENBLAS_NUM_THREADS`` sets at start-up); 1, a serial run, without the
+    OpenBLAS hooks that hold each pool thread to one BLAS thread."""
     hooks = _openblas_threads()
     if hooks is None:
         return 1
@@ -136,3 +140,33 @@ def _run_blocks(block, spans, threads):
     futures = [pool.submit(block, span) for span in spans]
     concurrent.futures.wait(futures)
     return [future.result() for future in futures]
+
+
+def _keep_heap_mapped():
+    """Set this process's malloc policy so that freed numpy buffers stay
+    mapped for the next training step.
+
+    glibc's default serves each large block with its own mmap and trims the
+    freed top of the heap after every burst of temporaries, so each step
+    faults its working set in again.  Blocks under 32 MiB (every hot-path
+    array; the largest, a 256 x 380 x 32 snapshot chunk, is 24.9 MB) now
+    come from the heap, which is trimmed only once 1 GiB is free at its
+    top; larger one-off arrays still go back to the kernel.  Both
+    thresholds must be set: setting either one turns off glibc's dynamic
+    thresholds, and the other then stays fixed, usually at its 128 KiB
+    default.  Every thread allocates from the one main arena, so the
+    pool's threads (the GNN kernel's blocks, the net passes' tiles,
+    ntk-regime's cells) reuse the heap that training freed instead of
+    faulting in arenas of their own.  Does nothing without glibc's
+    ``mallopt``; changes no arithmetic.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        # no process-wide symbol table (TypeError on Windows) or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)           # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)            # M_TRIM_THRESHOLD
+    mallopt(-8, 1)                  # M_ARENA_MAX

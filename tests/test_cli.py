@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, artifacts, config plumbing."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ntklab
 from ntklab.cli import cli_main
 from ntklab.config import default_config
 from ntklab.kernels import analytic_ntk_mlp, load_kernel_csv
@@ -409,33 +413,44 @@ def test_exp_fig2_pipeline(tmp_path):
     assert (out / "fig2_plot.py").exists()
 
 
-def test_exp_threads_from_config(tmp_path):
-    # without --threads, [common] threads sets the worker count
+def test_exp_threads_from_config(tmp_path, capsys):
+    # the pipelines have no worker count, so [common] threads is a typo
     cfg = tmp_path / "e.cfg"
     cfg.write_text("[common]\nthreads = 2\n[fig2]\nn_list = 1\nsamples = 12\n")
     out = tmp_path / "run"
     assert cli_main(["exp", "fig2", "--config", str(cfg),
-                     "--out", str(out)]) == 0
-    manifest = (out / "manifest.txt").read_text()
-    assert "# threads = 2" in manifest
+                     "--out", str(out)]) == 1
+    assert "unknown config key(s) in [common]: threads" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exp_manifest_echoes_the_values_the_run_used(tmp_path):
     # flags override the config file's [common] keys, and the echo of
     # [common] shows what the run used, not the merged file values
     cfg = tmp_path / "e.cfg"
-    cfg.write_text(f"[common]\nseed = 7\nthreads = 2\nout = {tmp_path / 'no'}\n"
+    cfg.write_text(f"[common]\nseed = 7\nout = {tmp_path / 'no'}\n"
                    "[fig2]\nn_list = 1, 2\n")
     out = tmp_path / "run"
     assert cli_main(["exp", "fig2", "--config", str(cfg), "--scale", "0.05",
                      "--seed", "3", "--threads", "1", "--out", str(out)]) == 0
     echo = _echo(out / "manifest.txt")
-    assert echo[:4] == ["experiment = fig2", "seed = 3", "scale = 0.05",
-                        "threads = 1"]
+    assert echo[:3] == ["experiment = fig2", "seed = 3", "scale = 0.05"]
     assert [line for line in echo if line.startswith("common.")] == [
-        f"common.out = {out}", "common.scale = 0.05", "common.seed = 3",
-        "common.threads = 1"]
+        f"common.out = {out}", "common.scale = 0.05", "common.seed = 3"]
     assert not (tmp_path / "no").exists()
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # every command runs in one process, so setting up the CLI does not
+    # pay for importing multiprocessing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ntklab.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import ntklab.cli\n"
+            "print('multiprocessing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_exp_scale_validation(tmp_path, capsys):

@@ -69,11 +69,9 @@ def test_build_merges_user_over_defaults():
 
 def test_build_common_section_controls_run_knobs():
     cfg = ExperimentConfig.build(
-        "fig2", {"common": {"seed": "7", "out": "/tmp/x", "threads": "2",
-                            "scale": "0.5"}})
+        "fig2", {"common": {"seed": "7", "out": "/tmp/x", "scale": "0.5"}})
     assert cfg.seed == 7
     assert cfg.out == "/tmp/x"
-    assert cfg.threads == 2
     assert cfg.scale == 0.5
     # explicit arguments beat the common section
     cfg2 = ExperimentConfig.build("fig2", {"common": {"seed": "7"}}, seed=9)
@@ -86,8 +84,6 @@ def test_unknown_experiment_rejected():
 
 
 def test_validation_of_run_knobs():
-    with pytest.raises(ValueError):
-        ExperimentConfig.build("fig1", threads=0)
     with pytest.raises(ValueError):
         ExperimentConfig.build("fig1", scale=0.0)
     with pytest.raises(ValueError):
@@ -136,7 +132,8 @@ def test_echo_lines_flatten_everything():
     assert "experiment = fig1" in lines
     assert "fig1.epochs = 42" in lines
     n_keys = sum(len(kv) for kv in cfg.sections.values())
-    assert len(lines) == 4 + n_keys
+    # experiment, seed and scale head the echo
+    assert len(lines) == 3 + n_keys
 
 
 def test_build_rejects_keys_missing_from_defaults():

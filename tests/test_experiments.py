@@ -22,9 +22,7 @@ from ntklab.config import EXPERIMENT_IDS, ExperimentConfig, default_config
 from ntklab.netsim import generate_instances
 from ntklab.nets import _Tiles, gradients, init_net, n_params
 from ntklab.experiments import (
-    _BLAS_THREAD_VARS,
     _mlp_hidden,
-    _run_cells,
     run_bounds,
     run_experiment,
     run_fig1,
@@ -38,10 +36,9 @@ def section_of(experiment):
     return "bounds" if experiment in ("thm3", "thm4-thm5") else experiment
 
 
-def build(experiment, overrides, out, threads=1, **kw):
+def build(experiment, overrides, out, **kw):
     return ExperimentConfig.build(
-        experiment, {section_of(experiment): overrides},
-        out=str(out), threads=threads, **kw)
+        experiment, {section_of(experiment): overrides}, out=str(out), **kw)
 
 
 def load_csv(path):
@@ -248,7 +245,8 @@ def test_fig3_lambda_min_shrinks_with_m(fig3_run):
 
 
 # ---------------------------------------------------------------------------
-# ntk-regime: thread-count invariance
+# determinism: neither the pool width nor the environment's BLAS thread
+# count moves a bit
 
 
 def ntk_overrides():
@@ -257,68 +255,69 @@ def ntk_overrides():
             "eval_every": "10", "loss_drop": "5.0"}
 
 
-def test_ntk_regime_threads_do_not_change_results(tmp_path, monkeypatch):
-    # three width cells, listed out of width order, share the pool at
-    # widths 1 to 3 whatever --threads is, and in a process whose OpenBLAS
-    # starts at one thread (a pool of width 1); the rows follow ``widths``
-    overrides = dict(ntk_overrides(), widths="32, 8, 16")
-    files = ("ntk_regime.csv", "kernel_convergence.csv", "traj_w8.csv",
-             "traj_w16.csv", "traj_w32.csv")
+_DETERMINISM = {
+    # 60 samples at K = 20 and hidden 32: the node block's weight-gradient
+    # gemm reduces over 1,200 rows, which OpenBLAS rounds differently at one
+    # and at two BLAS threads; the net passes hold every BLAS call to one
+    "fig1": (run_fig1, dict(FIG1_TINY, k_list="20", m_train="60",
+                            m_test="8", gnn_hidden="32", batch_size="full")),
+    # tiny trainings, and eigensolves of 400 x 400 kernels, which OpenBLAS
+    # rounds differently at one and at two BLAS threads
+    "fig3": (run_fig3, dict(FIG3_TINY, k="20", lambda_m_list="400")),
+    # three width cells, listed out of width order
+    "ntk-regime": (run_ntk_regime, dict(ntk_overrides(), widths="32, 8, 16")),
+}
 
-    def read(out):
-        return {f: (out / f).read_bytes() for f in files}
 
+def _csvs(out):
+    return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+
+
+def _same_csvs_in_process_and_at_one_blas_thread(experiment, tmp_path):
+    """Run the ``_DETERMINISM`` case of ``experiment`` here and in a new
+    interpreter whose OpenBLAS starts at one thread (a pool of width 1),
+    check that the two runs wrote the same CSV bytes, and return the
+    directory of the run made here."""
+    runner, overrides = _DETERMINISM[experiment]
+    here, env = tmp_path / "here", tmp_path / "env"
+    runner(build(experiment, overrides, here))
+    code = (f"import sys; sys.path[:0] = {_PATHS!r}\n"
+            "from ntklab.experiments import run_experiment\n"
+            "from test_experiments import build\n"
+            f"run_experiment(build({experiment!r}, {overrides!r}, {str(env)!r}))")
+    subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
+                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert _csvs(here)
+    assert _csvs(env) == _csvs(here)
+    return here
+
+
+@pytest.mark.parametrize("experiment", sorted(_DETERMINISM))
+def test_pool_width_does_not_change_results(tmp_path, monkeypatch,
+                                            experiment):
+    runner, overrides = _DETERMINISM[experiment]
     outputs = []
     for width in (1, 2, 3):
         monkeypatch.setattr(pool, "_block_threads", lambda: width)
-        for threads in (1, 2):
-            out = tmp_path / f"p{width}t{threads}"
-            run_ntk_regime(build("ntk-regime", overrides, out, threads=threads))
-            outputs.append(read(out))
-    out = tmp_path / "env"
-    code = (f"import sys; sys.path[:0] = {_PATHS!r}\n"
-            "from ntklab.config import ExperimentConfig\n"
-            "from ntklab.experiments import run_ntk_regime\n"
-            "run_ntk_regime(ExperimentConfig.build('ntk-regime', "
-            f"{{'ntk-regime': {overrides!r}}}, out={str(out)!r}))")
-    subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
-                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
-    outputs.append(read(out))
+        runner(build(experiment, overrides, tmp_path / f"p{width}"))
+        outputs.append(_csvs(tmp_path / f"p{width}"))
+    assert outputs[0]
     assert all(o == outputs[0] for o in outputs[1:])
-    assert [r["width"] for r in load_csv(out / "ntk_regime.csv")] == \
-        ["32", "8", "16"]
-    assert [r["width"] for r in load_csv(out / "kernel_convergence.csv")] == \
-        ["32", "8", "16"]
+
+
+def test_ntk_regime_threads_do_not_change_results(tmp_path):
+    # the rows follow ``widths``, not the widest-first order the cells run in
+    out = _same_csvs_in_process_and_at_one_blas_thread("ntk-regime", tmp_path)
+    for name in ("ntk_regime.csv", "kernel_convergence.csv"):
+        assert [r["width"] for r in load_csv(out / name)] == ["32", "8", "16"]
 
 
 def test_fig1_threads_do_not_change_results(tmp_path):
-    # 60 samples at K = 20 and hidden 32: the node block's weight-gradient
-    # gemm reduces over 1,200 rows, which OpenBLAS rounds differently at one
-    # and at two BLAS threads (a --threads 2 worker runs one); the net
-    # passes hold every BLAS call to one thread whatever --threads is
-    overrides = dict(FIG1_TINY, k_list="20", m_train="60", m_test="8",
-                     gnn_hidden="32", batch_size="full")
-    files = ("trace_gnn_K20.csv", "trace_mlp_K20.csv", "fig1_K20.csv",
-             "fig1_summary.csv")
-    outputs = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}"
-        run_fig1(build("fig1", overrides, out, threads=threads))
-        outputs.append({f: (out / f).read_bytes() for f in files})
-    assert outputs[0] == outputs[1]
+    _same_csvs_in_process_and_at_one_blas_thread("fig1", tmp_path)
 
 
-def test_spawned_workers_run_one_blas_thread(monkeypatch):
-    for var in _BLAS_THREAD_VARS:
-        monkeypatch.setenv(var, "3")
-    seen = _run_cells(os.getenv, [{"key": var} for var in _BLAS_THREAD_VARS],
-                      threads=2)
-    assert seen == ["1"] * len(_BLAS_THREAD_VARS)
-    # the parent's own environment is left as it was
-    assert all(os.environ[var] == "3" for var in _BLAS_THREAD_VARS)
-    monkeypatch.delenv("MKL_NUM_THREADS")
-    _run_cells(os.getenv, [{"key": "PATH"}] * 2, threads=2)
-    assert "MKL_NUM_THREADS" not in os.environ
+def test_fig3_lambda_min_does_not_depend_on_blas_threads(tmp_path):
+    _same_csvs_in_process_and_at_one_blas_thread("fig3", tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +378,6 @@ def test_cli_entry_keeps_training_steps_fault_free():
     assert faults < 100
 
 
-@needs_mallopt
-def test_spawned_workers_keep_training_steps_fault_free():
-    faults = _run_cells(_wcgcn_step_faults, [{}, {}], threads=2)
-    assert all(f < 100 for f in faults), faults
-
-
 _THREAD_REUSE = """
 import resource, threading
 import numpy as np
@@ -406,7 +399,7 @@ def test_worker_threads_reuse_the_heap_the_main_thread_freed():
     # one malloc arena: a thread's 48 MB land in the 64 MB the main thread
     # freed; with an arena of its own the thread faults in all 48 MB anew
     code = (f"import sys; sys.path[:0] = {_PATHS!r}\n"
-            "from ntklab.experiments import _keep_heap_mapped\n"
+            "from ntklab.pool import _keep_heap_mapped\n"
             f"_keep_heap_mapped()\n{_THREAD_REUSE}")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
@@ -420,7 +413,7 @@ def test_policy_is_a_no_op_without_mallopt():
     # default policy and the steps fault as before
     faults = _step_faults_in_fresh_process(
         "import ctypes, types\n"
-        "from ntklab.experiments import _keep_heap_mapped\n"
+        "from ntklab.pool import _keep_heap_mapped\n"
         "ctypes.CDLL = lambda name: types.SimpleNamespace()\n"
         "_keep_heap_mapped()\n"
         "def no_table(name):\n"
