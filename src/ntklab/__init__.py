@@ -12,8 +12,9 @@ Submodules:
 * nets      — finite-width trainable networks with exact gradients
 * training  — seeded training loops, traces, evaluation, checkpoints
 * artifacts — the atomic file writer and CSV text every output goes through
-* pool      — the thread pool, each thread on one OpenBLAS thread, that the
-  net passes and the GNN kernel share
+* pool      — the thread pool that the net passes, the GNN kernel and
+  ntk-regime's cells share, and the process's policy of one OpenBLAS
+  thread
 * experiments, config, cli — reproducible artifact generation
 """
 

@@ -15,12 +15,12 @@ Subcommands, with the shared flags each one takes::
     exp ID    run an experiment pipeline (fig1 fig2 fig3      --config --seed
               ntk-regime thm3 thm4-thm5)                      --out --threads
 
-Every command runs in this one process.  The sum-rate net passes, the
-analytic GNN kernel and ntk-regime's width cells run side by side on a
-thread pool as wide as the cores the process may use, capped at the BLAS
-pool, each thread on one BLAS thread; their bits do not depend on the pool
-width.  ``taskset`` or ``OPENBLAS_NUM_THREADS`` narrow the pool.  ``exp``
-accepts ``--threads N`` and ignores it.
+Every command runs in this one process, under the BLAS policy of
+:mod:`ntklab.pool`: one OpenBLAS thread for every BLAS call.  The sum-rate
+net passes, the analytic GNN kernel and ntk-regime's width cells run side
+by side on that module's thread pool; no output depends on its width.
+``taskset`` or ``OPENBLAS_NUM_THREADS`` narrow the pool.  ``exp`` accepts
+``--threads N`` and ignores it.
 
 A flag that a subcommand does not take is a usage error.  Exit codes: 0
 success, 1 invalid arguments or config, 2 numeric failure (divergence,

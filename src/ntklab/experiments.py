@@ -7,9 +7,10 @@ pool.  Wall-clock times therefore never enter data CSVs; they live in
 manifest header comments only.  Cells — independent (model, K, m) units — of
 fig1 and fig3 run one after another in this process, each net pass and
 kernel spreading its tiles and blocks over the pool; ntk-regime's width
-cells run side by side on the pool, at one BLAS thread.  All files are
-written atomically (temp file + rename), and the manifest lists exactly the
-files the run wrote.
+cells run side by side on the pool.  Every BLAS call runs on one OpenBLAS
+thread (:mod:`ntklab.pool`), so no output depends on the environment's
+BLAS thread count either.  All files are written atomically (temp file +
+rename), and the manifest lists exactly the files the run wrote.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from .kernels import analytic_ntk_gnn, analytic_ntk_mlp, empirical_ntk
 from .netsim import (gaussian_node_dataset, generate_instances,
                      label_direction, labelled_gaussian_dataset)
 from .nets import init_net, n_params
-from .pool import _run_blocks, one_blas_thread
+from .pool import _run_blocks
 from .spectral import (activation_constant, condition_landscape,
                        generalization_bound, kernel_dynamics, thm3_bounds)
 from .errors import RangeViolationError, UnsupportedConstantError
@@ -299,16 +300,13 @@ def run_fig3(cfg):
 
     # analytic-kernel smallest eigenvalues on nested sample prefixes: both
     # kernels are entrywise and sample m is a prefix of sample m', so each
-    # m's kernel is the leading block of the largest one.  The eigensolves
-    # run at one BLAS thread, so their bits do not depend on the
-    # environment's BLAS thread count
+    # m's kernel is the leading block of the largest one
     big = generate_instances(k, max(lambda_ms), cfg.seed)
     H_mlp = analytic_ntk_mlp(big.flat_features).entries
     H_gnn = analytic_ntk_gnn(big.node_features).entries
-    with one_blas_thread():
-        lam_rows = [(m, float(np.linalg.eigvalsh(H_mlp[:m, :m])[0]),
-                     float(np.linalg.eigvalsh(H_gnn[:m, :m])[0]))
-                    for m in lambda_ms]
+    lam_rows = [(m, float(np.linalg.eigvalsh(H_mlp[:m, :m])[0]),
+                 float(np.linalg.eigvalsh(H_gnn[:m, :m])[0]))
+                for m in lambda_ms]
     files.write("lambda_min.csv", csv_text(
         "m,lambda_min_mlp,lambda_min_gnn", lam_rows,
         comments=[f"K = {k}, seed = {cfg.seed}; sample m is a "
@@ -375,14 +373,12 @@ def run_ntk_regime(cfg):
     loss_drop = cfg.get_float("loss_drop")
 
     # the cells share the pool, widest first so that the narrow ones run
-    # beside it; their nets and kernels are held at one BLAS thread, and
-    # nothing a cell calls submits to the pool again
+    # beside it; nothing a cell calls submits to the pool again
     order = sorted(range(len(widths)), key=lambda i: -widths[i])
-    with one_blas_thread() as threads:
-        done = _run_blocks(
-            lambda w: _ntk_cell(w, d, m, cfg.seed, lr, epochs, eval_every,
-                                degree, loss_drop),
-            [widths[i] for i in order], threads)
+    done = _run_blocks(
+        lambda w: _ntk_cell(w, d, m, cfg.seed, lr, epochs, eval_every,
+                            degree, loss_drop),
+        [widths[i] for i in order])
     results = [r for _, r in sorted(zip(order, done))]
 
     files = RunFiles(cfg.out)

@@ -15,11 +15,12 @@ node with a sum readout, giving the pairwise sum over node pairs.  Node-set
 arrays are evaluated in square sample blocks of about ``_BLOCK_ENTRIES``
 base-kernel entries each, so memory stays bounded whatever m is; only the
 upper block triangle is evaluated, and each mirror block is filled from its
-transposed base block.  The blocks run on a thread pool as wide as the
-OpenBLAS pool, each thread on one BLAS thread, and the ReLU chain runs in
-place over L2-sized tiles of the Gram block; neither the pool size nor the
-tiles move a bit.  In ``mc_ntk``, flat (m, d) samples select the flat
-kernel and (m, n, d) node sets the sum-readout one.
+transposed base block.  The blocks run on the thread pool of
+:mod:`ntklab.pool`, whose policy keeps every BLAS call on one OpenBLAS
+thread, and the ReLU chain runs in place over L2-sized tiles of the Gram
+block; neither the pool size nor the tiles move a bit.  In ``mc_ntk``,
+flat (m, d) samples select the flat kernel and (m, n, d) node sets the
+sum-readout one.
 
 Kernels persist as one text format, ``save_kernel_csv``: 17 significant
 digits, so a saved kernel loads back bit for bit.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .artifacts import atomic_write, csv_text
 from .errors import DegenerateInputError
-from .pool import _run_blocks, one_blas_thread
+from .pool import _run_blocks
 from .rng import DOMAIN_MC, stream
 
 __all__ = [
@@ -161,13 +162,13 @@ def gnn_kernel_function(nodes, activation="relu"):
     about ``_BLOCK_ENTRIES`` entries (8 MB).  Only the blocks on and above
     the diagonal are evaluated; each mirror block is filled from the
     transposed base block, summed in the order the mirror's own evaluation
-    would use.  The blocks run on the pool of :mod:`ntklab.pool`, each
-    thread held to one OpenBLAS thread; each block writes only its own
-    entries of H, so the schedule and the pool size move no bit.  A block
-    holds its base kernel and a few small tiles, so the temporaries stay
-    about one 8 MB block per thread whatever m is.  Every entry is summed
-    in the same order whatever the block size; only the BLAS product that
-    forms the base Gram may round differently at different block shapes.
+    would use.  The blocks run on the pool of :mod:`ntklab.pool`; each
+    block writes only its own entries of H, so the schedule and the pool
+    size move no bit.  A block holds its base kernel and a few small
+    tiles, so the temporaries stay about one 8 MB block per thread
+    whatever m is.  Every entry is summed in the same order whatever the
+    block size; only the BLAS product that forms the base Gram may round
+    differently at different block shapes.
     """
     nodes = np.asarray(nodes)
     if nodes.ndim != 3:
@@ -186,10 +187,9 @@ def gnn_kernel_function(nodes, activation="relu"):
         if lo2 > lo:
             out[lo2:hi2, lo:hi] = _mirror_pair_sums(base)
 
-    with one_blas_thread() as threads:
-        _run_blocks(block, [(lo, min(lo + step, m), lo2, min(lo2 + step, m))
-                            for lo in range(0, m, step)
-                            for lo2 in range(lo, m, step)], threads)
+    _run_blocks(block, [(lo, min(lo + step, m), lo2, min(lo2 + step, m))
+                        for lo in range(0, m, step)
+                        for lo2 in range(lo, m, step)])
     return out
 
 

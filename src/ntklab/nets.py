@@ -21,25 +21,24 @@ problem; without the normalization the sigmoid head saturates at the
 full-power fixed point and training stalls.  All gradients are hand-written
 reverse mode and checked against central finite differences in the tests.
 
-Every net pass, of all three nets, holds OpenBLAS at one thread for its
-length (:func:`ntklab.pool.one_blas_thread`).  The
-WCGCN's edge rows, m K (K - 1) of them, run in tiles of whole samples of
-about ``_TILE_ENTRIES`` entries on the pool of :mod:`ntklab.pool`, when a
-pass has at least two tiles; each tile writes only its own rows of
-preallocated arrays.  Every reduction across rows stays one whole-array
-call in the form it has without tiles: the BatchNorm means, the einsum
-variances and sums, the bias sums and the weight-gradient gemms; pairs of
-independent ones run side by side, each whole on one pool thread.  A
-gemm's rows come out the same whether it runs whole or in tiles of two or
-more rows, so a pass has the bits of the whole-array pass at one BLAS
-thread, at any pool width.
+Every BLAS call runs on one OpenBLAS thread, the process's policy
+(:mod:`ntklab.pool`).  The WCGCN's edge rows, m K (K - 1) of them, run in
+tiles of whole samples of about ``_TILE_ENTRIES`` entries on the pool of
+:mod:`ntklab.pool`, when a pass has at least two tiles; each tile writes
+only its own rows of preallocated arrays.  Every reduction across rows
+stays one whole-array call in the form it has without tiles: the BatchNorm
+means, the einsum variances and sums, the bias sums and the weight-gradient
+gemms; pairs of independent ones run side by side, each whole on one pool
+thread.  A gemm's rows come out the same whether it runs whole or in tiles
+of two or more rows, so a pass has the bits of the whole-array pass at one
+BLAS thread, at any pool width.
 """
 
 import numpy as np
 
 from .errors import NumericFailureError
 from .netsim import _sinr_terms, neighbor_indices, sum_rate_batch
-from .pool import _run_blocks, one_blas_thread
+from .pool import _run_blocks
 from .rng import DOMAIN_INIT, stream
 
 __all__ = [
@@ -77,30 +76,32 @@ def _sigmoid(z):
 
 
 class _Tiles:
-    """Row spans (lo, hi) of an array and the pool width that runs them.
+    """Row spans (lo, hi) of an array, run on the pool of
+    :mod:`ntklab.pool`.
 
     ``each(step)`` calls step(lo, hi) once per span; ``whole(*calls)`` runs
     independent whole-array calls, one to a pool thread, and returns their
-    results in order.  One span, or a width of 1, runs serially, in order,
-    on this thread."""
+    results in order.  One span, or a pool width of 1, runs serially, in
+    order, on this thread."""
 
-    def __init__(self, spans, threads=1):
+    def __init__(self, spans):
         self.spans = spans
-        self.threads = threads if len(spans) > 1 else 1
 
     @classmethod
-    def of_samples(cls, m, rows, cols, threads):
+    def of_samples(cls, m, rows, cols):
         """Tiles of whole samples, ``rows`` rows of ``cols`` entries each,
         with about ``_TILE_ENTRIES`` entries (at least one sample) a tile."""
         step = max(1, _TILE_ENTRIES // max(rows * cols, 1)) * rows
         return cls([(lo, min(lo + step, m * rows))
-                    for lo in range(0, m * rows, step)], threads)
+                    for lo in range(0, m * rows, step)])
 
     def each(self, step):
-        _run_blocks(lambda span: step(*span), self.spans, self.threads)
+        _run_blocks(lambda span: step(*span), self.spans)
 
     def whole(self, *calls):
-        return _run_blocks(lambda call: call(), calls, self.threads)
+        if len(self.spans) == 1:
+            return [call() for call in calls]
+        return _run_blocks(lambda call: call(), calls)
 
 
 def _linear_relu(x, params, prefix, tag, out=None, mask=None):
@@ -227,9 +228,9 @@ class TwoLayerNet:
     ``forward``.  The step then hands relu(Z^T) to ``_backprop``
     (1[Z^T > 0] contracted with the residual-scaled inputs, then one
     division by the signed scale a * sqrt(r)), which reuses the buffer
-    again.  Both hold OpenBLAS at one thread
-    (:func:`ntklab.pool.one_blas_thread`), whose bits do not depend on the
-    environment's BLAS count.
+    again.  Both run on the process's one OpenBLAS thread
+    (:mod:`ntklab.pool`), so their bits do not depend on the environment's
+    BLAS count.
 
     The net keeps a read-only copy of a: the signed divisor is built from it
     once, here, and must not drift from it."""
@@ -297,9 +298,8 @@ class TwoLayerNet:
 
     def forward(self, X):
         """Flat (d,) or (m, d) inputs -> (m,) outputs."""
-        with one_blas_thread():
-            _, Zt = self._preact(X)
-            return self._readout(Zt, Zt)
+        _, Zt = self._preact(X)
+        return self._readout(Zt, Zt)
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +377,22 @@ class WcgcnNet:
             E = K * (K - 1)
             h_ik = mags[:, nbr, np.arange(K)[:, None]]
             h_ki = mags[:, np.arange(K)[:, None], nbr]
-        with one_blas_thread() as threads:
-            for j in range(self.layers):
-                pf = f"l{j}."
-                if K > 1:
-                    X = np.stack([p[:, nbr], h_ik, h_ki], axis=-1).reshape(m * E, 3)
-                    y, arg, M1, c1, M2, c2 = self._edge_forward(
-                        X, m, K, pf, train, _Tiles.of_samples(m, E, h, threads))
-                else:
-                    # empty neighborhood: aggregated message is the zero vector
-                    X = M1 = c1 = M2 = c2 = arg = None
-                    y = np.zeros((m, 1, h))
-                U = np.concatenate([y, weights[..., None], diag[..., None]],
-                                   axis=-1).reshape(m * K, h + 2)
-                B3, M3, c3 = _block(U, self.params, self.state, pf, "2a", train)
-                Z4 = B3 @ self.params[pf + "W2b"] + self.params[pf + "b2b"]
-                p = _sigmoid(Z4.reshape(m, K))
-                caches.append((X, M1, c1, M2, c2, arg, U, M3, c3, B3, p))
+        for j in range(self.layers):
+            pf = f"l{j}."
+            if K > 1:
+                X = np.stack([p[:, nbr], h_ik, h_ki], axis=-1).reshape(m * E, 3)
+                y, arg, M1, c1, M2, c2 = self._edge_forward(
+                    X, m, K, pf, train, _Tiles.of_samples(m, E, h))
+            else:
+                # empty neighborhood: aggregated message is the zero vector
+                X = M1 = c1 = M2 = c2 = arg = None
+                y = np.zeros((m, 1, h))
+            U = np.concatenate([y, weights[..., None], diag[..., None]],
+                               axis=-1).reshape(m * K, h + 2)
+            B3, M3, c3 = _block(U, self.params, self.state, pf, "2a", train)
+            Z4 = B3 @ self.params[pf + "W2b"] + self.params[pf + "b2b"]
+            p = _sigmoid(Z4.reshape(m, K))
+            caches.append((X, M1, c1, M2, c2, arg, U, M3, c3, B3, p))
         return p, caches
 
     def _edge_forward(self, X, m, K, pf, train, tiles):
@@ -461,75 +460,74 @@ class WcgcnNet:
         nbr, scatter = self._nbr(K)
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         P = self.params
-        with one_blas_thread() as threads:
-            for j in range(self.layers - 1, -1, -1):
-                pf = f"l{j}."
-                X, M1, c1, M2, c2, arg, U, M3, c3, B3, pnew = caches.pop()
-                dZ4 = (dP * pnew * (1.0 - pnew)).reshape(m * K, 1)
-                grads[pf + "W2b"] += B3.T @ dZ4
-                grads[pf + "b2b"] += dZ4.sum(axis=0)
-                dZ3, dg, dbe = _bn_backward(dZ4 @ P[pf + "W2b"].T, P[pf + "g2a"],
-                                            c3, train, M3)
-                grads[pf + "g2a"] += dg
-                grads[pf + "be2a"] += dbe
-                grads[pf + "W2a"] += U.T @ dZ3
-                grads[pf + "b2a"] += dZ3.sum(axis=0)
-                if K == 1:
-                    dP = np.zeros((m, K))
-                    continue
-                E = K * (K - 1)
-                tiles = _Tiles.of_samples(m, E, h, threads)
-                dy = (dZ3 @ P[pf + "W2a"].T)[:, :h].reshape(m, K, h)
-                dZ2 = np.empty((m * E, h))
+        for j in range(self.layers - 1, -1, -1):
+            pf = f"l{j}."
+            X, M1, c1, M2, c2, arg, U, M3, c3, B3, pnew = caches.pop()
+            dZ4 = (dP * pnew * (1.0 - pnew)).reshape(m * K, 1)
+            grads[pf + "W2b"] += B3.T @ dZ4
+            grads[pf + "b2b"] += dZ4.sum(axis=0)
+            dZ3, dg, dbe = _bn_backward(dZ4 @ P[pf + "W2b"].T, P[pf + "g2a"],
+                                        c3, train, M3)
+            grads[pf + "g2a"] += dg
+            grads[pf + "be2a"] += dbe
+            grads[pf + "W2a"] += U.T @ dZ3
+            grads[pf + "b2a"] += dZ3.sum(axis=0)
+            if K == 1:
+                dP = np.zeros((m, K))
+                continue
+            E = K * (K - 1)
+            tiles = _Tiles.of_samples(m, E, h)
+            dy = (dZ3 @ P[pf + "W2a"].T)[:, :h].reshape(m, K, h)
+            dZ2 = np.empty((m * E, h))
 
-                def route(lo, hi):
-                    # MAX routes gradient to the first-attained argmax neighbor
-                    at = slice(lo // E, hi // E)
-                    d = dZ2[lo:hi].reshape(-1, K, K - 1, h)
-                    d.fill(0.0)
-                    np.put_along_axis(d, arg[at][:, :, None, :],
-                                      dy[at][:, :, None, :], axis=2)
+            def route(lo, hi):
+                # MAX routes gradient to the first-attained argmax neighbor
+                at = slice(lo // E, hi // E)
+                d = dZ2[lo:hi].reshape(-1, K, K - 1, h)
+                d.fill(0.0)
+                np.put_along_axis(d, arg[at][:, :, None, :],
+                                  dy[at][:, :, None, :], axis=2)
 
-                tiles.each(route)
-                dZ2, dg, dbe = _bn_backward(dZ2, P[pf + "g1b"], c2, train, M2, tiles)
-                del c2
-                grads[pf + "g1b"] += dg
-                grads[pf + "be1b"] += dbe
-                # B1 as _bn_forward made it: same ufuncs, same order, same bits
-                B1 = np.empty_like(dZ2)
+            tiles.each(route)
+            dZ2, dg, dbe = _bn_backward(dZ2, P[pf + "g1b"], c2, train, M2, tiles)
+            del c2
+            grads[pf + "g1b"] += dg
+            grads[pf + "be1b"] += dbe
+            # B1 as _bn_forward made it: same ufuncs, same order, same bits
+            B1 = np.empty_like(dZ2)
 
-                def recompute(lo, hi):
-                    np.multiply(c1[0][lo:hi], P[pf + "g1a"], out=B1[lo:hi])
-                    B1[lo:hi] += P[pf + "be1a"]
+            def recompute(lo, hi):
+                np.multiply(c1[0][lo:hi], P[pf + "g1a"], out=B1[lo:hi])
+                B1[lo:hi] += P[pf + "be1a"]
 
-                tiles.each(recompute)
-                dW, db = tiles.whole(lambda: B1.T @ dZ2, lambda: dZ2.sum(axis=0))
-                del B1
-                grads[pf + "W1b"] += dW
-                grads[pf + "b1b"] += db
-                # a C-ordered copy of W1b.T gives the same bits as the
-                # transposed view and is about 5x faster in OpenBLAS
-                W1bT = np.ascontiguousarray(P[pf + "W1b"].T)
-                dZ1 = np.empty_like(dZ2)
-                tiles.each(lambda lo, hi: np.matmul(dZ2[lo:hi], W1bT, out=dZ1[lo:hi]))
-                del dZ2      # dead: one edge-sized array fewer at the peak
-                dZ1, dg, dbe = _bn_backward(dZ1, P[pf + "g1a"], c1, train, M1, tiles)
-                del c1
-                grads[pf + "g1a"] += dg
-                grads[pf + "be1a"] += dbe
-                # powers reach a layer only through row 0 of W1a (the p_i
-                # input); layer 0's are constant.  W1a @ dZ1.T has the bits
-                # of dZ1 @ W1a.T and is several times faster in OpenBLAS; a
-                # gemv on row 0 alone rounds differently.
-                calls = [lambda: X.T @ dZ1, lambda: dZ1.sum(axis=0)]
-                if j:
-                    calls.append(lambda: P[pf + "W1a"] @ dZ1.T)
-                dW, db, *dX = tiles.whole(*calls)
-                grads[pf + "W1a"] += dW
-                grads[pf + "b1a"] += db
-                if j:
-                    dP = dX.pop()[0].reshape(m, E) @ scatter
-                del dZ1      # not carried into the next layer down
+            tiles.each(recompute)
+            dW, db = tiles.whole(lambda: B1.T @ dZ2, lambda: dZ2.sum(axis=0))
+            del B1
+            grads[pf + "W1b"] += dW
+            grads[pf + "b1b"] += db
+            # a C-ordered copy of W1b.T gives the same bits as the
+            # transposed view and is about 5x faster in OpenBLAS
+            W1bT = np.ascontiguousarray(P[pf + "W1b"].T)
+            dZ1 = np.empty_like(dZ2)
+            tiles.each(lambda lo, hi: np.matmul(dZ2[lo:hi], W1bT, out=dZ1[lo:hi]))
+            del dZ2      # dead: one edge-sized array fewer at the peak
+            dZ1, dg, dbe = _bn_backward(dZ1, P[pf + "g1a"], c1, train, M1, tiles)
+            del c1
+            grads[pf + "g1a"] += dg
+            grads[pf + "be1a"] += dbe
+            # powers reach a layer only through row 0 of W1a (the p_i
+            # input); layer 0's are constant.  W1a @ dZ1.T has the bits
+            # of dZ1 @ W1a.T and is several times faster in OpenBLAS; a
+            # gemv on row 0 alone rounds differently.
+            calls = [lambda: X.T @ dZ1, lambda: dZ1.sum(axis=0)]
+            if j:
+                calls.append(lambda: P[pf + "W1a"] @ dZ1.T)
+            dW, db, *dX = tiles.whole(*calls)
+            grads[pf + "W1a"] += dW
+            grads[pf + "b1a"] += db
+            if j:
+                dP = dX.pop()[0].reshape(m, E) @ scatter
+            del dZ1      # not carried into the next layer down
         return grads
 
 
@@ -564,12 +562,11 @@ class PowerMlp:
     def forward_batch(self, X, train=False):
         L = len(self.dims) - 1
         acts, blocks = [X], []
-        with one_blas_thread():
-            for l in range(L - 1):
-                B, M, c = _block(acts[-1], self.params, self.state, "", f"{l}", train)
-                blocks.append((M, c))
-                acts.append(B)
-            Z = acts[-1] @ self.params[f"W{L-1}"] + self.params[f"b{L-1}"]
+        for l in range(L - 1):
+            B, M, c = _block(acts[-1], self.params, self.state, "", f"{l}", train)
+            blocks.append((M, c))
+            acts.append(B)
+        Z = acts[-1] @ self.params[f"W{L-1}"] + self.params[f"b{L-1}"]
         acts.append(_sigmoid(Z))
         return acts[-1], (acts, blocks)
 
@@ -579,16 +576,15 @@ class PowerMlp:
         grads = {}
         P = acts[-1]
         delta = dP * P * (1.0 - P)
-        with one_blas_thread():
-            for l in range(L - 1, -1, -1):
-                grads[f"W{l}"] = acts[l].T @ delta
-                grads[f"b{l}"] = delta.sum(axis=0)
-                if l > 0:
-                    M, c = blocks[l - 1]
-                    delta, dg, dbe = _bn_backward(delta @ self.params[f"W{l}"].T,
-                                                  self.params[f"g{l-1}"], c, train, M)
-                    grads[f"g{l-1}"] = dg
-                    grads[f"be{l-1}"] = dbe
+        for l in range(L - 1, -1, -1):
+            grads[f"W{l}"] = acts[l].T @ delta
+            grads[f"b{l}"] = delta.sum(axis=0)
+            if l > 0:
+                M, c = blocks[l - 1]
+                delta, dg, dbe = _bn_backward(delta @ self.params[f"W{l}"].T,
+                                              self.params[f"g{l-1}"], c, train, M)
+                grads[f"g{l-1}"] = dg
+                grads[f"be{l-1}"] = dbe
         return grads
 
 
@@ -713,10 +709,11 @@ def gradients(net, batch, train=False, chunk=None):
     """Exact parameter gradients of the net's batch loss (the one
     :func:`loss_value` gives).  Returns (grads, loss).
 
-    A TwoLayerNet's step holds one (r, m) buffer at one BLAS thread: the
-    transposed pre-activation Z^T = W @ X.T, which becomes relu(Z^T) as the
-    outputs are read out, with the bits of ``forward``, and then the 0/1
-    mask that dW contracts with the residual-scaled (m, d) inputs.
+    A TwoLayerNet's step holds one (r, m) buffer: the transposed
+    pre-activation Z^T = W @ X.T, which becomes relu(Z^T) as the outputs
+    are read out, with the bits of ``forward``, and then the 0/1 mask that
+    dW contracts with the residual-scaled (m, d) inputs.  Like every BLAS
+    call it runs on one OpenBLAS thread (:mod:`ntklab.pool`).
     Non-finite outputs raise NumericFailureError naming the first such
     sample before any gradient is formed.
 
@@ -743,12 +740,11 @@ def gradients(net, batch, train=False, chunk=None):
         return acc, total
     if isinstance(net, TwoLayerNet):
         y = _labels(batch)
-        with one_blas_thread():
-            X, Zt = net._preact(_batch_features(net, batch))
-            u = net._readout(Zt, Zt)
-            _check_finite_per_sample(u, "output")
-            resid = u - y
-            dW = net._backprop(X, Zt, resid)
+        X, Zt = net._preact(_batch_features(net, batch))
+        u = net._readout(Zt, Zt)
+        _check_finite_per_sample(u, "output")
+        resid = u - y
+        dW = net._backprop(X, Zt, resid)
         return {"W": dW}, 0.5 * float(np.sum(resid ** 2))
     P, cache = _power_forward(net, batch, train)
     rates, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,

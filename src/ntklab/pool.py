@@ -1,27 +1,25 @@
-"""One thread pool for the numpy work of a single call, each thread on one
-OpenBLAS thread.
+"""One thread pool for the numpy work of a single call, and the process's
+BLAS policy: one OpenBLAS thread for the whole process.
+
+Importing this module reads OpenBLAS's start-up thread count (which
+``OPENBLAS_NUM_THREADS`` sets), keeps it as the cap on the pool width, and
+then sets OpenBLAS's process-wide count to 1 for good.  Every BLAS and
+LAPACK call, on any thread, then runs on one BLAS thread, so no output
+depends on the environment's BLAS count: OpenBLAS rounds some gemms and
+eigensolves differently at one and at two threads.  Small gemms then do
+not wake OpenBLAS's spinning worker threads either, which would make two
+pool threads slower than one serial thread.  Without numpy's bundled
+OpenBLAS nothing is set and every pool call runs serially.
 
 ``kernels.gnn_kernel_function`` runs its sample blocks here, the
 sum-rate nets in ``nets`` run their sample tiles and their independent
 whole-array reductions here, and ntk-regime runs its width cells here,
-widest first.  A call first enters :func:`one_blas_thread`,
-which holds OpenBLAS's process-wide thread count at 1 for its length and
-gives the width of the pool the call may use; the pool's threads hold their
-own count at 1 as well.  Without that, each small gemm woke OpenBLAS's
-spinning worker threads, and two pool threads were slower than one serial
-thread.
-
-Each task writes only its own slices of preallocated arrays, or returns a
-whole-array result (a whole ntk-regime cell returns its own rows), so
-neither the schedule nor the pool width moves a bit.
-The OpenBLAS library is looked up and the pool built on first use, never at
-import.  Without numpy's bundled OpenBLAS every call runs serially.
-
-Holds are re-entrant and may be taken from several threads at once: the
-outermost one sets and restores OpenBLAS's count and reads the pool width,
-and the others only count.  A pool thread runs the :func:`_run_blocks`
-calls of its own task serially, so a task that reaches a tiled pass or the
-GNN kernel never waits on the pool it runs in.
+widest first.  Each task writes only its own slices of preallocated arrays,
+or returns a whole-array result (a whole ntk-regime cell returns its own
+rows), so neither the schedule nor the pool width moves a bit.  A pool
+thread runs the :func:`_run_blocks` calls of its own task serially, so a
+task that reaches a tiled pass or the GNN kernel never waits on the pool it
+runs in.
 
 The process's malloc policy lives here too (:func:`_keep_heap_mapped`, set
 by the command-line entry point), since the pool's threads allocate from
@@ -33,18 +31,14 @@ import ctypes
 import functools
 import os
 import threading
-from contextlib import contextmanager
 
 import numpy as np
-
-__all__ = ["one_blas_thread"]
 
 
 @functools.cache
 def _openblas_threads():
-    """(get_num_threads, set_num_threads, set_num_threads_local) of numpy's
-    bundled OpenBLAS as ctypes functions, or None where there is no such
-    library."""
+    """(get_num_threads, set_num_threads) of numpy's bundled OpenBLAS as
+    ctypes functions, or None where there is no such library."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs")
     try:
@@ -52,91 +46,64 @@ def _openblas_threads():
         lib = ctypes.CDLL(os.path.join(libs, name))
         get = lib.scipy_openblas_get_num_threads64_
         set_all = lib.scipy_openblas_set_num_threads64_
-        set_local = lib.openblas_set_num_threads_local
     except (OSError, ValueError, AttributeError):
         # no numpy.libs directory, no OpenBLAS in it, or other symbol names
         return None
     get.argtypes, get.restype = (), ctypes.c_int
     set_all.argtypes, set_all.restype = (ctypes.c_int,), None
-    set_local.argtypes, set_local.restype = (ctypes.c_int,), ctypes.c_int
-    return get, set_all, set_local
+    return get, set_all
+
+
+def _pin_blas_to_one_thread():
+    """OpenBLAS's start-up thread count, after setting the process's count
+    to 1; None without the OpenBLAS hooks."""
+    hooks = _openblas_threads()
+    if hooks is None:
+        return None
+    get, set_all = hooks
+    start = get()
+    set_all(1)
+    return start
+
+
+_START_BLAS_THREADS = _pin_blas_to_one_thread()
 
 
 def _block_threads():
     """The pool width: the cores this process may run on (``taskset``
-    narrows them), capped at OpenBLAS's own thread count (which
-    ``OPENBLAS_NUM_THREADS`` sets at start-up); 1, a serial run, without the
-    OpenBLAS hooks that hold each pool thread to one BLAS thread."""
-    hooks = _openblas_threads()
-    if hooks is None:
+    narrows them), capped at OpenBLAS's start-up thread count; 1, a serial
+    run, without the OpenBLAS hooks."""
+    if _openblas_threads() is None:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), hooks[0]()))
+    return min(len(os.sched_getaffinity(0)), _START_BLAS_THREADS)
 
 
 _local = threading.local()        # .in_pool: set on the pool's threads
-_hold_lock = threading.Lock()
-# the open holds across all threads, and the outermost one's pool width and
-# (set_num_threads, the count to restore)
-_hold = {"depth": 0, "width": 1, "restore": None}
 
 
 def _init_pool_thread():
-    """Mark this thread as a pool thread and hold it to one OpenBLAS
-    thread."""
     _local.in_pool = True
-    _openblas_threads()[2](1)
 
 
 @functools.cache
 def _pool(threads):
-    """The persistent pool of ``threads`` threads, each held to one OpenBLAS
-    thread; built on its first use."""
+    """The persistent pool of ``threads`` threads, built on its first
+    use."""
     return concurrent.futures.ThreadPoolExecutor(
         threads, initializer=_init_pool_thread)
 
 
-@contextmanager
-def one_blas_thread():
-    """Hold OpenBLAS's process-wide thread count at 1 for the body, and
-    give the body the pool width :func:`_block_threads` read before it.
-
-    Only the outermost hold, across all threads, sets the count and reads
-    the width; it restores the count when the last hold exits, also when
-    the body raises (a pool thread's BLAS call at its own count of 1 sets
-    the process's count too).  Nested and concurrent holds give the width
-    the outermost one read."""
-    with _hold_lock:
-        if _hold["depth"] == 0:
-            _hold["width"] = _block_threads()
-            hooks = _openblas_threads()
-            if hooks is not None:
-                get, set_all, _ = hooks
-                _hold["restore"] = (set_all, get())
-                set_all(1)
-        _hold["depth"] += 1
-        threads = _hold["width"]
-    try:
-        yield threads
-    finally:
-        with _hold_lock:
-            _hold["depth"] -= 1
-            if _hold["depth"] == 0 and _hold["restore"] is not None:
-                set_all, blas = _hold["restore"]
-                set_all(blas)
-                _hold["restore"] = None
-
-
-def _run_blocks(block, spans, threads):
-    """[block(span) for span in spans], on the pool when ``threads`` and
-    the spans are both at least 2, else in order on this thread.  Call it
-    inside :func:`one_blas_thread`.  Every block has finished when it
-    returns or raises the first block's exception, so no pool thread still
-    writes to the caller's arrays or resets OpenBLAS's count.  On a pool
-    thread it runs in order, whatever ``threads`` is: a nested submit could
-    wait for a thread that waits for it."""
-    if min(threads, len(spans)) <= 1 or getattr(_local, "in_pool", False):
+def _run_blocks(block, spans):
+    """[block(span) for span in spans], on the pool when the width
+    :func:`_block_threads` gives and the spans are both at least 2, else in
+    order on this thread.  Every block has finished when it returns or
+    raises the first block's exception, so no pool thread still writes to
+    the caller's arrays.  On a pool thread it runs in order, whatever the
+    width: a nested submit could wait for a thread that waits for it."""
+    threads = min(_block_threads(), len(spans))
+    if threads <= 1 or getattr(_local, "in_pool", False):
         return [block(span) for span in spans]
-    pool = _pool(min(threads, len(spans)))
+    pool = _pool(threads)
     futures = [pool.submit(block, span) for span in spans]
     concurrent.futures.wait(futures)
     return [future.result() for future in futures]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ntklab
+from conftest import same_csvs_at_one_and_two_blas_threads
 from ntklab.cli import cli_main
 from ntklab.config import default_config
 from ntklab.kernels import analytic_ntk_mlp, load_kernel_csv
@@ -456,3 +457,33 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 def test_exp_scale_validation(tmp_path, capsys):
     assert cli_main(["exp", "fig2", "--scale", "7", "--out",
                      str(tmp_path)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# determinism: no command's output depends on the BLAS thread count its
+# process starts with (the exp pipelines are checked in test_experiments)
+
+
+def _blas_case(command, tmp_path):
+    """The argv of a command whose CSVs OpenBLAS rounds differently when its
+    BLAS calls run at one and at two threads."""
+    if command == "train":
+        # a width-1024 two-layer job, for its oracle loss
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("[train]\narch = two-layer\nm_train = 300\n"
+                       "m_test = 50\nepochs = 10\n")
+        return ["train", "--config", str(cfg)]
+    if command == "ntk":
+        return ["ntk", "--arch", "gnn", "--mc-units", "20000"]
+    # the eigendecomposition of a 300 x 300 kernel, made here
+    kdir = tmp_path / "kernel"
+    assert cli_main(["ntk", "--m", "300", "--d", "8", "--out", str(kdir)]) == 0
+    return ["spectral", "--kernel", str(kdir / "kernel.csv")]
+
+
+@pytest.mark.parametrize("command", ["train", "ntk", "spectral"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    argv = _blas_case(command, tmp_path)
+    same_csvs_at_one_and_two_blas_threads(lambda out: (
+        "from ntklab.cli import cli_main\n"
+        f"assert cli_main({argv + ['--out', out]!r}) == 0"), tmp_path)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-import ntklab
+from conftest import PATHS, csv_bytes, same_csvs_at_one_and_two_blas_threads
 from ntklab import pool
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
 from ntklab.config import EXPERIMENT_IDS, ExperimentConfig, default_config
@@ -255,69 +255,76 @@ def ntk_overrides():
             "eval_every": "10", "loss_drop": "5.0"}
 
 
+BOUNDS_TINY = {
+    "n_list": "2, 4", "p_list": "1, 2", "m": "30", "node_dim": "3",
+    "delta": "0.05", "activations": "relu, quadratic",
+    "time_points": "10", "t_min": "0.01", "t_max": "10",
+    "residual_target": "0.1"}
+
 _DETERMINISM = {
     # 60 samples at K = 20 and hidden 32: the node block's weight-gradient
     # gemm reduces over 1,200 rows, which OpenBLAS rounds differently at one
-    # and at two BLAS threads; the net passes hold every BLAS call to one
-    "fig1": (run_fig1, dict(FIG1_TINY, k_list="20", m_train="60",
-                            m_test="8", gnn_hidden="32", batch_size="full")),
+    # and at two BLAS threads
+    "fig1": dict(FIG1_TINY, k_list="20", m_train="60", m_test="8",
+                 gnn_hidden="32", batch_size="full"),
+    # the flat kernel's X @ X.T over 100 samples of 420 entries, which
+    # OpenBLAS rounds differently at one and at two BLAS threads
+    "fig2": {"n_list": "1, 20", "samples": "100"},
     # tiny trainings, and eigensolves of 400 x 400 kernels, which OpenBLAS
     # rounds differently at one and at two BLAS threads
-    "fig3": (run_fig3, dict(FIG3_TINY, k="20", lambda_m_list="400")),
+    "fig3": dict(FIG3_TINY, k="20", lambda_m_list="400"),
     # three width cells, listed out of width order
-    "ntk-regime": (run_ntk_regime, dict(ntk_overrides(), widths="32, 8, 16")),
+    "ntk-regime": dict(ntk_overrides(), widths="32, 8, 16"),
+    "thm4-thm5": BOUNDS_TINY,
 }
 
 
-def _csvs(out):
-    return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
-
-
-def _same_csvs_in_process_and_at_one_blas_thread(experiment, tmp_path):
-    """Run the ``_DETERMINISM`` case of ``experiment`` here and in a new
-    interpreter whose OpenBLAS starts at one thread (a pool of width 1),
-    check that the two runs wrote the same CSV bytes, and return the
-    directory of the run made here."""
-    runner, overrides = _DETERMINISM[experiment]
-    here, env = tmp_path / "here", tmp_path / "env"
-    runner(build(experiment, overrides, here))
-    code = (f"import sys; sys.path[:0] = {_PATHS!r}\n"
-            "from ntklab.experiments import run_experiment\n"
-            "from test_experiments import build\n"
-            f"run_experiment(build({experiment!r}, {overrides!r}, {str(env)!r}))")
-    subprocess.run([sys.executable, "-c", code], timeout=120, check=True,
-                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
-    assert _csvs(here)
-    assert _csvs(env) == _csvs(here)
-    return here
+def _same_csvs_at_one_and_two_blas_threads(experiment, tmp_path):
+    """Run the ``_DETERMINISM`` case of ``experiment`` in new interpreters
+    whose OpenBLAS starts at one and at two threads, check that they wrote
+    the same CSV bytes, and return the directory of the first."""
+    overrides = _DETERMINISM[experiment]
+    return same_csvs_at_one_and_two_blas_threads(lambda out: (
+        "from ntklab.experiments import run_experiment\n"
+        "from test_experiments import build\n"
+        f"run_experiment(build({experiment!r}, {overrides!r}, {out!r}))"),
+        tmp_path)
 
 
 @pytest.mark.parametrize("experiment", sorted(_DETERMINISM))
 def test_pool_width_does_not_change_results(tmp_path, monkeypatch,
                                             experiment):
-    runner, overrides = _DETERMINISM[experiment]
     outputs = []
     for width in (1, 2, 3):
         monkeypatch.setattr(pool, "_block_threads", lambda: width)
-        runner(build(experiment, overrides, tmp_path / f"p{width}"))
-        outputs.append(_csvs(tmp_path / f"p{width}"))
+        out = tmp_path / f"p{width}"
+        run_experiment(build(experiment, _DETERMINISM[experiment], out))
+        outputs.append(csv_bytes(out))
     assert outputs[0]
     assert all(o == outputs[0] for o in outputs[1:])
 
 
 def test_ntk_regime_threads_do_not_change_results(tmp_path):
     # the rows follow ``widths``, not the widest-first order the cells run in
-    out = _same_csvs_in_process_and_at_one_blas_thread("ntk-regime", tmp_path)
+    out = _same_csvs_at_one_and_two_blas_threads("ntk-regime", tmp_path)
     for name in ("ntk_regime.csv", "kernel_convergence.csv"):
         assert [r["width"] for r in load_csv(out / name)] == ["32", "8", "16"]
 
 
 def test_fig1_threads_do_not_change_results(tmp_path):
-    _same_csvs_in_process_and_at_one_blas_thread("fig1", tmp_path)
+    _same_csvs_at_one_and_two_blas_threads("fig1", tmp_path)
+
+
+def test_fig2_does_not_depend_on_blas_threads(tmp_path):
+    _same_csvs_at_one_and_two_blas_threads("fig2", tmp_path)
 
 
 def test_fig3_lambda_min_does_not_depend_on_blas_threads(tmp_path):
-    _same_csvs_in_process_and_at_one_blas_thread("fig3", tmp_path)
+    _same_csvs_at_one_and_two_blas_threads("fig3", tmp_path)
+
+
+def test_bounds_do_not_depend_on_blas_threads(tmp_path):
+    _same_csvs_at_one_and_two_blas_threads("thm4-thm5", tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +340,6 @@ def _has_mallopt():
 
 needs_mallopt = pytest.mark.skipif(not _has_mallopt(),
                                    reason="no glibc mallopt")
-
-_PATHS = [os.path.dirname(os.path.dirname(os.path.abspath(ntklab.__file__))),
-          os.path.dirname(os.path.abspath(__file__))]
-
 
 def _wcgcn_step_faults():
     """Minor page faults of 10 train-mode WCGCN gradient steps (K = 20,
@@ -361,7 +364,7 @@ def _wcgcn_step_faults():
 
 def _step_faults_in_fresh_process(setup):
     """_wcgcn_step_faults() in a new interpreter, after the ``setup`` code."""
-    code = (f"import sys; sys.path[:0] = {_PATHS!r}\n{setup}\n"
+    code = (f"import sys; sys.path[:0] = {PATHS!r}\n{setup}\n"
             "from test_experiments import _wcgcn_step_faults\n"
             "print(_wcgcn_step_faults())")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -372,7 +375,7 @@ def _step_faults_in_fresh_process(setup):
 @needs_mallopt
 def test_cli_entry_keeps_training_steps_fault_free():
     # cli_main sets the policy first thing, even on a usage error
-    assert len(_Tiles.of_samples(100, 20 * 19, 8, 2).spans) == 2
+    assert len(_Tiles.of_samples(100, 20 * 19, 8).spans) == 2
     faults = _step_faults_in_fresh_process(
         "from ntklab.cli import cli_main\nassert cli_main([]) == 1")
     assert faults < 100
@@ -398,7 +401,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 def test_worker_threads_reuse_the_heap_the_main_thread_freed():
     # one malloc arena: a thread's 48 MB land in the 64 MB the main thread
     # freed; with an arena of its own the thread faults in all 48 MB anew
-    code = (f"import sys; sys.path[:0] = {_PATHS!r}\n"
+    code = (f"import sys; sys.path[:0] = {PATHS!r}\n"
             "from ntklab.pool import _keep_heap_mapped\n"
             f"_keep_heap_mapped()\n{_THREAD_REUSE}")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -432,13 +435,6 @@ def test_ntk_regime_kernel_error_shrinks_with_width(tmp_path):
 
 # ---------------------------------------------------------------------------
 # bounds
-
-
-BOUNDS_TINY = {
-    "n_list": "2, 4", "p_list": "1, 2", "m": "30", "node_dim": "3",
-    "delta": "0.05", "activations": "relu, quadratic",
-    "time_points": "10", "t_min": "0.01", "t_max": "10",
-    "residual_target": "0.1"}
 
 
 @pytest.fixture(scope="module")

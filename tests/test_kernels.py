@@ -1,10 +1,12 @@
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import needs_openblas_hooks
 from ntklab import kernels, pool
 from ntklab.errors import DegenerateInputError
 from ntklab.kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
@@ -146,11 +148,6 @@ def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
                                    rtol=1e-12)
 
 
-needs_openblas_hooks = pytest.mark.skipif(
-    pool._openblas_threads() is None,
-    reason="no bundled OpenBLAS to hold a block thread to one BLAS thread")
-
-
 def _pool_cases():
     """(nodes, block entries) pairs: the memory test's float features, the
     slab test's small-integer features at its block sizes, and the bounds
@@ -178,23 +175,32 @@ def test_gnn_kernel_bits_do_not_depend_on_the_pool_size(monkeypatch, activation)
 
 
 @needs_openblas_hooks
-def test_gnn_kernel_pool_keeps_the_blas_thread_count_and_raises(monkeypatch):
-    # a block thread's one-thread BLAS call resets OpenBLAS's process-wide
-    # count; the pool restores it, also when a block raises
-    get_num_threads, set_num_threads, _ = pool._openblas_threads()
-    before = get_num_threads()
+def test_a_gnn_kernel_block_that_raises_on_a_pool_thread_reaches_the_caller(
+        monkeypatch):
+    # ten blocks of 50 samples; the four that hold sample 150 raise, and the
+    # kernel raises only after every block has run to its end
     monkeypatch.setattr(pool, "_block_threads", lambda: 2)
     nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
-    set_num_threads(2)
-    try:
+    base = kernels.mlp_kernel_function
+    started, finished = [], []
+
+    def counted(*args):
+        started.append(threading.current_thread())
+        try:
+            time.sleep(0.01)
+            return base(*args)
+        finally:
+            finished.append(threading.current_thread())
+
+    monkeypatch.setattr(kernels, "mlp_kernel_function", counted)
+    gnn_kernel_function(nodes)
+    blocks = len(started)
+    assert blocks == 10
+    nodes[150, 3] = 0.0
+    with pytest.raises(DegenerateInputError):
         gnn_kernel_function(nodes)
-        assert get_num_threads() == 2
-        nodes[150, 3] = 0.0
-        with pytest.raises(DegenerateInputError):
-            gnn_kernel_function(nodes)
-        assert get_num_threads() == 2
-    finally:
-        set_num_threads(before)
+    assert len(finished) == len(started) == 2 * blocks
+    assert threading.main_thread() not in started
 
 
 def test_gnn_kernel_without_the_openblas_hooks_starts_no_thread(monkeypatch):

@@ -8,14 +8,15 @@ and the test insists that most coordinates survive).
 """
 
 import threading
+import time
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import needs_openblas_hooks, same_csvs_at_one_and_two_blas_threads
 from ntklab import NumericFailureError, nets, pool
 from ntklab.nets import (
     BN_EPS,
@@ -178,29 +179,6 @@ class TestBatchNorm:
 # TwoLayerNet
 
 
-needs_openblas_hooks = pytest.mark.skipif(
-    pool._openblas_threads() is None,
-    reason="no bundled OpenBLAS to hold a pool thread to one BLAS thread")
-
-
-@contextmanager
-def _blas_threads(count):
-    """OpenBLAS's process-wide thread count at ``count`` for the body, set
-    here and not through the code under test; nothing without the OpenBLAS
-    hooks."""
-    hooks = pool._openblas_threads()
-    if hooks is None:
-        yield
-        return
-    get, set_all, _ = hooks
-    before = get()
-    set_all(count)
-    try:
-        yield
-    finally:
-        set_all(before)
-
-
 class TestTwoLayerNet:
     def test_forward_hand_computed(self):
         net = TwoLayerNet(W=np.eye(2), a=np.array([1.0, -1.0]))
@@ -245,15 +223,13 @@ class TestTwoLayerNet:
             net.W[1] = 0.0
         X = ds.flat_features
 
-        # the two-pass step in the (r, m) layout, written out, at the one
-        # BLAS thread the step holds
-        with _blas_threads(1):
-            Zt = net.W @ X.T
-            u = net.a @ np.maximum(Zt, 0.0) / np.sqrt(r)
-            resid = u - ds.labels
-            Zt = net.W @ X.T
-            S = (Zt > 0).astype(float) * net.a[:, None]
-            want = S @ (resid[:, None] * X) / np.sqrt(r)
+        # the two-pass step in the (r, m) layout, written out
+        Zt = net.W @ X.T
+        u = net.a @ np.maximum(Zt, 0.0) / np.sqrt(r)
+        resid = u - ds.labels
+        Zt = net.W @ X.T
+        S = (Zt > 0).astype(float) * net.a[:, None]
+        want = S @ (resid[:, None] * X) / np.sqrt(r)
         if dead:
             assert np.all(Zt[:2] <= 0) and not Zt[1].any()
 
@@ -298,21 +274,21 @@ class TestTwoLayerNet:
             tracemalloc.stop()
         assert peak <= 1.5 * m * r * 8, f"peak {peak / (m * r * 8):.2f} buffers"
 
-    @needs_openblas_hooks
-    def test_step_bits_do_not_depend_on_the_blas_thread_count(self):
+    def test_step_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # at r = 16384 and m = 50 the readout gemv rounds differently at one
-        # and at two OpenBLAS threads; the step and forward hold one thread
-        get_num_threads = pool._openblas_threads()[0]
-        ds = labelled_gaussian_dataset(1, 50, 8, 0, 1)
-        net = init_net("two-layer", 8, 16384, seed=1)
-        runs = []
-        for count in (1, 2):
-            with _blas_threads(count):
-                g, loss = gradients(net, ds, train=True)
-                runs.append((g["W"], loss, net.forward(ds.flat_features)))
-                assert get_num_threads() == count
-        (g1, l1, u1), (g2, l2, u2) = runs
-        assert np.array_equal(g1, g2) and l1 == l2 and np.array_equal(u1, u2)
+        # and at two OpenBLAS threads; the process runs every call on one
+        same_csvs_at_one_and_two_blas_threads(lambda out: (
+            "import os\n"
+            "import numpy as np\n"
+            "from ntklab.netsim import labelled_gaussian_dataset\n"
+            "from ntklab.nets import gradients, init_net\n"
+            "ds = labelled_gaussian_dataset(1, 50, 8, 0, 1)\n"
+            "net = init_net('two-layer', 8, 16384, seed=1)\n"
+            "g, loss = gradients(net, ds, train=True)\n"
+            "u = net.forward(ds.flat_features)\n"
+            f"os.makedirs({out!r})\n"
+            f"np.savetxt(os.path.join({out!r}, 'step.csv'), np.concatenate(\n"
+            "    [g['W'].ravel(), [loss], u]), fmt='%.17g')\n"), tmp_path)
 
     def test_init_deterministic_in_seed(self):
         n1 = init_net("two-layer", 5, 32, seed=9)
@@ -421,48 +397,38 @@ class TestWcgcn:
 
 
 class TestPassThreads:
-    """A WCGCN or PowerMlp pass holds OpenBLAS at one thread and runs its
-    edge tiles on the pool of :mod:`ntklab.pool`; the tiled bits are
-    checked against the whole-array reference in test_nets_reference."""
+    """A WCGCN pass runs its edge tiles on the pool of :mod:`ntklab.pool`;
+    the tiled bits are checked against the whole-array reference in
+    test_nets_reference."""
 
     @needs_openblas_hooks
-    def test_passes_restore_the_blas_thread_count(self, monkeypatch):
-        get_num_threads, set_num_threads, _ = pool._openblas_threads()
-        before = get_num_threads()
+    def test_a_tile_that_raises_on_a_pool_thread_reaches_the_caller(
+            self, monkeypatch):
+        # train-mode block 1b scales each of the three tiles once, on the
+        # pool; the second one raises, and the pass raises only after the
+        # other two have finished
         monkeypatch.setattr(pool, "_block_threads", lambda: 2)
         monkeypatch.setattr(nets, "_TILE_ENTRIES", 16 * 380 * 8)
         batch = channel_batch(20, 40, seed=2)      # tiles of 16, 16 and 8
         wcgcn = init_net("wcgcn", None, 8, seed=0)
-        mlp = init_net("power-mlp", (420, 20), 8, seed=0)
-        set_num_threads(2)
-        try:
-            for net in (wcgcn, mlp):
-                for train in (True, False):
-                    gradients(net, batch, train=train)
-                    assert get_num_threads() == 2
-            # a tile step that raises on a pool thread, and a pass that
-            # raises on this one
-            scale = nets._bn_scale
-            calls = []
+        scale = nets._bn_scale
+        started, finished = [], []
 
-            def failing(*args):
-                calls.append(threading.current_thread())
-                if len(calls) == 2:
+        def failing(*args):
+            started.append(threading.current_thread())
+            try:
+                if len(started) == 2:
                     raise FloatingPointError("tile")
+                time.sleep(0.05)
                 return scale(*args)
+            finally:
+                finished.append(threading.current_thread())
 
-            monkeypatch.setattr(nets, "_bn_scale", failing)
-            with pytest.raises(FloatingPointError):
-                wcgcn.forward_batch(batch.mags, batch.weights)
-            assert threading.main_thread() not in calls
-            assert get_num_threads() == 2
-            monkeypatch.setattr(nets, "_bn_scale", scale)
-            _, cache = mlp.forward_batch(batch.flat_features, train=True)
-            with pytest.raises(ValueError):
-                mlp.backward_batch(cache, np.ones((40, 3)), train=True)
-            assert get_num_threads() == 2
-        finally:
-            set_num_threads(before)
+        monkeypatch.setattr(nets, "_bn_scale", failing)
+        with pytest.raises(FloatingPointError):
+            wcgcn.forward_batch(batch.mags, batch.weights, train=True)
+        assert len(finished) == len(started) == 3
+        assert threading.main_thread() not in started
 
     def test_without_the_openblas_hooks_no_thread_starts(self, monkeypatch):
         monkeypatch.setattr(nets, "_TILE_ENTRIES", 16 * 380 * 8)

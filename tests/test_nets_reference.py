@@ -9,17 +9,17 @@ edge rows in tiles of whole samples on a thread pool.  None of that may
 move a bit: training trajectories amplify last-bit differences into the
 experiment CSVs.  So every output, gradient and running statistic here is
 compared with ``np.array_equal``, not a tolerance, against the reference
-run as the nets run, on one OpenBLAS thread.  A memory guard pins the
-buffers the lean step saves.
+run as the nets run, on the process's one OpenBLAS thread.  A memory guard
+pins the buffers the lean step saves.
 """
 
 import sys
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from conftest import needs_openblas_hooks
 from ntklab import nets, pool
 from ntklab.nets import (
     BN_EPS,
@@ -216,23 +216,6 @@ def _twin_wcgcn(seed, hidden=5):
     return twins
 
 
-@contextmanager
-def _one_blas_thread():
-    """OpenBLAS's process-wide count at 1 for the reference, set here and
-    not through the code under test; nothing without the OpenBLAS hooks."""
-    hooks = pool._openblas_threads()
-    if hooks is None:
-        yield
-        return
-    get, set_all, _ = hooks
-    before = get()
-    set_all(1)
-    try:
-        yield
-    finally:
-        set_all(before)
-
-
 def _assert_same(a, b):
     assert a.keys() == b.keys()
     for key in a:
@@ -245,10 +228,9 @@ def _check_wcgcn_step(K, m, train, hidden=5):
     dP = np.random.default_rng(K).standard_normal((m, K))
 
     maxed = []
-    with _one_blas_thread():
-        P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags, batch.weights,
-                                               train, maxed)
-        g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
+    P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags, batch.weights,
+                                           train, maxed)
+    g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
     P, caches = net.forward_batch(batch.mags, batch.weights, train=train)
     assert np.array_equal(P, P_ref)
     _assert_same(net.state, ref.state)
@@ -288,11 +270,6 @@ def test_wcgcn_step_is_bit_identical_across_bn_row_blocks(train):
     _check_wcgcn_step(K, m, train)
 
 
-needs_openblas_hooks = pytest.mark.skipif(
-    pool._openblas_threads() is None,
-    reason="no bundled OpenBLAS to hold a pool thread to one BLAS thread")
-
-
 @needs_openblas_hooks
 @pytest.mark.parametrize("train", [True, False])
 @pytest.mark.parametrize("K, m, samples, hidden", [
@@ -326,12 +303,11 @@ def test_wcgcn_training_steps_stay_bit_identical(train):
     batch = generate_instances(4, 9, seed=31)
     for _ in range(3):
         g, _ = gradients(net, batch, train=train)
-        with _one_blas_thread():
-            P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags,
-                                                   batch.weights, train, [])
-            _, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,
-                                       batch.weights, P_ref)
-            g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
+        P_ref, caches_ref = _ref_wcgcn_forward(ref, batch.mags,
+                                               batch.weights, train, [])
+        _, dP = sum_rate_loss_grad(batch.mags, batch.sigma2s,
+                                   batch.weights, P_ref)
+        g_ref = _ref_wcgcn_backward(ref, batch.mags, caches_ref, dP, train)
         _assert_same(g, g_ref)
         _assert_same(net.state, ref.state)
         for key in net.params:
@@ -346,9 +322,8 @@ def test_power_mlp_step_is_bit_identical_to_the_reference(train):
         n.params["b0"][0] = -1e3        # one dead unit in the first block
     batch = generate_instances(4, 8, seed=4)
     dP = np.random.default_rng(5).standard_normal((8, 4))
-    with _one_blas_thread():
-        P_ref, cache_ref = _ref_mlp_forward(ref, batch.flat_features, train)
-        g_ref = _ref_mlp_backward(ref, cache_ref, dP, train)
+    P_ref, cache_ref = _ref_mlp_forward(ref, batch.flat_features, train)
+    g_ref = _ref_mlp_backward(ref, cache_ref, dP, train)
     P, cache = net.forward_batch(batch.flat_features, train=train)
     assert np.array_equal(P, P_ref)
     _assert_same(net.state, ref.state)
