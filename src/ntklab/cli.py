@@ -17,8 +17,9 @@ Subcommands, with the shared flags each one takes::
 
 Every command runs in this one process, under the BLAS policy of
 :mod:`ntklab.pool`: one OpenBLAS thread for every BLAS call.  The sum-rate
-net passes, the analytic GNN kernel and ntk-regime's width cells run side
-by side on that module's thread pool; no output depends on its width.
+net passes, the analytic GNN kernel, the Monte Carlo kernel's draws and
+ntk-regime's width cells run side by side on this thread and that module's
+thread pool; no output depends on its width.
 ``taskset`` or ``OPENBLAS_NUM_THREADS`` narrow the pool.  ``exp`` accepts
 ``--threads N`` and ignores it.
 

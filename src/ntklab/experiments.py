@@ -6,11 +6,12 @@ identical CSV bytes, whatever the width of the :mod:`ntklab.pool` thread
 pool.  Wall-clock times therefore never enter data CSVs; they live in
 manifest header comments only.  Cells — independent (model, K, m) units — of
 fig1 and fig3 run one after another in this process, each net pass and
-kernel spreading its tiles and blocks over the pool; ntk-regime's width
-cells run side by side on the pool.  Every BLAS call runs on one OpenBLAS
-thread (:mod:`ntklab.pool`), so no output depends on the environment's
-BLAS thread count either.  All files are written atomically (temp file +
-rename), and the manifest lists exactly the files the run wrote.
+kernel spreading its tiles and blocks over this thread and the pool;
+ntk-regime's width cells run side by side the same way.  Every BLAS call
+runs on one OpenBLAS thread (:mod:`ntklab.pool`), so no output depends on
+the environment's BLAS thread count either.  All files are written
+atomically (temp file + rename), and the manifest lists exactly the files
+the run wrote.
 """
 
 import hashlib
@@ -372,8 +373,8 @@ def run_ntk_regime(cfg):
     degree = cfg.get_int("label_degree")
     loss_drop = cfg.get_float("loss_drop")
 
-    # the cells share the pool, widest first so that the narrow ones run
-    # beside it; nothing a cell calls submits to the pool again
+    # the cells share the pool with this thread, widest first so that the
+    # narrow ones run beside it
     order = sorted(range(len(widths)), key=lambda i: -widths[i])
     done = _run_blocks(
         lambda w: _ntk_cell(w, d, m, cfg.seed, lr, epochs, eval_every,

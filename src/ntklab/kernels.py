@@ -15,12 +15,12 @@ node with a sum readout, giving the pairwise sum over node pairs.  Node-set
 arrays are evaluated in square sample blocks of about ``_BLOCK_ENTRIES``
 base-kernel entries each, so memory stays bounded whatever m is; only the
 upper block triangle is evaluated, and each mirror block is filled from its
-transposed base block.  The blocks run on the thread pool of
-:mod:`ntklab.pool`, whose policy keeps every BLAS call on one OpenBLAS
-thread, and the ReLU chain runs in place over L2-sized tiles of the Gram
-block; neither the pool size nor the tiles move a bit.  In ``mc_ntk``,
-flat (m, d) samples select the flat kernel and (m, n, d) node sets the
-sum-readout one.
+transposed base block.  The blocks, and ``mc_ntk``'s Monte Carlo draws,
+run on the thread pool of :mod:`ntklab.pool`, whose policy keeps every
+BLAS call on one OpenBLAS thread, and the ReLU chain runs in place over
+L2-sized tiles of the Gram block; neither the pool size nor the tiles move
+a bit.  In ``mc_ntk``, flat (m, d) samples select the flat kernel and
+(m, n, d) node sets the sum-readout one.
 
 Kernels persist as one text format, ``save_kernel_csv``: 17 significant
 digits, so a saved kernel loads back bit for bit.
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .artifacts import atomic_write, csv_text
 from .errors import DegenerateInputError
 from .pool import _run_blocks
@@ -239,6 +240,11 @@ def mc_ntk(X, draws, width_per_draw, seed, activation="relu"):
     analytic kernel; exactly symmetric PSD by construction; deterministic
     given seed (each draw has its own counter stream, so the draw schedule
     is irrelevant).
+
+    The draws run on the pool of :mod:`ntklab.pool`, one pool width of them
+    at a time (a node-set draw at width 1000 holds a 24 MB activation
+    pattern), and their Grams are added in draw order, so the pool width
+    moves no bit.
     """
     if draws < 1 or width_per_draw < 1:
         raise ValueError("draws and width_per_draw must be >= 1")
@@ -248,9 +254,15 @@ def mc_ntk(X, draws, width_per_draw, seed, activation="relu"):
     elif X.ndim != 3:
         raise ValueError("expects (m, d) samples or (m, n, d) node features")
     acc = np.zeros((X.shape[0], X.shape[0]))
-    for t in range(draws):
+
+    def gram(t):
         W = stream(seed, DOMAIN_MC, t).standard_normal((width_per_draw, X.shape[-1]))
-        acc += _first_layer_gram(X, W, activation)
+        return _first_layer_gram(X, W, activation)
+
+    width = pool._block_threads()
+    for lo in range(0, draws, width):
+        for G in _run_blocks(gram, range(lo, min(lo + width, draws))):
+            acc += G
     H = acc / draws
     return KernelMatrix((H + H.T) / 2.0)
 

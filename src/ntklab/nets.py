@@ -23,15 +23,23 @@ reverse mode and checked against central finite differences in the tests.
 
 Every BLAS call runs on one OpenBLAS thread, the process's policy
 (:mod:`ntklab.pool`).  The WCGCN's edge rows, m K (K - 1) of them, run in
-tiles of whole samples of about ``_TILE_ENTRIES`` entries on the pool of
-:mod:`ntklab.pool`, when a pass has at least two tiles; each tile writes
-only its own rows of preallocated arrays.  Every reduction across rows
-stays one whole-array call in the form it has without tiles: the BatchNorm
-means, the einsum variances and sums, the bias sums and the weight-gradient
-gemms; pairs of independent ones run side by side, each whole on one pool
-thread.  A gemm's rows come out the same whether it runs whole or in tiles
-of two or more rows, so a pass has the bits of the whole-array pass at one
-BLAS thread, at any pool width.
+tiles of whole samples of about ``_TILE_ENTRIES`` entries, shared by the
+calling thread and the helpers of :mod:`ntklab.pool`, when a pass has at
+least two tiles; each tile writes only its own rows of preallocated
+arrays.  Every reduction across rows stays one whole-array call in the form
+it has without tiles: the BatchNorm means, the einsum variances and sums,
+the bias sums and the weight-gradient gemms; pairs of independent ones run
+side by side, each whole on one thread.  A gemm's rows come out the same
+whether it runs whole or in tiles of two or more rows, so a pass has the
+bits of the whole-array pass at one BLAS thread, at any pool width.
+
+At the small hidden widths these nets use, a row broadcast such as
+``A + b`` over an (n, h) array runs an h-entry inner loop per row, and
+``A.sum(axis=0)`` likewise; both are bound by per-row overhead, not
+arithmetic.  So the row broadcasts run on wide views of A, whose rows hold
+k of its rows (:func:`_rows`, with the row vector tiled once per pass by
+:func:`_wide`), and the column sums and means are einsum calls
+(:func:`_colsum`).  Each gives the bits of the plain form.
 """
 
 import numpy as np
@@ -55,8 +63,12 @@ __all__ = [
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 # row block of the train-mode BatchNorm backward's xhat * s temporary, one
-# per pool thread
+# per tile in flight
 BN_ROWS = 512
+# entries of one row of the wide views that row broadcasts run on, and the
+# fewest rows that pay for tiling a row vector to that length
+_WIDE_ENTRIES = 256
+_WIDE_ROWS = 1024
 # entries of one edge tile of a WCGCN pass: whole samples, 16 of them at
 # K = 20 and hidden 32 (1.5 MB of float64)
 _TILE_ENTRIES = 196_608
@@ -75,12 +87,49 @@ def _sigmoid(z):
     return out
 
 
+def _wide(v, A):
+    """The row vector v (h,) tiled k = ``_WIDE_ENTRIES`` // h times, for
+    :func:`_rows` over the rows of A or of its tiles; v itself (k = 1) when
+    A has fewer than ``_WIDE_ROWS`` rows.  Built once per pass, outside the
+    tile loops."""
+    k = _WIDE_ENTRIES // len(v) if len(A) >= _WIDE_ROWS else 1
+    return np.tile(v, k) if k > 1 else v
+
+
+def _rows(ufunc, A, vk, out=None):
+    """ufunc(A, v) into ``out`` (A itself by default) for a contiguous
+    (n, h) A and vk = :func:`_wide` (v), and returns ``out``.
+
+    Each whole group of k rows runs on the (n // k, k h) view with vk, so
+    the ufunc's inner loop is k h entries long, not h; the n % k rows left
+    run as the plain broadcast.  +, - and * round each entry on its own, so
+    this has the bits of the plain broadcast."""
+    out = A if out is None else out
+    n, h = A.shape
+    k = len(vk) // h
+    if k == 1:
+        return ufunc(A, vk, out=out)
+    cut = n - n % k if A.flags.c_contiguous and out.flags.c_contiguous else 0
+    if cut:
+        ufunc(A[:cut].reshape(-1, k * h), vk, out=out[:cut].reshape(-1, k * h))
+    if cut < n:
+        ufunc(A[cut:], vk[:h], out=out[cut:])
+    return out
+
+
+def _colsum(A):
+    """A.sum(axis=0) of a 2-D array, bit for bit.  For h >= 2 columns numpy's
+    sum adds the rows in order, and so does einsum, several times faster at
+    small h; for one column numpy's sum is pairwise, and it is kept."""
+    return A.sum(axis=0) if A.shape[1] == 1 else np.einsum("ij->j", A)
+
+
 class _Tiles:
     """Row spans (lo, hi) of an array, run on the pool of
     :mod:`ntklab.pool`.
 
     ``each(step)`` calls step(lo, hi) once per span; ``whole(*calls)`` runs
-    independent whole-array calls, one to a pool thread, and returns their
+    independent whole-array calls, one to a thread, and returns their
     results in order.  One span, or a pool width of 1, runs serially, in
     order, on this thread."""
 
@@ -104,14 +153,14 @@ class _Tiles:
         return _run_blocks(lambda call: call(), calls)
 
 
-def _linear_relu(x, params, prefix, tag, out=None, mask=None):
-    """The Linear -> ReLU half of a block on ``{prefix}W{tag}`` and ``b``,
-    into ``out`` and ``mask`` when given.  Returns (A, mask): backward needs
-    the pre-activation Z = x @ W + b only as ``mask = Z > 0``, a bool array
-    an eighth of Z's size, so Z's own buffer becomes the ReLU output A in
-    place."""
-    Z = np.matmul(x, params[prefix + "W" + tag], out=out)
-    Z += params[prefix + "b" + tag]
+def _linear_relu(x, W, bk, out=None, mask=None):
+    """The Linear -> ReLU half of a block on W and the :func:`_wide` bias
+    ``bk``, into ``out`` and ``mask`` when given.  Returns (A, mask):
+    backward needs the pre-activation Z = x @ W + b only as
+    ``mask = Z > 0``, a bool array an eighth of Z's size, so Z's own buffer
+    becomes the ReLU output A in place."""
+    Z = np.matmul(x, W, out=out)
+    _rows(np.add, Z, bk)
     mask = np.greater(Z, 0.0, out=mask)
     np.maximum(Z, 0.0, out=Z)
     return Z, mask
@@ -127,8 +176,9 @@ def _bn_stats(A, state, prefix, tag, train, tiles):
     the caller subtracts the running mean."""
     mk, vk = prefix + "mu" + tag, prefix + "va" + tag
     if train:
-        mu = A.mean(axis=0)
-        tiles.each(lambda lo, hi: np.subtract(A[lo:hi], mu, out=A[lo:hi]))
+        mu = _colsum(A) / A.shape[0]
+        mu_k = _wide(mu, A)
+        tiles.each(lambda lo, hi: _rows(np.subtract, A[lo:hi], mu_k))
         va = np.einsum("ij,ij->j", A, A) / A.shape[0]
         state[mk] = (1 - BN_MOMENTUM) * state[mk] + BN_MOMENTUM * mu
         state[vk] = (1 - BN_MOMENTUM) * state[vk] + BN_MOMENTUM * va
@@ -137,15 +187,15 @@ def _bn_stats(A, state, prefix, tag, train, tiles):
     return mu, 1.0 / np.sqrt(va + BN_EPS)
 
 
-def _bn_scale(xhat, inv, gamma, beta):
-    """Scales the centred rows ``xhat`` by ``inv`` in place and returns the
-    block output xhat * gamma + beta, a new array.  A backward pass that
-    did not keep the output recomputes it with the same two ufuncs, in the
-    same order, and so gets the same bits."""
-    xhat *= inv
-    out = xhat * gamma
-    out += beta
-    return out
+def _bn_scale(xhat, inv_k, gamma_k, beta_k):
+    """Scales the centred rows ``xhat`` by inv in place and returns the
+    block output xhat * gamma + beta, a new array; the vectors come from
+    :func:`_wide`.  A backward pass that did not keep the output recomputes
+    it with the same two ufuncs, in the same order, and so gets the same
+    bits."""
+    _rows(np.multiply, xhat, inv_k)
+    out = _rows(np.multiply, xhat, gamma_k, np.empty_like(xhat))
+    return _rows(np.add, out, beta_k)
 
 
 def _bn_forward(A, gamma, beta, state, prefix, tag, train):
@@ -157,14 +207,15 @@ def _bn_forward(A, gamma, beta, state, prefix, tag, train):
     do not read again.  ``out`` is the one new buffer."""
     mu, inv = _bn_stats(A, state, prefix, tag, train, _Tiles([(0, len(A))]))
     if not train:
-        np.subtract(A, mu, out=A)
-    return _bn_scale(A, inv, gamma, beta), (A, inv)
+        _rows(np.subtract, A, _wide(mu, A))
+    return _bn_scale(A, _wide(inv, A), _wide(gamma, A), _wide(beta, A)), (A, inv)
 
 
 def _block(x, params, state, prefix, tag, train):
     """One Linear -> ReLU -> BatchNorm block: :func:`_linear_relu`, then
     :func:`_bn_forward`.  Returns (out, mask, bn cache)."""
-    A, mask = _linear_relu(x, params, prefix, tag)
+    A, mask = _linear_relu(x, params[prefix + "W" + tag],
+                           _wide(params[prefix + "b" + tag], x))
     out, cache = _bn_forward(A, params[prefix + "g" + tag],
                              params[prefix + "be" + tag], state, prefix, tag, train)
     return out, mask, cache
@@ -184,29 +235,34 @@ def _bn_backward(dout, gamma, cache, train, mask=None, tiles=None):
     reordered form would move the experiment CSVs.  The reductions are
     whole-array calls, (dgamma, dbeta) and then (s, mean(dxhat)) side by
     side on the tiles' pool; the elementwise steps run tile by tile, and
-    xhat * s is formed and subtracted BN_ROWS rows at a time, so no
-    temporary of ``xhat``'s full size exists."""
+    xhat * s is formed and subtracted BN_ROWS rows at a time in one buffer
+    per tile, so no temporary of ``xhat``'s full size exists.  The row
+    broadcasts run on :func:`_wide` vectors."""
     xhat, inv = cache
+    n = len(dout)
     if tiles is None:
-        tiles = _Tiles([(0, len(dout))])
+        tiles = _Tiles([(0, n)])
     dgamma, dbeta = tiles.whole(lambda: np.einsum("ij,ij->j", dout, xhat),
-                                lambda: dout.sum(axis=0))
+                                lambda: _colsum(dout))
+    gamma_k, inv_k = _wide(gamma, dout), _wide(inv, dout)
     if train:
-        tiles.each(lambda lo, hi: np.multiply(dout[lo:hi], gamma, out=dout[lo:hi]))
+        tiles.each(lambda lo, hi: _rows(np.multiply, dout[lo:hi], gamma_k))
         s, mean = tiles.whole(
-            lambda: np.einsum("ij,ij->j", dout, xhat) / dout.shape[0],
-            lambda: dout.mean(axis=0))
+            lambda: np.einsum("ij,ij->j", dout, xhat) / n,
+            lambda: _colsum(dout) / n)
+        s_k, mean_k = _wide(s, dout), _wide(mean, dout)
 
     def step(lo, hi):
         dxhat = dout[lo:hi]
         if train:
-            dxhat -= mean
+            _rows(np.subtract, dxhat, mean_k)
+            t = np.empty((min(BN_ROWS, hi - lo), dout.shape[1]))
             for a in range(lo, hi, BN_ROWS):
                 b = min(a + BN_ROWS, hi)
-                dout[a:b] -= xhat[a:b] * s
+                dout[a:b] -= _rows(np.multiply, xhat[a:b], s_k, t[:b - a])
         else:
-            dxhat *= gamma
-        dxhat *= inv
+            _rows(np.multiply, dxhat, gamma_k)
+        _rows(np.multiply, dxhat, inv_k)
         if mask is not None:
             np.multiply(dxhat, mask[lo:hi], out=dxhat)
 
@@ -412,16 +468,20 @@ class WcgcnNet:
         M1, M2 = np.empty((N, h), bool), np.empty((N, h), bool)
         y = np.empty((m, K, h))
         arg = np.empty((m, K, h), np.intp)
+        W1a, W1b = P[pf + "W1a"], P[pf + "W1b"]
+        b1a, g1a, be1a, b1b, g1b, be1b = (
+            _wide(P[pf + key], X) for key in ("b1a", "g1a", "be1a",
+                                              "b1b", "g1b", "be1b"))
 
         def block_1a(lo, hi):
-            _linear_relu(X[lo:hi], P, pf, "1a", A1[lo:hi], M1[lo:hi])
+            _linear_relu(X[lo:hi], W1a, b1a, A1[lo:hi], M1[lo:hi])
 
         def block_1b(lo, hi):
-            B1 = _bn_scale(A1[lo:hi], inv1, P[pf + "g1a"], P[pf + "be1a"])
-            _linear_relu(B1, P, pf, "1b", A2[lo:hi], M2[lo:hi])
+            B1 = _bn_scale(A1[lo:hi], inv1_k, g1a, be1a)
+            _linear_relu(B1, W1b, b1b, A2[lo:hi], M2[lo:hi])
 
         def aggregate(lo, hi):
-            B2 = _bn_scale(A2[lo:hi], inv2, P[pf + "g1b"], P[pf + "be1b"])
+            B2 = _bn_scale(A2[lo:hi], inv2_k, g1b, be1b)
             B2 = B2.reshape(-1, K, K - 1, h)
             at = slice(lo // E, hi // E)
             np.max(B2, axis=2, out=y[at])
@@ -433,18 +493,22 @@ class WcgcnNet:
         if train:
             tiles.each(block_1a)
             _, inv1 = _bn_stats(A1, self.state, pf, "1a", True, tiles)
+            inv1_k = _wide(inv1, X)
             tiles.each(block_1b)
             _, inv2 = _bn_stats(A2, self.state, pf, "1b", True, tiles)
+            inv2_k = _wide(inv2, X)
             tiles.each(aggregate)
         else:
             mu1, inv1 = _bn_stats(A1, self.state, pf, "1a", False, tiles)
             mu2, inv2 = _bn_stats(A2, self.state, pf, "1b", False, tiles)
+            mu1_k, inv1_k, mu2_k, inv2_k = (_wide(v, X)
+                                            for v in (mu1, inv1, mu2, inv2))
 
             def chain(lo, hi):
                 block_1a(lo, hi)
-                A1[lo:hi] -= mu1
+                _rows(np.subtract, A1[lo:hi], mu1_k)
                 block_1b(lo, hi)
-                A2[lo:hi] -= mu2
+                _rows(np.subtract, A2[lo:hi], mu2_k)
                 aggregate(lo, hi)
 
             tiles.each(chain)
@@ -465,13 +529,13 @@ class WcgcnNet:
             X, M1, c1, M2, c2, arg, U, M3, c3, B3, pnew = caches.pop()
             dZ4 = (dP * pnew * (1.0 - pnew)).reshape(m * K, 1)
             grads[pf + "W2b"] += B3.T @ dZ4
-            grads[pf + "b2b"] += dZ4.sum(axis=0)
+            grads[pf + "b2b"] += _colsum(dZ4)
             dZ3, dg, dbe = _bn_backward(dZ4 @ P[pf + "W2b"].T, P[pf + "g2a"],
                                         c3, train, M3)
             grads[pf + "g2a"] += dg
             grads[pf + "be2a"] += dbe
             grads[pf + "W2a"] += U.T @ dZ3
-            grads[pf + "b2a"] += dZ3.sum(axis=0)
+            grads[pf + "b2a"] += _colsum(dZ3)
             if K == 1:
                 dP = np.zeros((m, K))
                 continue
@@ -495,13 +559,14 @@ class WcgcnNet:
             grads[pf + "be1b"] += dbe
             # B1 as _bn_forward made it: same ufuncs, same order, same bits
             B1 = np.empty_like(dZ2)
+            g1a, be1a = _wide(P[pf + "g1a"], B1), _wide(P[pf + "be1a"], B1)
 
             def recompute(lo, hi):
-                np.multiply(c1[0][lo:hi], P[pf + "g1a"], out=B1[lo:hi])
-                B1[lo:hi] += P[pf + "be1a"]
+                _rows(np.multiply, c1[0][lo:hi], g1a, B1[lo:hi])
+                _rows(np.add, B1[lo:hi], be1a)
 
             tiles.each(recompute)
-            dW, db = tiles.whole(lambda: B1.T @ dZ2, lambda: dZ2.sum(axis=0))
+            dW, db = tiles.whole(lambda: B1.T @ dZ2, lambda: _colsum(dZ2))
             del B1
             grads[pf + "W1b"] += dW
             grads[pf + "b1b"] += db
@@ -519,7 +584,7 @@ class WcgcnNet:
             # input); layer 0's are constant.  W1a @ dZ1.T has the bits
             # of dZ1 @ W1a.T and is several times faster in OpenBLAS; a
             # gemv on row 0 alone rounds differently.
-            calls = [lambda: X.T @ dZ1, lambda: dZ1.sum(axis=0)]
+            calls = [lambda: X.T @ dZ1, lambda: _colsum(dZ1)]
             if j:
                 calls.append(lambda: P[pf + "W1a"] @ dZ1.T)
             dW, db, *dX = tiles.whole(*calls)
@@ -566,7 +631,8 @@ class PowerMlp:
             B, M, c = _block(acts[-1], self.params, self.state, "", f"{l}", train)
             blocks.append((M, c))
             acts.append(B)
-        Z = acts[-1] @ self.params[f"W{L-1}"] + self.params[f"b{L-1}"]
+        Z = _rows(np.add, acts[-1] @ self.params[f"W{L-1}"],
+                  _wide(self.params[f"b{L-1}"], X))
         acts.append(_sigmoid(Z))
         return acts[-1], (acts, blocks)
 
@@ -578,7 +644,7 @@ class PowerMlp:
         delta = dP * P * (1.0 - P)
         for l in range(L - 1, -1, -1):
             grads[f"W{l}"] = acts[l].T @ delta
-            grads[f"b{l}"] = delta.sum(axis=0)
+            grads[f"b{l}"] = _colsum(delta)
             if l > 0:
                 M, c = blocks[l - 1]
                 delta, dg, dbe = _bn_backward(delta @ self.params[f"W{l}"].T,

@@ -11,15 +11,16 @@ not wake OpenBLAS's spinning worker threads either, which would make two
 pool threads slower than one serial thread.  Without numpy's bundled
 OpenBLAS nothing is set and every pool call runs serially.
 
-``kernels.gnn_kernel_function`` runs its sample blocks here, the
-sum-rate nets in ``nets`` run their sample tiles and their independent
-whole-array reductions here, and ntk-regime runs its width cells here,
-widest first.  Each task writes only its own slices of preallocated arrays,
-or returns a whole-array result (a whole ntk-regime cell returns its own
-rows), so neither the schedule nor the pool width moves a bit.  A pool
-thread runs the :func:`_run_blocks` calls of its own task serially, so a
-task that reaches a tiled pass or the GNN kernel never waits on the pool it
-runs in.
+``kernels.gnn_kernel_function`` runs its sample blocks here,
+``kernels.mc_ntk`` its Monte Carlo draws, the sum-rate nets in ``nets``
+their sample tiles and their independent whole-array reductions, and
+ntk-regime its width cells, widest first.  Each task writes only its own
+slices of preallocated arrays, or returns a whole-array result (a whole
+ntk-regime cell returns its own rows), so neither the schedule nor the pool
+width moves a bit.  The calling thread runs tasks too (:func:`_run_blocks`)
+and waits only for tasks already running, so a task may itself reach a
+tiled pass or the GNN kernel: a nested call never waits for a pool thread
+that is not yet working on it.
 
 The process's malloc policy lives here too (:func:`_keep_heap_mapped`, set
 by the command-line entry point), since the pool's threads allocate from
@@ -29,8 +30,8 @@ the heap it keeps.
 import concurrent.futures
 import ctypes
 import functools
+import itertools
 import os
-import threading
 
 import numpy as np
 
@@ -78,35 +79,52 @@ def _block_threads():
     return min(len(os.sched_getaffinity(0)), _START_BLAS_THREADS)
 
 
-_local = threading.local()        # .in_pool: set on the pool's threads
-
-
-def _init_pool_thread():
-    _local.in_pool = True
-
-
 @functools.cache
 def _pool(threads):
-    """The persistent pool of ``threads`` threads, built on its first
-    use."""
-    return concurrent.futures.ThreadPoolExecutor(
-        threads, initializer=_init_pool_thread)
+    """The persistent pool of ``threads`` helper threads, built on its
+    first use."""
+    return concurrent.futures.ThreadPoolExecutor(threads)
 
 
 def _run_blocks(block, spans):
-    """[block(span) for span in spans], on the pool when the width
-    :func:`_block_threads` gives and the spans are both at least 2, else in
-    order on this thread.  Every block has finished when it returns or
-    raises the first block's exception, so no pool thread still writes to
-    the caller's arrays.  On a pool thread it runs in order, whatever the
-    width: a nested submit could wait for a thread that waits for it."""
+    """[block(span) for span in spans], run by this thread and, when the
+    width :func:`_block_threads` gives and the spans are both at least 2,
+    by up to width - 1 pool helpers, each claiming the next unclaimed span.
+    Once no span is left, helpers that have not started are cancelled; the
+    call waits only for spans already running, so every block has finished
+    when it returns or raises the first block's exception (in span order),
+    and no pool thread still writes to the caller's arrays.  A nested call,
+    from a block on a pool thread, cannot deadlock: when every pool thread
+    is busy its caller runs all of its spans alone."""
     threads = min(_block_threads(), len(spans))
-    if threads <= 1 or getattr(_local, "in_pool", False):
+    if threads <= 1:
         return [block(span) for span in spans]
-    pool = _pool(threads)
-    futures = [pool.submit(block, span) for span in spans]
-    concurrent.futures.wait(futures)
-    return [future.result() for future in futures]
+    results, errors = [None] * len(spans), [None] * len(spans)
+    claims = itertools.count()    # next() on it is atomic under the GIL
+
+    def work():
+        for i in claims:
+            if i >= len(spans):
+                return
+            try:
+                results[i] = block(spans[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    helpers = [_pool(threads - 1).submit(work) for _ in range(threads - 1)]
+    try:
+        work()
+    finally:
+        # a cancelled helper counts as done only once a pool thread has
+        # dequeued it, so wait for the running ones alone
+        running = [helper for helper in helpers if not helper.cancel()]
+        concurrent.futures.wait(running)
+    for helper in running:
+        helper.result()       # what a helper's block raised past Exception
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _keep_heap_mapped():
@@ -122,9 +140,9 @@ def _keep_heap_mapped():
     thresholds must be set: setting either one turns off glibc's dynamic
     thresholds, and the other then stays fixed, usually at its 128 KiB
     default.  Every thread allocates from the one main arena, so the
-    pool's threads (the GNN kernel's blocks, the net passes' tiles,
-    ntk-regime's cells) reuse the heap that training freed instead of
-    faulting in arenas of their own.  Does nothing without glibc's
+    pool's threads (the GNN kernel's blocks and Monte Carlo draws, the net
+    passes' tiles, ntk-regime's cells) reuse the heap that training freed
+    instead of faulting in arenas of their own.  Does nothing without glibc's
     ``mallopt``; changes no arithmetic.
     """
     try:

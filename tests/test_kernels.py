@@ -177,8 +177,9 @@ def test_gnn_kernel_bits_do_not_depend_on_the_pool_size(monkeypatch, activation)
 @needs_openblas_hooks
 def test_a_gnn_kernel_block_that_raises_on_a_pool_thread_reaches_the_caller(
         monkeypatch):
-    # ten blocks of 50 samples; the four that hold sample 150 raise, and the
-    # kernel raises only after every block has run to its end
+    # ten blocks of 50 samples, shared by this thread and a pool helper; the
+    # four that hold sample 150 raise, and the kernel raises only after
+    # every block has run to its end
     monkeypatch.setattr(pool, "_block_threads", lambda: 2)
     nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
     base = kernels.mlp_kernel_function
@@ -200,7 +201,7 @@ def test_a_gnn_kernel_block_that_raises_on_a_pool_thread_reaches_the_caller(
     with pytest.raises(DegenerateInputError):
         gnn_kernel_function(nodes)
     assert len(finished) == len(started) == 2 * blocks
-    assert threading.main_thread() not in started
+    assert any(thread is not threading.main_thread() for thread in started)
 
 
 def test_gnn_kernel_without_the_openblas_hooks_starts_no_thread(monkeypatch):
@@ -347,6 +348,19 @@ def test_mc_ntk_is_deterministic_in_seed():
     np.testing.assert_array_equal(a.entries, b.entries)
     c = mc_ntk(X, 8, 16, seed=4)
     assert not np.allclose(a.entries, c.entries)
+
+
+@needs_openblas_hooks
+@pytest.mark.parametrize("shape", [(12, 4), (12, 3, 4)], ids=["flat", "node-sets"])
+def test_mc_ntk_bits_do_not_depend_on_the_pool_width(monkeypatch, shape):
+    # seven draws, run a pool width at a time (the last batch is short at
+    # width 2) and added in draw order
+    X = np.random.default_rng(4).standard_normal(shape)
+    estimates = []
+    for width in (1, 2):
+        monkeypatch.setattr(pool, "_block_threads", lambda: width)
+        estimates.append(mc_ntk(X, 7, 16, seed=5).entries)
+    assert np.array_equal(estimates[0], estimates[1])
 
 
 def test_mc_ntk_converges_to_analytic():

@@ -82,6 +82,43 @@ def fd_check(net, batch, train, n_coords=12, seed=0, rel=3e-4, h_scale=1e-5):
 # BatchNorm
 
 
+def _spread(n, h, seed):
+    """An (n, h) array whose entries span 24 orders of magnitude, so that a
+    sum taken in another order would round differently."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, h)) * 10.0 ** rng.integers(-12, 13, (n, h))
+
+
+class TestRowHelpers:
+    """The passes' row broadcasts on wide views and their einsum column sums
+    rest on numpy giving the bits of the plain forms; these pin that."""
+
+    ROWS = st.sampled_from([1, 2, 3, 97, 1031, 4099])
+    COLS = st.sampled_from([1, 3, 8, 10, 32, 34])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ROWS, COLS, st.integers(0, 2**32 - 1),
+           st.sampled_from([np.add, np.subtract, np.multiply]))
+    def test_a_wide_view_broadcast_has_the_plain_bits(self, n, h, seed, ufunc):
+        A, v = _spread(n, h, seed), _spread(1, h, seed + 1)[0]
+        expected = ufunc(A, v).tobytes()
+        wide = nets._wide(v, np.empty((nets._WIDE_ROWS, h)))
+        for vk in (v, np.tile(v, 2), np.tile(v, 7), wide):
+            assert nets._rows(ufunc, A, vk, np.empty_like(A)).tobytes() == expected
+            assert nets._rows(ufunc, A.copy(), vk).tobytes() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(ROWS, COLS, st.integers(0, 2**32 - 1))
+    def test_einsum_column_sums_have_the_bits_of_sum_and_mean(self, n, h, seed):
+        A = _spread(n, h, seed)
+        if h > 1:
+            # numpy adds the rows in order in both; at one column its sum
+            # is pairwise, and _colsum keeps it
+            assert np.einsum("ij->j", A).tobytes() == A.sum(axis=0).tobytes()
+        assert nets._colsum(A).tobytes() == A.sum(axis=0).tobytes()
+        assert (nets._colsum(A) / n).tobytes() == A.mean(axis=0).tobytes()
+
+
 class TestBatchNorm:
     """The in-place kernels against the textbook two-pass formulas.  The
     finite-difference checks above run at rel=3e-4 and would miss a small
@@ -404,9 +441,9 @@ class TestPassThreads:
     @needs_openblas_hooks
     def test_a_tile_that_raises_on_a_pool_thread_reaches_the_caller(
             self, monkeypatch):
-        # train-mode block 1b scales each of the three tiles once, on the
-        # pool; the second one raises, and the pass raises only after the
-        # other two have finished
+        # train-mode block 1b scales each of the three tiles once, on this
+        # thread and a pool helper; the second one raises, and the pass
+        # raises only after the other two have finished
         monkeypatch.setattr(pool, "_block_threads", lambda: 2)
         monkeypatch.setattr(nets, "_TILE_ENTRIES", 16 * 380 * 8)
         batch = channel_batch(20, 40, seed=2)      # tiles of 16, 16 and 8
@@ -428,7 +465,7 @@ class TestPassThreads:
         with pytest.raises(FloatingPointError):
             wcgcn.forward_batch(batch.mags, batch.weights, train=True)
         assert len(finished) == len(started) == 3
-        assert threading.main_thread() not in started
+        assert any(thread is not threading.main_thread() for thread in started)
 
     def test_without_the_openblas_hooks_no_thread_starts(self, monkeypatch):
         monkeypatch.setattr(nets, "_TILE_ENTRIES", 16 * 380 * 8)
