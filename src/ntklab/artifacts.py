@@ -1,8 +1,9 @@
-"""The one artifact writer: atomic file replacement, CSV text, and the list
-of files a run wrote (which its manifest covers, and nothing else)."""
+"""The one artifact writer: atomic file replacement, CSV text, and a run's
+start time and the files it wrote (its manifest covers those, no others)."""
 
 import os
 import tempfile
+import time
 
 __all__ = ["atomic_write", "csv_text", "RunFiles"]
 
@@ -42,7 +43,8 @@ def csv_text(header, rows, comments=()):
 
 
 class RunFiles:
-    """The files one run writes under its output directory, in write order.
+    """The files one run writes under its output directory, in write order,
+    and its start, ``t0``, a ``time.perf_counter()`` reading.
 
     ``path(name)`` registers a file that a dedicated writer will produce;
     ``write(name, data)`` writes one atomically.
@@ -51,6 +53,7 @@ class RunFiles:
     def __init__(self, out):
         self.out = out
         self.names = []
+        self.t0 = time.perf_counter()
 
     def path(self, name):
         self.names.append(name)

@@ -30,7 +30,6 @@ non-finite values).  Flags override the config file's ``[common]`` keys.
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -134,7 +133,6 @@ def _dataset(args):
 
 
 def _cmd_gen(args):
-    t0 = time.perf_counter()
     files = RunFiles(args.out or "runs")
     ds, meta = _dataset(args)
     dim = ds.flat_features.shape[1]
@@ -143,14 +141,13 @@ def _cmd_gen(args):
                          [tuple(float(v) for v in row)
                           for row in ds.flat_features]))
     files.write("meta.txt", "\n".join(meta) + "\n")
-    write_manifest(files, ["command = gen"] + meta, t0)
+    write_manifest(files, ["command = gen"] + meta)
     return 0
 
 
 def _cmd_ntk(args):
     if args.mc_units < 0 or args.mc_width < 1:
         raise _UsageError("ntk requires --mc-units >= 0 and --mc-width >= 1")
-    t0 = time.perf_counter()
     files = RunFiles(args.out or "runs")
     ds, meta = _dataset(args)
     if args.arch == "mlp":
@@ -171,12 +168,11 @@ def _cmd_ntk(args):
                     csv_text("draws,width_per_draw,relative_frobenius_error",
                              [(draws, args.mc_width, err)]))
         echo += [f"mc_draws = {draws}", f"mc_width = {args.mc_width}"]
-    write_manifest(files, echo, t0)
+    write_manifest(files, echo)
     return 0
 
 
 def _cmd_spectral(args):
-    t0 = time.perf_counter()
     files = RunFiles(args.out or "runs")
     path = args.kernel
     kernel = load_kernel_csv(path)
@@ -196,7 +192,7 @@ def _cmd_spectral(args):
         "condition_number,trace,lambda_min,lambda_max",
         [(rep.condition_number, rep.trace,
           float(rep.eigenvalues[-1]), float(rep.eigenvalues[0]))]))
-    write_manifest(files, ["command = spectral", f"kernel = {path}"], t0)
+    write_manifest(files, ["command = spectral", f"kernel = {path}"])
     return 0
 
 
@@ -212,11 +208,11 @@ def _cmd_train(args):
         raise _UsageError("train requires --config\n"
                           "usage: ntklab train --config PATH [--seed N] "
                           "[--out DIR]")
-    t0 = time.perf_counter()
     user = load_config(args.config)
     if TRAIN not in user:
         raise ValueError("config file has no [train] section")
     spec = ExperimentConfig.build(TRAIN, user, seed=args.seed, out=args.out)
+    files = RunFiles(spec.out)
     seed = spec.seed
     arch = spec.get_str("arch")
     if arch not in _ARCH_KEYS:
@@ -242,7 +238,6 @@ def _cmd_train(args):
         net = _sum_rate_net(arch, k, spec.get_int("hidden"), seed,
                             spec.get_int("layers"))
 
-    files = RunFiles(spec.out)
     echo = [f"seed = {seed}", f"out = {spec.out}"] + [
         f"{TRAIN}.{key} = {value}"
         for key, value in sorted(spec.sections[TRAIN].items())
@@ -255,7 +250,7 @@ def _cmd_train(args):
     except DivergenceError as exc:
         if exc.trace:
             write_trace_csv(exc.trace, files.path("trace.csv"))
-            write_manifest(files, ["command = train (diverged)"] + echo, t0)
+            write_manifest(files, ["command = train (diverged)"] + echo)
         raise
     write_trace_csv(trace, files.path("trace.csv"))
     save_checkpoint(net, files.path("checkpoint.txt"))
@@ -263,7 +258,7 @@ def _cmd_train(args):
     rows = [(key, float(v)) for key, v in sorted(metrics.items())
             if v is not None]
     files.write("train_summary.csv", csv_text("metric,value", rows))
-    write_manifest(files, ["command = train"] + echo, t0)
+    write_manifest(files, ["command = train"] + echo)
     return 0
 
 

@@ -15,9 +15,11 @@ import importlib.resources
 from dataclasses import dataclass
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config",
-           "default_config", "EXPERIMENT_IDS"]
+           "default_config", "EXPERIMENT_IDS", "SECTIONS"]
 
 EXPERIMENT_IDS = ("fig1", "fig2", "fig3", "ntk-regime", "thm3", "thm4-thm5")
+# experiments whose keys live in a shared section, not one of their own
+SECTIONS = {"thm3": "bounds", "thm4-thm5": "bounds"}
 # ``ntklab train`` reads its one job from the [train] section
 TRAIN = "train"
 
@@ -122,34 +124,34 @@ class ExperimentConfig:
         )
 
     # -- typed getters over this experiment's section ----------------------
-    def _raw(self, key, section=None):
-        section = section or self.experiment
+    def _raw(self, key):
+        section = SECTIONS.get(self.experiment, self.experiment)
         sec = self.sections.get(section, {})
         if key not in sec:
             raise KeyError(f"missing config key {key!r} in section [{section}]")
         return sec[key]
 
-    def get_str(self, key, section=None):
-        return str(self._raw(key, section))
+    def get_str(self, key):
+        return str(self._raw(key))
 
-    def get_int(self, key, section=None):
-        return _integral(key, self._raw(key, section))
+    def get_int(self, key):
+        return _integral(key, self._raw(key))
 
-    def get_float(self, key, section=None):
-        return float(self._raw(key, section))
+    def get_float(self, key):
+        return float(self._raw(key))
 
-    def get_int_list(self, key, section=None):
-        return [_integral(key, v) for v in self.get_str_list(key, section)]
+    def get_int_list(self, key):
+        return [_integral(key, v) for v in self.get_str_list(key)]
 
-    def get_str_list(self, key, section=None):
-        raw = self._raw(key, section)
+    def get_str_list(self, key):
+        raw = self._raw(key)
         values = [v.strip() for v in str(raw).split(",") if v.strip()]
         if not values:
             raise ValueError(f"config list {key!r} must be nonempty")
         return values
 
-    def get_batch(self, key="batch_size", section=None):
-        raw = str(self._raw(key, section)).lower()
+    def get_batch(self, key="batch_size"):
+        raw = str(self._raw(key)).lower()
         return None if raw in ("full", "none") else _integral(key, raw)
 
     def scaled(self, value, minimum=1):

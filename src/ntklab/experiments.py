@@ -10,8 +10,9 @@ kernel spreading its tiles and blocks over this thread and the pool;
 ntk-regime's width cells run side by side the same way.  Every BLAS call
 runs on one OpenBLAS thread (:mod:`ntklab.pool`), so no output depends on
 the environment's BLAS thread count either.  All files are written
-atomically (temp file + rename), and the manifest lists exactly the files
-the run wrote.
+atomically (temp file + rename).  :func:`run_experiment` opens the run
+directory (a RunFiles) before the runner starts and seals it after the
+runner returns: the manifest lists exactly the files the run wrote.
 """
 
 import hashlib
@@ -48,11 +49,11 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(files, echo_lines, t0):
+def write_manifest(files, echo_lines):
     """path<TAB>sha256 for every file the run wrote (a RunFiles), with
-    config echo / version / wall time as header comments."""
+    config echo / version / wall time since it opened as header comments."""
     lines = [f"# version = ntklab-{__version__}",
-             f"# wall_seconds = {time.perf_counter() - t0:.1f}"]
+             f"# wall_seconds = {time.perf_counter() - files.t0:.1f}"]
     lines += [f"# {e}" for e in echo_lines]
     lines += sorted(f"{name}\t{_sha256(os.path.join(files.out, name))}"
                     for name in set(files.names))
@@ -145,9 +146,8 @@ def _train_cell(k, model, m, m_test, seed, hidden, layers, **fit):
 # ---------------------------------------------------------------------------
 # Fig. 1: convergence and generalization on the power-control task
 
-def run_fig1(cfg):
+def run_fig1(cfg, files):
     """Trains matched MLP and WCGCN on the sum-rate objective at each K."""
-    t0 = time.perf_counter()
     k_list = cfg.get_int_list("k_list")
     m_train = cfg.scaled(cfg.get_int("m_train"))
     m_test = cfg.scaled(cfg.get_int("m_test"))
@@ -163,7 +163,6 @@ def run_fig1(cfg):
                                   ("mlp", _mlp_hidden(cfg, k, gnn_hidden, layers)))]
     results = [_train_cell(**job) for job in jobs]
 
-    files = RunFiles(cfg.out)
     rows, summaries = {}, []
     for job, r in zip(jobs, results):
         k, model = job["k"], job["model"]
@@ -190,16 +189,14 @@ def run_fig1(cfg):
         ([f"fig1_K{k}.csv"], "epoch", ["gnn_train_loss", "gnn_test_loss",
                                        "mlp_train_loss", "mlp_test_loss"],
          [], False) for k in k_list])
-    write_manifest(files, cfg.echo_lines(), t0)
     return summaries
 
 
 # ---------------------------------------------------------------------------
 # Fig. 2: kernel conditioning against graph size
 
-def run_fig2(cfg):
+def run_fig2(cfg, files):
     """Condition-number landscape over graph sizes (Gaussian node features)."""
-    t0 = time.perf_counter()
     n_list = cfg.get_int_list("n_list")
     samples = cfg.scaled(cfg.get_int("samples"), minimum=10)
     node_dim = cfg.get_int("node_dim")
@@ -209,7 +206,6 @@ def run_fig2(cfg):
 
     rows = condition_landscape(n_list, samples=samples, seed=cfg.seed,
                                node_dim=node_dim, activation=activation)
-    files = RunFiles(cfg.out)
     files.write("landscape.csv", csv_text(
         "n,cond_mlp,cond_gnn", rows,
         comments=["cond(Y^T H Y) over the architecture's natural linear "
@@ -226,16 +222,14 @@ def run_fig2(cfg):
          ("cond_gnn_growth", gnn_growth, flat_max, int(gnn_growth <= flat_max))]))
     _write_plot(files, "fig2_plot.py", "fig2.png", [
         (["landscape.csv"], "n", ["cond_mlp", "cond_gnn"], [], True)])
-    write_manifest(files, cfg.echo_lines(), t0)
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Fig. 3: sample-size scaling — training slowdown and kernel lambda_min
 
-def run_fig3(cfg):
+def run_fig3(cfg, files):
     """Per-(model, m) training traces plus analytic-kernel lambda_min table."""
-    t0 = time.perf_counter()
     k = cfg.get_int("k")
     m_list = [cfg.scaled(m) for m in cfg.get_int_list("m_list")]
     m_test = cfg.scaled(cfg.get_int("m_test"))
@@ -259,7 +253,6 @@ def run_fig3(cfg):
             for model in ("gnn", "mlp") for m in m_list]
     results = [_train_cell(**job) for job in jobs]
 
-    files = RunFiles(cfg.out)
     rows = {}
     for job, r in zip(jobs, results):
         model, m = job["model"], job["m"]
@@ -320,7 +313,6 @@ def run_fig3(cfg):
         (traces, "epoch", ["train_loss"], [], False),
         (["lambda_min.csv"], "m", ["lambda_min_mlp", "lambda_min_gnn"], [],
          True)])
-    write_manifest(files, cfg.echo_lines(), t0)
     return summaries
 
 
@@ -361,9 +353,8 @@ def _ntk_cell(width, d, m, seed, lr, epochs, eval_every, label_degree,
             "rows": rows, "reached_drop": bool((~window).any())}
 
 
-def run_ntk_regime(cfg):
+def run_ntk_regime(cfg, files):
     """Finite-width trajectories vs the empirical-kernel linear dynamics."""
-    t0 = time.perf_counter()
     d = cfg.get_int("d")
     m = cfg.scaled(cfg.get_int("m"), minimum=10)
     widths = cfg.get_int_list("widths")
@@ -382,7 +373,6 @@ def run_ntk_regime(cfg):
         [widths[i] for i in order])
     results = [r for _, r in sorted(zip(order, done))]
 
-    files = RunFiles(cfg.out)
     for r in results:
         files.write(f"traj_w{r['width']}.csv",
                     csv_text("epoch,train_loss,predicted_loss", r["rows"]))
@@ -397,30 +387,28 @@ def run_ntk_regime(cfg):
     _write_plot(files, "ntk_plot.py", "ntk_regime.png", [
         ([f"traj_w{r['width']}.csv" for r in results], "epoch",
          ["train_loss", "predicted_loss"], [], True)])
-    write_manifest(files, cfg.echo_lines(), t0)
     return results
 
 
 # ---------------------------------------------------------------------------
 # Theorem 3-5: bound curves, generalization-bound table, residual races
 
-def run_bounds(cfg):
+def run_bounds(cfg, files):
     """Theorem 3 curves, Theorem 4/5 bound table, and kernel-regression
     residual races on synthetic polynomial targets."""
-    t0 = time.perf_counter()
-    n_list = cfg.get_int_list("n_list", section="bounds")
-    p_list = cfg.get_int_list("p_list", section="bounds")
-    acts = cfg.get_str_list("activations", section="bounds")
+    n_list = cfg.get_int_list("n_list")
+    p_list = cfg.get_int_list("p_list")
+    acts = cfg.get_str_list("activations")
     if len(acts) != len(p_list):
         raise ValueError("activations must pair one activation per target "
                          f"degree: got {len(acts)} for {len(p_list)} degrees")
-    m = cfg.scaled(cfg.get_int("m", section="bounds"), minimum=20)
-    d = cfg.get_int("node_dim", section="bounds")
-    delta = cfg.get_float("delta", section="bounds")
-    n_times = cfg.get_int("time_points", section="bounds")
-    t_min = cfg.get_float("t_min", section="bounds")
-    t_max = cfg.get_float("t_max", section="bounds")
-    target = cfg.get_float("residual_target", section="bounds")
+    m = cfg.scaled(cfg.get_int("m"), minimum=20)
+    d = cfg.get_int("node_dim")
+    delta = cfg.get_float("delta")
+    n_times = cfg.get_int("time_points")
+    t_min = cfg.get_float("t_min")
+    t_max = cfg.get_float("t_max")
+    target = cfg.get_float("residual_target")
     beta_norm = float(np.linalg.norm(label_direction(d)))
     times = np.geomspace(t_min, t_max, n_times)
 
@@ -429,7 +417,6 @@ def run_bounds(cfg):
     # node set stands in, giving a spectrum whose sum grows with n.  The p=1
     # constant is likewise unpublished, so a declared override of 1.0 is used
     # and recorded here.
-    files = RunFiles(cfg.out)
     thm3_rows, const_notes = [], []
     for p, act in zip(p_list, acts):
         try:
@@ -490,7 +477,6 @@ def run_bounds(cfg):
     _write_plot(files, "bounds_plot.py", "bounds.png", [
         (["thm3.csv"], "t", ["gnn_bound", "mlp_bound"], ["p", "n"], True),
         (["thm45.csv"], "n", ["ratio"], ["p"], False)])
-    write_manifest(files, cfg.echo_lines(), t0)
     return thm45_rows
 
 
@@ -500,4 +486,9 @@ _RUNNERS = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3,
 
 
 def run_experiment(cfg):
-    return _RUNNERS[cfg.experiment](cfg)
+    """Run ``cfg``'s experiment into one RunFiles on ``cfg.out`` and seal
+    it with the manifest of those files; returns the runner's result."""
+    files = RunFiles(cfg.out)
+    result = _RUNNERS[cfg.experiment](cfg, files)
+    write_manifest(files, cfg.echo_lines())
+    return result

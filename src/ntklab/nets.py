@@ -14,6 +14,8 @@ Three architectures:
 
 Each net fixes its loss (:func:`loss_value`): squared loss on labels for
 the TwoLayerNet, the mean negative weighted sum rate for the other two.
+:func:`loss_value` and :func:`gradients` are one pass over the batch they
+are given; :mod:`ntklab.training` splits full-dataset passes into slices.
 
 MLP blocks in the two trained-from-scratch nets are Linear -> ReLU ->
 BatchNorm, following the reference message-passing implementations for this
@@ -717,35 +719,14 @@ def _labels(batch):
     return batch.labels
 
 
-def sample_chunks(batch, chunk):
-    """Consecutive sample slices of a dataset, each at most ``chunk`` wide."""
-    for lo in range(0, batch.m, chunk):
-        yield batch.subset(np.arange(lo, min(lo + chunk, batch.m)))
-
-
-def loss_value(net, batch, train=False, chunk=None):
+def loss_value(net, batch, train=False):
     """Loss of a net on a batch (Dataset); the net fixes which one.  A
     TwoLayerNet has the summed 0.5 * ||u - y||^2 of the NTK analysis on the
     batch's labels; WcgcnNet and PowerMlp have the mean negative weighted
     sum rate.
-
-    ``chunk`` bounds how many samples are materialized at once (the graph
-    net's layer activations grow with batch * K^2, so full-dataset passes at
-    K=20 would otherwise exhaust memory).  Chunked evaluation is only defined
-    in evaluation mode: batch statistics need the whole batch.
     """
     if batch.m == 0:
         raise ValueError("batch must be nonempty")
-    if chunk is not None and batch.m > chunk:
-        if train:
-            raise ValueError("chunked evaluation requires train=False")
-        total = 0.0
-        for sub in sample_chunks(batch, chunk):
-            part = loss_value(net, sub, train=False)
-            if not isinstance(net, TwoLayerNet):
-                part *= sub.m / batch.m
-            total += part
-        return total
     if isinstance(net, TwoLayerNet):
         u = net.forward(_batch_features(net, batch))
         return 0.5 * float(np.sum((u - _labels(batch)) ** 2))
@@ -771,7 +752,7 @@ def _check_finite_per_sample(values, what):
         raise NumericFailureError(f"non-finite {what} at sample {idx}", sample_index=idx)
 
 
-def gradients(net, batch, train=False, chunk=None):
+def gradients(net, batch, train=False):
     """Exact parameter gradients of the net's batch loss (the one
     :func:`loss_value` gives).  Returns (grads, loss).
 
@@ -782,28 +763,9 @@ def gradients(net, batch, train=False, chunk=None):
     call it runs on one OpenBLAS thread (:mod:`ntklab.pool`).
     Non-finite outputs raise NumericFailureError naming the first such
     sample before any gradient is formed.
-
-    ``chunk`` splits the pass over sample slices exactly as in
-    :func:`loss_value`; gradients of the mean (or summed) loss accumulate
-    across slices with the matching weights.
     """
     if batch.m == 0:
         raise ValueError("batch must be nonempty")
-    if chunk is not None and batch.m > chunk:
-        if train:
-            raise ValueError("chunked evaluation requires train=False")
-        acc = None
-        total = 0.0
-        for sub in sample_chunks(batch, chunk):
-            g, part = gradients(net, sub, train=False)
-            w = 1.0 if isinstance(net, TwoLayerNet) else sub.m / batch.m
-            total += part * w
-            if acc is None:
-                acc = {key: w * val for key, val in g.items()}
-            else:
-                for key, val in g.items():
-                    acc[key] += w * val
-        return acc, total
     if isinstance(net, TwoLayerNet):
         y = _labels(batch)
         X, Zt = net._preact(_batch_features(net, batch))

@@ -16,7 +16,7 @@ from .errors import DivergenceError
 from .kernels import mlp_kernel_function
 from .netsim import sum_rate_batch
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, loss_value,
-                   sample_chunks, _batch_features, _labels, _power_forward)
+                   _batch_features, _labels, _power_forward)
 from .rng import DOMAIN_TRAIN, stream
 from .wmmse import wmmse_batch
 
@@ -30,9 +30,9 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e6
 
-# Full-dataset passes (trace snapshots, final metrics) are evaluated this many
-# samples at a time; the graph net's activations scale with batch * K^2 and a
-# one-shot pass at K=20, m=20000 would need several GB.
+# Full-dataset passes (the snapshots' _sweep, evaluate's powers) run this
+# many samples at a time; the graph net's activations scale with batch * K^2
+# and a one-shot pass at K=20, m=20000 would need several GB.
 SNAPSHOT_CHUNK = 256
 
 OPTIMIZERS = ("gd", "adam")
@@ -88,6 +88,32 @@ def _grad_norm(grads):
     return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
 
 
+def _slices(ds):
+    """Consecutive sample slices of ``ds``, each of SNAPSHOT_CHUNK or fewer."""
+    for lo in range(0, ds.m, SNAPSHOT_CHUNK):
+        yield ds.subset(np.arange(lo, min(lo + SNAPSHOT_CHUNK, ds.m)))
+
+
+def _sweep(fn, net, ds):
+    """``fn(net, ds, train=False)`` (``gradients`` or ``loss_value``), one
+    call per slice of a set larger than SNAPSHOT_CHUNK: each slice's results
+    weigh 1 for a TwoLayerNet (summed loss), sub.m / ds.m otherwise (mean)."""
+    if ds.m <= SNAPSHOT_CHUNK:
+        return fn(net, ds, train=False)
+    total, acc = 0.0, None
+    for sub in _slices(ds):
+        out = fn(net, sub, train=False)
+        g, part = out if isinstance(out, tuple) else ({}, out)
+        w = 1.0 if isinstance(net, TwoLayerNet) else sub.m / ds.m
+        total += part * w
+        if acc is None:
+            acc = {key: w * val for key, val in g.items()}
+        else:
+            for key, val in g.items():
+                acc[key] += w * val
+    return (acc, total) if isinstance(out, tuple) else total
+
+
 def train(net, train_ds, test_ds, *, optimizer="adam", lr=1e-3, epochs=100,
           seed=0, eval_every=1, batch_size=None):
     """Train ``net`` in place on its own loss (see nets.loss_value: squared
@@ -106,7 +132,7 @@ def train(net, train_ds, test_ds, *, optimizer="adam", lr=1e-3, epochs=100,
     when the two would run the same computation: a full-batch run of a
     TwoLayerNet (whose pass does not depend on ``train``; the BatchNorm of
     the other nets does) on at most SNAPSHOT_CHUNK samples (so the
-    snapshot is one unchunked call).  Such a run makes one gradient call
+    snapshot's sweep is one direct call).  Such a run makes one gradient call
     per epoch, plus the one at epoch 0.
     """
     if optimizer not in OPTIMIZERS:
@@ -129,9 +155,8 @@ def train(net, train_ds, test_ds, *, optimizer="adam", lr=1e-3, epochs=100,
              and m <= SNAPSHOT_CHUNK)
 
     def snapshot(epoch):
-        g, train_loss = gradients(net, train_ds, train=False,
-                                  chunk=SNAPSHOT_CHUNK)
-        test_loss = loss_value(net, test_ds, train=False, chunk=SNAPSHOT_CHUNK)
+        g, train_loss = _sweep(gradients, net, train_ds)
+        test_loss = _sweep(loss_value, net, test_ds)
         rows.append(TraceRow(epoch, float(train_loss), float(test_loss),
                              _grad_norm(g)))
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
@@ -205,7 +230,7 @@ def evaluate(net, test_ds, train_ds=None):
     metrics = {}
     if not isinstance(net, TwoLayerNet):
         P = np.concatenate([_power_forward(net, sub, train=False)[0]
-                            for sub in sample_chunks(test_ds, SNAPSHOT_CHUNK)])
+                            for sub in _slices(test_ds)])
         rates = sum_rate_batch(test_ds.mags, test_ds.sigma2s, test_ds.weights, P)
         p_star = wmmse_batch(test_ds.mags, test_ds.sigma2s, test_ds.weights)
         oracle_rates = sum_rate_batch(test_ds.mags, test_ds.sigma2s,

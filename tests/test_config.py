@@ -113,11 +113,6 @@ def test_get_batch():
         cfg.get_batch("absent")
 
 
-def test_cross_section_lookup():
-    cfg = ExperimentConfig.build("fig1", {"fig3": {"k": "11"}})
-    assert cfg.get_int("k", section="fig3") == 11
-
-
 def test_scaled_sample_counts():
     cfg = ExperimentConfig.build("fig1", scale=0.1)
     assert cfg.scaled(1000) == 100

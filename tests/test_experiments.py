@@ -18,22 +18,15 @@ import pytest
 from conftest import PATHS, csv_bytes, same_csvs_at_one_and_two_blas_threads
 from ntklab import pool
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
-from ntklab.config import EXPERIMENT_IDS, ExperimentConfig, default_config
+from ntklab.config import (EXPERIMENT_IDS, SECTIONS, ExperimentConfig,
+                           default_config)
 from ntklab.netsim import generate_instances
 from ntklab.nets import _Tiles, gradients, init_net, n_params
-from ntklab.experiments import (
-    _mlp_hidden,
-    run_bounds,
-    run_experiment,
-    run_fig1,
-    run_fig3,
-    run_ntk_regime,
-    write_manifest,
-)
+from ntklab.experiments import _mlp_hidden, run_experiment, write_manifest
 
 
 def section_of(experiment):
-    return "bounds" if experiment in ("thm3", "thm4-thm5") else experiment
+    return SECTIONS.get(experiment, experiment)
 
 
 def build(experiment, overrides, out, **kw):
@@ -89,7 +82,7 @@ def test_manifest_covers_and_hashes_every_file(tmp_path):
     files.write("a.csv", "x,y\n1,2\n")
     files.write(os.path.join("sub", "b.txt"), b"hello\n")
     atomic_write(str(out / "stale.csv"), "not written by this run\n")
-    write_manifest(files, ["probe = 1"], t0=0.0)
+    write_manifest(files, ["probe = 1"])
     lines = (out / "manifest.txt").read_text().splitlines()
     assert any(l == "# probe = 1" for l in lines)
     entries = dict(l.split("\t") for l in lines if not l.startswith("#"))
@@ -145,7 +138,7 @@ FIG1_TINY = {
 @pytest.fixture(scope="module")
 def fig1_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig1")
-    summaries = run_fig1(build("fig1", FIG1_TINY, out))
+    summaries = run_experiment(build("fig1", FIG1_TINY, out))
     return out, summaries
 
 
@@ -179,14 +172,6 @@ def test_fig1_joint_csv_columns(fig1_run):
     assert [int(r["epoch"]) for r in rows] == [0, 1, 2]
 
 
-def test_fig1_manifest_covers_everything(fig1_run):
-    out, _ = fig1_run
-    lines = (out / "manifest.txt").read_text().splitlines()
-    entries = {l.split("\t")[0] for l in lines if not l.startswith("#")}
-    on_disk = {f for f in os.listdir(out) if f != "manifest.txt"}
-    assert entries == on_disk
-
-
 # ---------------------------------------------------------------------------
 # fig3
 
@@ -203,7 +188,7 @@ FIG3_TINY = {
 @pytest.fixture(scope="module")
 def fig3_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig3")
-    return out, run_fig3(build("fig3", FIG3_TINY, out))
+    return out, run_experiment(build("fig3", FIG3_TINY, out))
 
 
 def test_fig3_artifacts(fig3_run):
@@ -428,7 +413,7 @@ def test_policy_is_a_no_op_without_mallopt():
 
 def test_ntk_regime_kernel_error_shrinks_with_width(tmp_path):
     cfg = build("ntk-regime", ntk_overrides(), tmp_path)
-    results = run_ntk_regime(cfg)
+    results = run_experiment(cfg)
     errs = {r["width"]: r["fro_error"] for r in results}
     assert errs[32] < errs[8]
 
@@ -440,7 +425,7 @@ def test_ntk_regime_kernel_error_shrinks_with_width(tmp_path):
 @pytest.fixture(scope="module")
 def bounds_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bounds")
-    return out, run_bounds(build("thm3", BOUNDS_TINY, out))
+    return out, run_experiment(build("thm3", BOUNDS_TINY, out))
 
 
 def test_bounds_artifacts(bounds_run):
@@ -523,10 +508,9 @@ def recorded_runs(tmp_path_factory):
     for experiment in EXPERIMENT_IDS:
         read = set()
 
-        def recording(self, key, *rest):
-            # every getter passes the section last (None: the experiment's)
-            read.add((rest[-1] if rest and rest[-1] else self.experiment, key))
-            return raw(self, key, *rest)
+        def recording(self, key):
+            read.add((section_of(self.experiment), key))
+            return raw(self, key)
 
         out = tmp_path_factory.mktemp(experiment)
         with pytest.MonkeyPatch.context() as mp:
@@ -542,6 +526,15 @@ def test_every_declared_key_is_read(recorded_runs, experiment):
     _, read = recorded_runs[experiment]
     unread = set(default_config()[section]) - {k for s, k in read if s == section}
     assert not unread, f"[{section}] declares keys nothing reads: {sorted(unread)}"
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_manifest_covers_everything(recorded_runs, experiment):
+    out, _ = recorded_runs[experiment]
+    lines = (out / "manifest.txt").read_text().splitlines()
+    entries = {l.split("\t")[0] for l in lines if not l.startswith("#")}
+    on_disk = {f for f in os.listdir(out) if f != "manifest.txt"}
+    assert entries == on_disk
 
 
 _PYPLOT_STUB = """\

@@ -1,4 +1,4 @@
-"""Neural networks: forward passes, exact gradients, losses, chunking.
+"""Neural networks: forward passes, exact gradients, losses.
 
 Every analytic gradient is checked against central finite differences.
 ReLU and max-aggregation make the losses piecewise smooth, so each sampled
@@ -28,7 +28,6 @@ from ntklab.nets import (
     init_net,
     loss_value,
     n_params,
-    sample_chunks,
     sum_rate_loss_grad,
     _bn_backward,
     _bn_forward,
@@ -612,58 +611,6 @@ class TestLosses:
         net.W[0, 0] = np.inf
         with pytest.raises(NumericFailureError):
             gradients(net, ds)
-
-
-# ---------------------------------------------------------------------------
-# chunked evaluation
-
-
-class TestChunking:
-    def test_sample_chunks_partition(self):
-        ds = channel_batch(3, 10)
-        subs = list(sample_chunks(ds, 4))
-        assert [s.m for s in subs] == [4, 4, 2]
-        np.testing.assert_array_equal(
-            np.concatenate([s.mags for s in subs]), ds.mags
-        )
-
-    def test_chunked_loss_matches_full(self):
-        net = WcgcnNet.create(hidden=5, layers=2, seed=0)
-        batch = channel_batch(4, 13, seed=1)
-        full = loss_value(net, batch, train=False)
-        split = loss_value(net, batch, train=False, chunk=5)
-        assert split == pytest.approx(full, rel=1e-12)
-
-    def test_chunked_gradients_match_full(self):
-        net = WcgcnNet.create(hidden=5, layers=2, seed=2)
-        batch = channel_batch(4, 13, seed=3)
-        g_full, l_full = gradients(net, batch, train=False)
-        g_split, l_split = gradients(net, batch,
-                                     train=False, chunk=5)
-        assert l_split == pytest.approx(l_full, rel=1e-12)
-        for k in g_full:
-            np.testing.assert_allclose(g_split[k], g_full[k],
-                                       rtol=1e-10, atol=1e-12)
-
-    def test_chunked_squared_loss_sums(self):
-        # the squared loss is a sum, not a mean: chunks add up directly
-        ds = gaussian_node_dataset(1, 11, 3, seed=4)
-        ds = replace(ds, labels=synthetic_labels(ds, beta=np.ones(3), p_degree=2))
-        net = init_net("two-layer", 3, 8, seed=5)
-        full = loss_value(net, ds)
-        split = loss_value(net, ds, chunk=3)
-        assert split == pytest.approx(full, rel=1e-12)
-        g_full, _ = gradients(net, ds)
-        g_split, _ = gradients(net, ds, chunk=3)
-        np.testing.assert_allclose(g_split["W"], g_full["W"], rtol=1e-10)
-
-    def test_chunking_requires_eval_mode(self):
-        net = WcgcnNet.create(hidden=4, layers=2, seed=6)
-        batch = channel_batch(3, 8, seed=7)
-        with pytest.raises(ValueError):
-            loss_value(net, batch, train=True, chunk=2)
-        with pytest.raises(ValueError):
-            gradients(net, batch, train=True, chunk=2)
 
     def test_empty_batch_rejected(self):
         ds = channel_batch(3, 4).subset(np.array([], dtype=int))

@@ -212,7 +212,58 @@ def test_runs_that_cannot_reuse_a_snapshot_call_gradients_per_step(
     trace = train(net, ds, ds, lr=1e-3, epochs=epochs, eval_every=2, **kwargs)
     steps = epochs * -(-ds.m // kwargs.get("batch_size", ds.m))
     assert calls.count(True) == steps
-    assert calls.count(False) == len(trace) == 3
+    # a snapshot's sweep makes one eval call per SNAPSHOT_CHUNK slice
+    assert calls.count(False) == -(-ds.m // SNAPSHOT_CHUNK) * len(trace)
+    assert len(trace) == 3
+
+
+# ---------------------------------------------------------------------------
+# the snapshot sweep, at SNAPSHOT_CHUNK = 5
+
+
+def test_slices_partition_the_samples_in_order(monkeypatch):
+    monkeypatch.setattr(training, "SNAPSHOT_CHUNK", 5)
+    ds = generate_instances(3, 13, seed=0)
+    subs = list(training._slices(ds))
+    assert [s.m for s in subs] == [5, 5, 3]
+    np.testing.assert_array_equal(np.concatenate([s.mags for s in subs]),
+                                  ds.mags)
+
+
+# per net: the net, its train and test sets (each more than one slice)
+SWEPT_RUNS = {
+    "wcgcn-mean-loss": lambda: (WcgcnNet.create(hidden=5, layers=2, seed=2),
+                                generate_instances(4, 13, seed=3),
+                                generate_instances(4, 11, seed=4)),
+    "two-layer-summed-loss": lambda: (init_net("two-layer", 3, 8, seed=5),
+                                      labeled_gaussian(11, seed=6),
+                                      labeled_gaussian(7, seed=7)),
+}
+
+
+@pytest.mark.parametrize("run", list(SWEPT_RUNS))
+def test_sliced_snapshot_losses_match_one_eval_pass(monkeypatch, run):
+    monkeypatch.setattr(training, "SNAPSHOT_CHUNK", 5)
+    net, train_ds, test_ds = SWEPT_RUNS[run]()
+    _, train_full = gradients(net, train_ds, train=False)
+    test_full = loss_value(net, test_ds, train=False)
+    (row,) = train(net, train_ds, test_ds, epochs=0)
+    assert row.train_loss == pytest.approx(train_full, rel=1e-12)
+    assert row.test_loss == pytest.approx(test_full, rel=1e-12)
+
+
+@pytest.mark.parametrize("run", list(SWEPT_RUNS))
+def test_sliced_snapshot_gradients_match_one_eval_pass(monkeypatch, run):
+    monkeypatch.setattr(training, "SNAPSHOT_CHUNK", 5)
+    net, train_ds, test_ds = SWEPT_RUNS[run]()
+    g_full, _ = gradients(net, train_ds, train=False)
+    (row,) = train(net, train_ds, test_ds, epochs=0)
+    assert row.grad_norm == pytest.approx(training._grad_norm(g_full),
+                                          rel=1e-12)
+    g_swept, _ = training._sweep(gradients, net, train_ds)
+    for key in g_full:
+        np.testing.assert_allclose(g_swept[key], g_full[key],
+                                   rtol=1e-10, atol=1e-12)
 
 
 def test_gd_step_is_w_minus_lr_g():
