@@ -24,8 +24,8 @@ from .errors import (DegenerateInputError, DivergenceError,
 from .netsim import (Dataset, gaussian_node_dataset, generate_instances,
                      sum_rate_batch, synthetic_labels)
 from .wmmse import wmmse_batch
-from .kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
-                      empirical_ntk, load_kernel_csv, mc_ntk, save_kernel_csv)
+from .kernels import (analytic_ntk_gnn, analytic_ntk_mlp, empirical_ntk,
+                      load_kernel_csv, mc_ntk, save_kernel_csv)
 from .spectral import (SpectralReport, activation_constant,
                        condition_landscape, eig_sym, generalization_bound,
                        kernel_dynamics, thm3_bounds)

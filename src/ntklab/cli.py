@@ -13,7 +13,7 @@ Subcommands, with the shared flags each one takes::
               power-mlp), squared loss on labelled Gaussian
               node sets read as flat vectors (two-layer)
     exp ID    run an experiment pipeline (fig1 fig2 fig3      --config --seed
-              ntk-regime thm3 thm4-thm5)                      --out --threads
+              ntk-regime bounds)                              --out --threads
 
 Every command runs in this one process, under the BLAS policy of
 :mod:`ntklab.pool`: one OpenBLAS thread for every BLAS call.  The sum-rate
@@ -162,8 +162,7 @@ def _cmd_ntk(args):
         draws = max(1, args.mc_units // args.mc_width)
         est = mc_ntk(X, draws, args.mc_width, _seed(args), args.activation)
         save_kernel_csv(est, files.path("mc_kernel.csv"))
-        err = float(np.linalg.norm(est.entries - kernel.entries)
-                    / np.linalg.norm(kernel.entries))
+        err = float(np.linalg.norm(est - kernel) / np.linalg.norm(kernel))
         files.write("mc_error.csv",
                     csv_text("draws,width_per_draw,relative_frobenius_error",
                              [(draws, args.mc_width, err)]))
@@ -179,7 +178,7 @@ def _cmd_spectral(args):
     y = None
     if args.labels:
         y = np.loadtxt(args.labels, ndmin=1)
-    rep = eig_sym(kernel.entries, y)
+    rep = eig_sym(kernel, y)
     files.write("eigenvalues.csv",
                 csv_text("index,eigenvalue",
                          list(enumerate(map(float, rep.eigenvalues)))))

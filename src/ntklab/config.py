@@ -15,11 +15,9 @@ import importlib.resources
 from dataclasses import dataclass
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config",
-           "default_config", "EXPERIMENT_IDS", "SECTIONS"]
+           "default_config", "EXPERIMENT_IDS"]
 
-EXPERIMENT_IDS = ("fig1", "fig2", "fig3", "ntk-regime", "thm3", "thm4-thm5")
-# experiments whose keys live in a shared section, not one of their own
-SECTIONS = {"thm3": "bounds", "thm4-thm5": "bounds"}
+EXPERIMENT_IDS = ("fig1", "fig2", "fig3", "ntk-regime", "bounds")
 # ``ntklab train`` reads its one job from the [train] section
 TRAIN = "train"
 
@@ -125,10 +123,9 @@ class ExperimentConfig:
 
     # -- typed getters over this experiment's section ----------------------
     def _raw(self, key):
-        section = SECTIONS.get(self.experiment, self.experiment)
-        sec = self.sections.get(section, {})
+        sec = self.sections.get(self.experiment, {})
         if key not in sec:
-            raise KeyError(f"missing config key {key!r} in section [{section}]")
+            raise KeyError(f"missing config key {key!r} in section [{self.experiment}]")
         return sec[key]
 
     def get_str(self, key):

@@ -296,8 +296,8 @@ def run_fig3(cfg, files):
     # kernels are entrywise and sample m is a prefix of sample m', so each
     # m's kernel is the leading block of the largest one
     big = generate_instances(k, max(lambda_ms), cfg.seed)
-    H_mlp = analytic_ntk_mlp(big.flat_features).entries
-    H_gnn = analytic_ntk_gnn(big.node_features).entries
+    H_mlp = analytic_ntk_mlp(big.flat_features)
+    H_gnn = analytic_ntk_gnn(big.node_features)
     lam_rows = [(m, float(np.linalg.eigvalsh(H_mlp[:m, :m])[0]),
                  float(np.linalg.eigvalsh(H_gnn[:m, :m])[0]))
                 for m in lambda_ms]
@@ -330,14 +330,13 @@ def _ntk_cell(width, d, m, seed, lr, epochs, eval_every, label_degree,
     X = ds.flat_features
     H_emp = empirical_ntk(net, X)
     H_true = analytic_ntk_mlp(X)
-    fro = float(np.linalg.norm(H_emp.entries - H_true.entries)
-                / np.linalg.norm(H_true.entries))
+    fro = float(np.linalg.norm(H_emp - H_true) / np.linalg.norm(H_true))
 
     u0 = net.forward(X)
     trace = train(net, ds, test, optimizer="gd", lr=lr, epochs=epochs,
                   seed=seed, eval_every=eval_every)
     epochs_grid = np.array([r.epoch for r in trace], dtype=float)
-    resid = kernel_dynamics(H_emp.entries, y - u0, lr * epochs_grid)
+    resid = kernel_dynamics(H_emp, y - u0, lr * epochs_grid)
     loss_pred = 0.5 * np.linalg.norm(resid, axis=1) ** 2
     loss_net = np.array([r.train_loss for r in trace])
     L0 = loss_net[0]
@@ -428,7 +427,7 @@ def run_bounds(cfg, files):
         for n in n_list:
             ds = gaussian_node_dataset(n, m, d, cfg.seed)
             base = analytic_ntk_mlp(ds.node_features[0], act)
-            lam = np.clip(np.linalg.eigvalsh(base.entries), 0.0, None)
+            lam = np.clip(np.linalg.eigvalsh(base), 0.0, None)
             gnn_c, mlp_c = thm3_bounds(lam, beta_norm, p, c, times)
             thm3_rows += [(p, act, n, float(t), float(g), float(mm))
                           for t, g, mm in zip(times, gnn_c, mlp_c)]
@@ -445,7 +444,7 @@ def run_bounds(cfg, files):
             bounds, notes = {}, {}
             for name, H in (("mlp", H_mlp), ("gnn", H_gnn)):
                 try:
-                    bounds[name] = generalization_bound(H.entries, y, m, delta)
+                    bounds[name] = generalization_bound(H, y, m, delta)
                     notes[name] = ""
                 except RangeViolationError:
                     bounds[name] = None
@@ -459,7 +458,7 @@ def run_bounds(cfg, files):
             ynorm = float(np.linalg.norm(y))
             reach = {}
             for name, H in (("mlp", H_mlp), ("gnn", H_gnn)):
-                resid = kernel_dynamics(H.entries, y, times)
+                resid = kernel_dynamics(H, y, times)
                 rel = np.linalg.norm(resid, axis=1) / ynorm
                 resid_rows += [(p, act, n, name, float(t), float(r))
                                for t, r in zip(times, rel)]
@@ -481,8 +480,7 @@ def run_bounds(cfg, files):
 
 
 _RUNNERS = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3,
-            "ntk-regime": run_ntk_regime, "thm3": run_bounds,
-            "thm4-thm5": run_bounds}
+            "ntk-regime": run_ntk_regime, "bounds": run_bounds}
 
 
 def run_experiment(cfg):

@@ -22,11 +22,10 @@ L2-sized tiles of the Gram block; neither the pool size nor the tiles move
 a bit.  In ``mc_ntk``, flat (m, d) samples select the flat kernel and
 (m, n, d) node sets the sum-readout one.
 
-Kernels persist as one text format, ``save_kernel_csv``: 17 significant
-digits, so a saved kernel loads back bit for bit.
+Every kernel function returns a symmetric, finite (m, m) ndarray.  Kernels
+persist as ``save_kernel_csv`` text of 17 significant digits, which loads
+back bit for bit; ``load_kernel_csv`` checks an outside matrix in full.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .pool import _run_blocks
 from .rng import DOMAIN_MC, stream
 
 __all__ = [
-    "KernelMatrix",
     "analytic_ntk_mlp",
     "analytic_ntk_gnn",
     "mc_ntk",
@@ -55,25 +53,6 @@ _BLOCK_ENTRIES = 1_000_000
 # sub-block (2 MB)
 _TILE_ENTRIES = 32_768
 _MIRROR_ENTRIES = 262_144
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """m x m symmetric Gram matrix, checked finite and symmetric."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        H = np.asarray(self.entries, dtype=float)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError("kernel must be square")
-        if not np.all(np.isfinite(H)):
-            raise ValueError("kernel contains non-finite entries")
-        asym = np.abs(H - H.T)
-        scale = np.maximum(1.0, np.abs(H))
-        if np.any(asym > SYMMETRY_TOL * scale):
-            raise ValueError("kernel is not symmetric within tolerance")
-        object.__setattr__(self, "entries", H)
 
 
 def _check_samples(X):
@@ -194,21 +173,25 @@ def gnn_kernel_function(nodes, activation="relu"):
     return out
 
 
-def analytic_ntk_mlp(X, activation="relu"):
-    """Closed-form infinite-width kernel of the flat two-layer net."""
-    H = mlp_kernel_function(X, None, activation)
+def _symmetric(H):
+    """(H + H^T) / 2, exactly symmetric; a non-finite entry raises."""
     H = (H + H.T) / 2.0
-    return KernelMatrix(H)
+    if not np.all(np.isfinite(H)):
+        raise ValueError("kernel contains non-finite entries")
+    return H
+
+
+def analytic_ntk_mlp(X, activation="relu"):
+    """Closed-form (m, m) infinite-width kernel of the flat two-layer net."""
+    return _symmetric(mlp_kernel_function(X, None, activation))
 
 
 def analytic_ntk_gnn(nodes, activation="relu"):
-    """Closed-form kernel of the shared-per-node net with sum readout.
+    """Closed-form (m, m) kernel of the shared-per-node net, sum readout.
 
     Reduces entrywise to analytic_ntk_mlp when every graph has one node.
     """
-    H = gnn_kernel_function(nodes, activation)
-    H = (H + H.T) / 2.0
-    return KernelMatrix(H)
+    return _symmetric(gnn_kernel_function(nodes, activation))
 
 
 def _sigma_prime(Z, activation):
@@ -263,8 +246,7 @@ def mc_ntk(X, draws, width_per_draw, seed, activation="relu"):
     for lo in range(0, draws, width):
         for G in _run_blocks(gram, range(lo, min(lo + width, draws))):
             acc += G
-    H = acc / draws
-    return KernelMatrix((H + H.T) / 2.0)
+    return _symmetric(acc / draws)
 
 
 def empirical_ntk(net, X):
@@ -274,16 +256,14 @@ def empirical_ntk(net, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("empirical_ntk expects (m, d) inputs")
-    H = _first_layer_gram(X, net.W, "relu")
-    return KernelMatrix((H + H.T) / 2.0)
+    return _symmetric(_first_layer_gram(X, net.W, "relu"))
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-def save_kernel_csv(kernel, path):
+def save_kernel_csv(H, path):
     """Text export: first line m, then m comma-separated rows of m values."""
-    H = kernel.entries
     atomic_write(path, csv_text(str(H.shape[0]), H))
 
 
@@ -293,4 +273,10 @@ def load_kernel_csv(path):
         H = np.loadtxt(fh, delimiter=",", ndmin=2)
     if H.shape != (m, m):
         raise ValueError(f"expected {m}x{m} kernel, got {H.shape}")
-    return KernelMatrix(H)
+    if not np.all(np.isfinite(H)):
+        raise ValueError("kernel contains non-finite entries")
+    asym = np.abs(H - H.T)
+    scale = np.maximum(1.0, np.abs(H))
+    if np.any(asym > SYMMETRY_TOL * scale):
+        raise ValueError("kernel is not symmetric within tolerance")
+    return H

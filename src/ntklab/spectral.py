@@ -69,6 +69,8 @@ def eig_sym(H, y=None):
         y = np.asarray(y, dtype=float)
         if y.shape != (A.shape[0],):
             raise ValueError("label vector has wrong length")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("labels must be finite")
         alignment = (vecs.T @ y) ** 2
     return SpectralReport(
         eigenvalues=vals,

@@ -87,8 +87,8 @@ def test_ntk_writes_matching_formats(tmp_path):
                      "--d", "4", "--m", "10", "--out", str(out)]) == 0
     a = load_kernel_csv(out / "kernel.csv")
     b = analytic_ntk_mlp(gaussian_node_dataset(1, 10, 4, 0).flat_features)
-    assert a.entries.shape == (10, 10)
-    np.testing.assert_array_equal(a.entries, b.entries)
+    assert a.shape == (10, 10)
+    np.testing.assert_array_equal(a, b)
     assert sorted(p.name for p in out.iterdir()) == ["kernel.csv",
                                                       "manifest.txt"]
 
@@ -110,7 +110,7 @@ def test_ntk_gnn_on_channel_data(tmp_path):
     out = tmp_path / "run"
     assert cli_main(["ntk", "--arch", "gnn", "--kind", "channel", "--k", "3",
                      "--m", "8", "--out", str(out)]) == 0
-    assert load_kernel_csv(out / "kernel.csv").entries.shape == (8, 8)
+    assert load_kernel_csv(out / "kernel.csv").shape == (8, 8)
 
 
 def test_ntk_monte_carlo_artifacts(tmp_path):
@@ -119,7 +119,7 @@ def test_ntk_monte_carlo_artifacts(tmp_path):
                      "--d", "3", "--m", "8", "--mc-units", "20000",
                      "--mc-width", "100", "--out", str(out)]) == 0
     est = load_kernel_csv(out / "mc_kernel.csv")
-    assert est.entries.shape == (8, 8)
+    assert est.shape == (8, 8)
     header, row = read_lines(out / "mc_error.csv")
     assert header == "draws,width_per_draw,relative_frobenius_error"
     draws, width, err = row.split(",")
@@ -159,6 +159,19 @@ def test_spectral_pipeline(tmp_path):
     assert cli_main(["spectral", "--kernel", str(kdir / "kernel.csv"),
                      "--labels", str(labels), "--out", str(out2)]) == 0
     assert (out2 / "alignment.csv").exists()
+
+
+def test_spectral_rejects_non_finite_labels(tmp_path, capsys):
+    # a nan label once wrote an all-nan alignment.csv and exited 0
+    kdir = tmp_path / "kernel"
+    assert cli_main(["ntk", "--m", "3", "--out", str(kdir)]) == 0
+    labels = tmp_path / "y.txt"
+    labels.write_text("1.0\nnan\n2.0\n")
+    out = tmp_path / "spec"
+    assert cli_main(["spectral", "--kernel", str(kdir / "kernel.csv"),
+                     "--labels", str(labels), "--out", str(out)]) == 1
+    assert "labels must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectral_missing_kernel(tmp_path, capsys):

@@ -48,11 +48,8 @@ def test_load_config(tmp_path):
 
 
 def test_defaults_cover_every_experiment():
-    # the two bound experiments share one [bounds] section
     sections = default_config()
-    needed = {"bounds" if exp.startswith("thm") else exp
-              for exp in EXPERIMENT_IDS}
-    for name in needed:
+    for name in EXPERIMENT_IDS:
         assert name in sections, f"defaults.cfg is missing [{name}]"
         assert sections[name], f"[{name}] is empty"
 

@@ -18,20 +18,15 @@ import pytest
 from conftest import PATHS, csv_bytes, same_csvs_at_one_and_two_blas_threads
 from ntklab import pool
 from ntklab.artifacts import RunFiles, atomic_write, csv_text
-from ntklab.config import (EXPERIMENT_IDS, SECTIONS, ExperimentConfig,
-                           default_config)
+from ntklab.config import EXPERIMENT_IDS, ExperimentConfig, default_config
 from ntklab.netsim import generate_instances
 from ntklab.nets import _Tiles, gradients, init_net, n_params
 from ntklab.experiments import _mlp_hidden, run_experiment, write_manifest
 
 
-def section_of(experiment):
-    return SECTIONS.get(experiment, experiment)
-
-
 def build(experiment, overrides, out, **kw):
     return ExperimentConfig.build(
-        experiment, {section_of(experiment): overrides}, out=str(out), **kw)
+        experiment, {experiment: overrides}, out=str(out), **kw)
 
 
 def load_csv(path):
@@ -260,7 +255,7 @@ _DETERMINISM = {
     "fig3": dict(FIG3_TINY, k="20", lambda_m_list="400"),
     # three width cells, listed out of width order
     "ntk-regime": dict(ntk_overrides(), widths="32, 8, 16"),
-    "thm4-thm5": BOUNDS_TINY,
+    "bounds": BOUNDS_TINY,
 }
 
 
@@ -309,7 +304,7 @@ def test_fig3_lambda_min_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_bounds_do_not_depend_on_blas_threads(tmp_path):
-    _same_csvs_at_one_and_two_blas_threads("thm4-thm5", tmp_path)
+    _same_csvs_at_one_and_two_blas_threads("bounds", tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +420,7 @@ def test_ntk_regime_kernel_error_shrinks_with_width(tmp_path):
 @pytest.fixture(scope="module")
 def bounds_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bounds")
-    return out, run_experiment(build("thm3", BOUNDS_TINY, out))
+    return out, run_experiment(build("bounds", BOUNDS_TINY, out))
 
 
 def test_bounds_artifacts(bounds_run):
@@ -478,18 +473,6 @@ def test_residual_race_grid(bounds_run):
         assert float(r["residual_over_ynorm"]) >= 0
 
 
-def test_thm_aliases_share_the_bounds_runner(tmp_path):
-    cfg = ExperimentConfig.build(
-        "thm4-thm5",
-        {"bounds": {"n_list": "2", "p_list": "2", "m": "25", "node_dim": "3",
-                    "time_points": "6", "t_min": "0.1", "t_max": "1",
-                    "delta": "0.1", "activations": "relu",
-                    "residual_target": "0.2"}},
-        out=str(tmp_path))
-    run_experiment(cfg)
-    assert (tmp_path / "thm45.csv").exists()
-
-
 # ---------------------------------------------------------------------------
 # every experiment at a tiny scale: declared keys, plot scripts
 
@@ -497,19 +480,19 @@ def test_thm_aliases_share_the_bounds_runner(tmp_path):
 def tiny_overrides(experiment):
     return {"fig1": FIG1_TINY, "fig2": {"n_list": "1, 2", "samples": "12"},
             "fig3": FIG3_TINY, "ntk-regime": ntk_overrides(),
-            "thm3": BOUNDS_TINY, "thm4-thm5": BOUNDS_TINY}[experiment]
+            "bounds": BOUNDS_TINY}[experiment]
 
 
 @pytest.fixture(scope="module")
 def recorded_runs(tmp_path_factory):
-    """{experiment: (run directory, {(section, key) the run read})}."""
+    """{experiment: (run directory, {keys of its section the run read})}."""
     raw = ExperimentConfig._raw
     runs = {}
     for experiment in EXPERIMENT_IDS:
         read = set()
 
         def recording(self, key):
-            read.add((section_of(self.experiment), key))
+            read.add(key)
             return raw(self, key)
 
         out = tmp_path_factory.mktemp(experiment)
@@ -522,10 +505,9 @@ def recorded_runs(tmp_path_factory):
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
 def test_every_declared_key_is_read(recorded_runs, experiment):
-    section = section_of(experiment)
     _, read = recorded_runs[experiment]
-    unread = set(default_config()[section]) - {k for s, k in read if s == section}
-    assert not unread, f"[{section}] declares keys nothing reads: {sorted(unread)}"
+    unread = set(default_config()[experiment]) - read
+    assert not unread, f"[{experiment}] declares keys nothing reads: {sorted(unread)}"
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
@@ -565,7 +547,7 @@ def subplots(nrows, ncols, **kwargs):
     ("fig1", "fig1_plot.py", "fig1.png"), ("fig2", "fig2_plot.py", "fig2.png"),
     ("fig3", "fig3_plot.py", "fig3.png"),
     ("ntk-regime", "ntk_plot.py", "ntk_regime.png"),
-    ("thm3", "bounds_plot.py", "bounds.png")])
+    ("bounds", "bounds_plot.py", "bounds.png")])
 def test_plot_script_draws_only_its_own_run(recorded_runs, tmp_path,
                                             experiment, script, png):
     run = tmp_path / "run"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import needs_openblas_hooks
 from ntklab import kernels, pool
 from ntklab.errors import DegenerateInputError
-from ntklab.kernels import (KernelMatrix, analytic_ntk_gnn, analytic_ntk_mlp,
+from ntklab.kernels import (SYMMETRY_TOL, analytic_ntk_gnn, analytic_ntk_mlp,
                             empirical_ntk, gnn_kernel_function,
                             load_kernel_csv, mc_ntk, mlp_kernel_function,
                             save_kernel_csv)
@@ -22,9 +22,9 @@ def _flat(m, d, seed):
     return np.random.default_rng(seed).standard_normal((m, d))
 
 
-def _assert_psd(kernel):
+def _assert_psd(H):
     """lambda_min >= -1e-8 lambda_max: PSD up to eigensolver rounding."""
-    vals = np.linalg.eigvalsh((kernel.entries + kernel.entries.T) / 2.0)
+    vals = np.linalg.eigvalsh((H + H.T) / 2.0)
     assert vals[0] >= -1e-8 * max(vals[-1], 1e-300), \
         f"kernel is not PSD within tolerance: lambda_min={vals[0]}"
 
@@ -278,20 +278,20 @@ def test_kernels_of_a_sample_prefix_are_leading_blocks(monkeypatch,
     if block_entries is not None:
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block_entries)
     big = generate_instances(5, 30, seed=3)
-    H_gnn = analytic_ntk_gnn(big.node_features).entries
-    H_mlp = analytic_ntk_mlp(big.flat_features).entries
+    H_gnn = analytic_ntk_gnn(big.node_features)
+    H_mlp = analytic_ntk_mlp(big.flat_features)
     for m in (1, 7, 16, 30):
         sub = big.subset(np.arange(m))
         np.testing.assert_allclose(
-            H_gnn[:m, :m], analytic_ntk_gnn(sub.node_features).entries, rtol=1e-8)
+            H_gnn[:m, :m], analytic_ntk_gnn(sub.node_features), rtol=1e-8)
         np.testing.assert_allclose(
-            H_mlp[:m, :m], analytic_ntk_mlp(sub.flat_features).entries, rtol=1e-8)
+            H_mlp[:m, :m], analytic_ntk_mlp(sub.flat_features), rtol=1e-8)
 
 
 def test_single_node_gnn_equals_mlp():
     ds = gaussian_node_dataset(1, 10, 5, seed=0)
-    Hg = analytic_ntk_gnn(ds.node_features).entries
-    Hm = analytic_ntk_mlp(ds.flat_features).entries
+    Hg = analytic_ntk_gnn(ds.node_features)
+    Hm = analytic_ntk_mlp(ds.flat_features)
     np.testing.assert_allclose(Hg, Hm, rtol=1e-12)
 
 
@@ -306,36 +306,63 @@ def test_gnn_kernel_permutation_invariant(n, seed):
     np.testing.assert_allclose(Hp, H, rtol=1e-7, atol=1e-7 * np.abs(H).max())
 
 
-# ------------------------------------------------------- KernelMatrix checks
+# ------------------------------------------------------ kernel-matrix checks
 
 
 class TestKernelMatrix:
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            KernelMatrix(np.ones((2, 3)))
+    """The full square, finite and symmetric check runs where an outside
+    matrix enters, ``load_kernel_csv``; the producers check finiteness."""
 
-    def test_rejects_asymmetric(self):
-        H = np.array([[1.0, 0.5], [0.1, 1.0]])
-        with pytest.raises(ValueError):
-            KernelMatrix(H)
+    def test_rejects_nonsquare(self, tmp_path):
+        save_kernel_csv(np.ones((2, 3)), tmp_path / "k.csv")
+        with pytest.raises(ValueError, match="expected 2x2"):
+            load_kernel_csv(tmp_path / "k.csv")
 
-    def test_rejects_nonfinite(self):
-        H = np.eye(2)
-        H[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            KernelMatrix(H)
+    def test_rejects_asymmetric(self, tmp_path):
+        H = np.array([[1.0, 0.5], [0.5, 1.0]])
+        H[0, 1] += 2 * SYMMETRY_TOL
+        save_kernel_csv(H, tmp_path / "k.csv")
+        with pytest.raises(ValueError, match="not symmetric"):
+            load_kernel_csv(tmp_path / "k.csv")
+        # a gap within the tolerance loads
+        H[0, 1] = 0.5 + SYMMETRY_TOL / 2
+        save_kernel_csv(H, tmp_path / "k.csv")
+        np.testing.assert_array_equal(load_kernel_csv(tmp_path / "k.csv"), H)
+
+    def test_rejects_nonfinite(self, tmp_path):
+        for bad in (np.inf, np.nan):
+            H = np.eye(2)
+            H[0, 0] = bad
+            save_kernel_csv(H, tmp_path / "k.csv")
+            with pytest.raises(ValueError, match="non-finite"):
+                load_kernel_csv(tmp_path / "k.csv")
 
     def test_check_psd_flags_indefinite(self):
         # the PSD check below must be able to fail
         H = np.array([[1.0, 2.0], [2.0, 1.0]])   # eigenvalues 3, -1
         with pytest.raises(AssertionError, match="not PSD"):
-            _assert_psd(KernelMatrix(H))
+            _assert_psd(H)
 
     def test_analytic_kernels_are_psd(self):
         X = _flat(12, 4, 8)
         _assert_psd(analytic_ntk_mlp(X))
         nodes = np.random.default_rng(9).standard_normal((8, 3, 4))
         _assert_psd(analytic_ntk_gnn(nodes))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: analytic_ntk_mlp(np.full((3, 4), 1e200)),
+    lambda: analytic_ntk_gnn(np.full((3, 2, 4), 1e200)),
+    lambda: mc_ntk(np.full((3, 2, 4), np.nan), 2, 8, seed=0),
+    lambda: empirical_ntk(init_net("two-layer", 4, 8, seed=0),
+                          np.full((3, 4), np.nan)),
+], ids=["mlp-overflow", "gnn-overflow", "mc-nan-node-sets", "empirical-nan"])
+def test_a_non_finite_kernel_raises(make):
+    # inputs that pass the sample checks but overflow, or that no sample
+    # check sees, still never leave a producer as a kernel
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match="non-finite entries"):
+        make()
 
 
 # ------------------------------------------------------------- Monte Carlo
@@ -345,9 +372,9 @@ def test_mc_ntk_is_deterministic_in_seed():
     X = _flat(6, 4, 10)
     a = mc_ntk(X, 8, 16, seed=3)
     b = mc_ntk(X, 8, 16, seed=3)
-    np.testing.assert_array_equal(a.entries, b.entries)
+    np.testing.assert_array_equal(a, b)
     c = mc_ntk(X, 8, 16, seed=4)
-    assert not np.allclose(a.entries, c.entries)
+    assert not np.allclose(a, c)
 
 
 @needs_openblas_hooks
@@ -359,16 +386,16 @@ def test_mc_ntk_bits_do_not_depend_on_the_pool_width(monkeypatch, shape):
     estimates = []
     for width in (1, 2):
         monkeypatch.setattr(pool, "_block_threads", lambda: width)
-        estimates.append(mc_ntk(X, 7, 16, seed=5).entries)
+        estimates.append(mc_ntk(X, 7, 16, seed=5))
     assert np.array_equal(estimates[0], estimates[1])
 
 
 def test_mc_ntk_converges_to_analytic():
     X = _flat(10, 5, 11)
-    H = analytic_ntk_mlp(X).entries
+    H = analytic_ntk_mlp(X)
     err = {}
     for draws in (4, 400):
-        E = mc_ntk(X, draws, 32, seed=0).entries
+        E = mc_ntk(X, draws, 32, seed=0)
         err[draws] = np.linalg.norm(E - H) / np.linalg.norm(H)
     assert err[400] < err[4]
     assert err[400] < 0.05
@@ -376,15 +403,15 @@ def test_mc_ntk_converges_to_analytic():
 
 def test_mc_ntk_quadratic_converges():
     X = _flat(8, 3, 12)
-    H = analytic_ntk_mlp(X, activation="quadratic").entries
-    E = mc_ntk(X, 600, 32, seed=0, activation="quadratic").entries
+    H = analytic_ntk_mlp(X, activation="quadratic")
+    E = mc_ntk(X, 600, 32, seed=0, activation="quadratic")
     assert np.linalg.norm(E - H) / np.linalg.norm(H) < 0.08
 
 
 def test_mc_ntk_gnn_family_converges():
     nodes = np.random.default_rng(13).standard_normal((6, 3, 4))
-    H = analytic_ntk_gnn(nodes).entries
-    E = mc_ntk(nodes, 400, 32, seed=1).entries
+    H = analytic_ntk_gnn(nodes)
+    E = mc_ntk(nodes, 400, 32, seed=1)
     assert np.linalg.norm(E - H) / np.linalg.norm(H) < 0.08
 
 
@@ -392,10 +419,10 @@ def test_mc_ntk_single_draw_matches_empirical_of_same_width():
     """One MC draw at width r is exactly the empirical kernel of a width-r
     net whose first layer is that draw (output signs cancel in the Gram)."""
     X = _flat(5, 4, 14)
-    E = mc_ntk(X, 1, 64, seed=7).entries
+    E = mc_ntk(X, 1, 64, seed=7)
     W = stream(7, DOMAIN_MC, 0).standard_normal((64, 4))
     net = TwoLayerNet(W, np.ones(64))
-    K = empirical_ntk(net, X).entries
+    K = empirical_ntk(net, X)
     np.testing.assert_allclose(E, K, rtol=1e-10)
 
 
@@ -425,7 +452,7 @@ def _relu_jacobian_rows(X, W, a):
 def test_empirical_matches_explicit_jacobians():
     X = _flat(6, 3, 15)
     net = init_net("two-layer", 3, 32, seed=0)
-    H_fast = empirical_ntk(net, X).entries
+    H_fast = empirical_ntk(net, X)
     J = _relu_jacobian_rows(X, net.W, net.a)
     np.testing.assert_allclose(H_fast, J @ J.T, rtol=1e-10)
     # the finite-width net reads flat vectors only
@@ -438,7 +465,7 @@ def test_mc_ntk_node_set_draw_matches_sum_readout_jacobians():
     f(nodes) = sum_j (1/sqrt(r)) sum_r a_r relu(w_r . x_j) whose first layer
     is that draw, whatever the output signs."""
     nodes = np.random.default_rng(16).standard_normal((4, 3, 5))
-    E = mc_ntk(nodes, 1, 16, seed=2).entries
+    E = mc_ntk(nodes, 1, 16, seed=2)
     W = stream(2, DOMAIN_MC, 0).standard_normal((16, 5))
     a = np.where(np.random.default_rng(17).random(16) < 0.5, -1.0, 1.0)
     J = sum(_relu_jacobian_rows(nodes[:, j], W, a) for j in range(3))
@@ -447,11 +474,11 @@ def test_mc_ntk_node_set_draw_matches_sum_readout_jacobians():
 
 def test_empirical_concentrates_with_width():
     X = _flat(10, 4, 17)
-    H = analytic_ntk_mlp(X).entries
+    H = analytic_ntk_mlp(X)
     errs = []
     for width in (32, 512, 8192):
         net = init_net("two-layer", 4, width, seed=5)
-        E = empirical_ntk(net, X).entries
+        E = empirical_ntk(net, X)
         errs.append(np.linalg.norm(E - H) / np.linalg.norm(H))
     assert errs[0] > errs[1] > errs[2]
 
@@ -465,7 +492,7 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "k.csv"
     save_kernel_csv(K, path)
     K2 = load_kernel_csv(path)
-    np.testing.assert_allclose(K2.entries, K.entries, rtol=0, atol=0)
+    np.testing.assert_allclose(K2, K, rtol=0, atol=0)
 
 
 def test_csv_rejects_size_mismatch(tmp_path):

@@ -87,6 +87,14 @@ def test_eig_sym_rejects_bad_label_length():
         eig_sym(np.eye(4), y=np.ones(3))
 
 
+def test_eig_sym_rejects_nonfinite_labels():
+    for bad in (np.nan, np.inf):
+        y = np.ones(4)
+        y[2] = bad
+        with pytest.raises(ValueError, match="labels must be finite"):
+            eig_sym(np.eye(4), y)
+
+
 # ---------------------------------------------------------------------------
 # kernel_dynamics
 
