@@ -186,7 +186,7 @@ def _cmd_spectral(args):
         files.write("alignment.csv", csv_text(
             "index,eigenvalue,alignment",
             [(i, float(l), float(a)) for i, (l, a) in
-             enumerate(zip(rep.eigenvalues, rep.alignment))]))
+             enumerate(zip(rep.eigenvalues, rep.coeffs ** 2))]))
     files.write("spectral_summary.csv", csv_text(
         "condition_number,trace,lambda_min,lambda_max",
         [(rep.condition_number, rep.trace,

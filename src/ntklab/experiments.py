@@ -28,7 +28,7 @@ from .netsim import (gaussian_node_dataset, generate_instances,
                      label_direction, labelled_gaussian_dataset)
 from .nets import init_net, n_params
 from .pool import _run_blocks
-from .spectral import (activation_constant, condition_landscape,
+from .spectral import (activation_constant, condition_landscape, eig_sym,
                        generalization_bound, kernel_dynamics, thm3_bounds)
 from .errors import RangeViolationError, UnsupportedConstantError
 from .training import (epochs_to_level, evaluate, progress_level, train,
@@ -336,7 +336,7 @@ def _ntk_cell(width, d, m, seed, lr, epochs, eval_every, label_degree,
     trace = train(net, ds, test, optimizer="gd", lr=lr, epochs=epochs,
                   seed=seed, eval_every=eval_every)
     epochs_grid = np.array([r.epoch for r in trace], dtype=float)
-    resid = kernel_dynamics(H_emp, y - u0, lr * epochs_grid)
+    resid = kernel_dynamics(eig_sym(H_emp, y - u0), lr * epochs_grid)
     loss_pred = 0.5 * np.linalg.norm(resid, axis=1) ** 2
     loss_net = np.array([r.train_loss for r in trace])
     L0 = loss_net[0]
@@ -439,12 +439,12 @@ def run_bounds(cfg, files):
         for n in n_list:
             ds = labelled_gaussian_dataset(n, m, d, cfg.seed, p)
             y = ds.labels
-            H_mlp = analytic_ntk_mlp(ds.flat_features, act)
-            H_gnn = analytic_ntk_gnn(ds.node_features, act)
+            reps = {"mlp": eig_sym(analytic_ntk_mlp(ds.flat_features, act), y),
+                    "gnn": eig_sym(analytic_ntk_gnn(ds.node_features, act), y)}
             bounds, notes = {}, {}
-            for name, H in (("mlp", H_mlp), ("gnn", H_gnn)):
+            for name, rep in reps.items():
                 try:
-                    bounds[name] = generalization_bound(H, y, m, delta)
+                    bounds[name] = generalization_bound(rep, delta)
                     notes[name] = ""
                 except RangeViolationError:
                     bounds[name] = None
@@ -457,8 +457,8 @@ def run_bounds(cfg, files):
 
             ynorm = float(np.linalg.norm(y))
             reach = {}
-            for name, H in (("mlp", H_mlp), ("gnn", H_gnn)):
-                resid = kernel_dynamics(H, y, times)
+            for name, rep in reps.items():
+                resid = kernel_dynamics(rep, times)
                 rel = np.linalg.norm(resid, axis=1) / ynorm
                 resid_rows += [(p, act, n, name, float(t), float(r))
                                for t, r in zip(times, rel)]

@@ -101,8 +101,10 @@ def _run_blocks(block, spans):
         return [block(span) for span in spans]
     results, errors = [None] * len(spans), [None] * len(spans)
     claims = itertools.count()    # next() on it is atomic under the GIL
+    job = [block, spans, results, errors]    # all of the call a helper sees
 
     def work():
+        block, spans, results, errors = job
         for i in claims:
             if i >= len(spans):
                 return
@@ -116,9 +118,11 @@ def _run_blocks(block, spans):
         work()
     finally:
         # a cancelled helper counts as done only once a pool thread has
-        # dequeued it, so wait for the running ones alone
+        # dequeued it, so wait for the running ones alone; until then it
+        # keeps `work` alive, and through it only the emptied job
         running = [helper for helper in helpers if not helper.cancel()]
         concurrent.futures.wait(running)
+        job.clear()
     for helper in running:
         helper.result()       # what a helper's block raised past Exception
     for exc in errors:

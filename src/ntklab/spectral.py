@@ -3,7 +3,9 @@
 Everything downstream of a kernel matrix lives here: eigendecomposition
 reports, the closed-form squared-loss training dynamics, the convergence and
 generalization bound formulas, and the conditioning landscape comparing the
-flat and permutation-invariant architectures.
+flat and permutation-invariant architectures.  :func:`eig_sym` alone
+eigendecomposes a kernel, projects its labels and picks its pseudo-inverse's
+range; the dynamics, the bound and ``training.evaluate`` read its report.
 """
 
 from dataclasses import dataclass
@@ -40,18 +42,20 @@ class SpectralReport:
     """Eigendecomposition summary of a symmetric kernel.
 
     eigenvalues are sorted descending and eigenvectors[:, i] matches
-    eigenvalues[i]; alignment[i] = (v_i . y)^2 when labels are supplied.
+    eigenvalues[i]; coeffs[i] = v_i . y when labels are supplied; kept marks
+    the pseudo-inverse's eigenpairs, eigenvalues > PINV_CUTOFF * lambda_max.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     condition_number: float
     trace: float
-    alignment: np.ndarray | None = None
+    kept: np.ndarray
+    coeffs: np.ndarray | None = None
 
 
 def eig_sym(H, y=None):
-    """Eigendecomposition report of (H + H^T)/2.
+    """Eigendecomposition report of (H + H^T)/2 and of the labels y, if any.
 
     condition_number is lambda_max / lambda_min, infinite when the smallest
     eigenvalue is not positive.
@@ -64,26 +68,27 @@ def eig_sym(H, y=None):
     vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
     lam_min, lam_max = vals[-1], vals[0]
     cond = float(lam_max / lam_min) if lam_min > 0 else float("inf")
-    alignment = None
+    coeffs = None
     if y is not None:
         y = np.asarray(y, dtype=float)
         if y.shape != (A.shape[0],):
             raise ValueError("label vector has wrong length")
         if not np.all(np.isfinite(y)):
             raise ValueError("labels must be finite")
-        alignment = (vecs.T @ y) ** 2
+        coeffs = vecs.T @ y
     return SpectralReport(
         eigenvalues=vals,
         eigenvectors=vecs,
         condition_number=cond,
         trace=float(np.trace(A)),
-        alignment=alignment,
+        kept=vals > PINV_CUTOFF * max(lam_max, 0.0),
+        coeffs=coeffs,
     )
 
 
-def kernel_dynamics(H, y, times):
-    """Exact squared-loss gradient-flow trajectory: the residuals
-    y - u(t) = exp(-Ht) y, shape (len(times), m).
+def kernel_dynamics(rep, times):
+    """Exact squared-loss gradient-flow trajectory of eig_sym(H, y)'s report
+    ``rep``: the residuals y - u(t) = exp(-Ht) y, shape (len(times), m).
 
     Computed through the eigendecomposition (exact for symmetric H), never
     by series truncation.  Negative eigenvalues from floating-point noise
@@ -92,16 +97,11 @@ def kernel_dynamics(H, y, times):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("labels must be finite")
-    rep = eig_sym(H)
+    if rep.coeffs is None:
+        raise ValueError("the spectral report carries no labels")
     lam = np.maximum(rep.eigenvalues, 0.0)
-    V = rep.eigenvectors
-    c0 = V.T @ y                                       # initial mode masses
     decay = np.exp(-np.outer(times, lam))              # (T, m)
-    coeffs = decay * c0
-    return coeffs @ V.T
+    return (decay * rep.coeffs) @ rep.eigenvectors.T   # decayed mode masses
 
 
 def activation_constant(p_degree, activation):
@@ -134,34 +134,27 @@ def thm3_bounds(lambdas, beta_norm, p_degree, c, times):
     return gnn, mlp
 
 
-def generalization_bound(H, y, m, delta):
-    """Theorem-4 style population-loss bound:
+def generalization_bound(rep, delta):
+    """Theorem-4 style population-loss bound of eig_sym(H, y)'s report:
 
         sqrt(y^T H^{-1} y * Tr(H)) / m + sqrt(log(1/delta) / m)
 
-    H is inverted through its eigendecomposition; eigenvalues below
-    1e-10 * lambda_max are excluded pseudo-inverse directions, and a label
-    vector with more than 1e-6 relative mass outside the retained range
-    space is rejected rather than silently projected.
+    H^{-1} is the pseudo-inverse on the eigenpairs ``rep.kept`` keeps, and a
+    label vector with more than 1e-6 relative mass outside that range space
+    is rejected rather than silently projected; ||coeffs|| stands in for
+    ||y||, equal up to rounding since the eigenvectors are orthonormal.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    A = np.asarray(H, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.shape[0] != m or y.shape != (m,):
-        raise ValueError("m must match the kernel dimension and label length")
-    rep = eig_sym(A)
-    lam, V = rep.eigenvalues, rep.eigenvectors
-    cutoff = PINV_CUTOFF * max(lam[0], 0.0)
-    keep = lam > cutoff
-    coeffs = V.T @ y
-    dropped = coeffs[~keep]
-    ynorm = np.linalg.norm(y)
-    if ynorm > 0 and np.linalg.norm(dropped) > RANGE_TOL * ynorm:
+    if rep.coeffs is None:
+        raise ValueError("the spectral report carries no labels")
+    coeffs, keep, m = rep.coeffs, rep.kept, len(rep.eigenvalues)
+    ynorm = np.linalg.norm(coeffs)
+    if ynorm > 0 and np.linalg.norm(coeffs[~keep]) > RANGE_TOL * ynorm:
         raise RangeViolationError(
             "labels have mass outside the kernel's range space"
         )
-    quad = float(np.sum(coeffs[keep] ** 2 / lam[keep]))
+    quad = float(np.sum(coeffs[keep] ** 2 / rep.eigenvalues[keep]))
     return float(np.sqrt(quad * rep.trace) / m + np.sqrt(np.log(1.0 / delta) / m))
 
 

@@ -18,6 +18,7 @@ from .netsim import sum_rate_batch
 from .nets import (PowerMlp, TwoLayerNet, WcgcnNet, gradients, loss_value,
                    _batch_features, _labels, _power_forward)
 from .rng import DOMAIN_TRAIN, stream
+from .spectral import eig_sym
 from .wmmse import wmmse_batch
 
 __all__ = [
@@ -219,8 +220,8 @@ def evaluate(net, test_ds, train_ds=None):
     The oracle is WMMSE for the sum-rate nets (WcgcnNet, PowerMlp).  For a
     TwoLayerNet, whose task is the labelled regression, it is the exact
     kernel-regression predictor: the analytic ReLU kernel of the flat
-    features the net reads, over ``train_ds``; without ``train_ds`` there is
-    no oracle.
+    features the net reads over ``train_ds``, inverted on the eigenpairs
+    ``spectral.eig_sym``'s ``kept`` keeps; without ``train_ds``, no oracle.
     Excess risk is the mean per-sample loss difference net - oracle; learned
     policies can beat the locally optimal WMMSE, so small negative values are
     legitimate.
@@ -247,9 +248,10 @@ def evaluate(net, test_ds, train_ds=None):
     metrics["ratio_to_wmmse"] = None
     if train_ds is not None:
         Xtr = _batch_features(net, train_ds)
-        Ktr = mlp_kernel_function(Xtr)
+        rep = eig_sym(mlp_kernel_function(Xtr), train_ds.labels)
+        V, keep = rep.eigenvectors[:, rep.kept], rep.kept
+        coef = V @ (rep.coeffs[keep] / rep.eigenvalues[keep])
         Kte = mlp_kernel_function(Xte, Xtr)
-        coef = np.linalg.pinv(Ktr, rcond=1e-12) @ train_ds.labels
         oracle_err = Kte @ coef - test_ds.labels
         metrics["oracle_loss"] = float(np.mean(oracle_err ** 2))
         metrics["e_gen"] = float(np.mean(err ** 2 - oracle_err ** 2))

@@ -463,6 +463,19 @@ def test_thm45_table_structure(bounds_run):
             assert float(r["ratio"]) > 0
 
 
+def test_bounds_eigendecompose_each_kernel_once(tmp_path, monkeypatch):
+    # the bound and the dynamics of a kernel read one spectral report
+    eigh, kernels = np.linalg.eigh, []
+
+    def counted(A, *args, **kwargs):
+        kernels.append(hashlib.sha256(np.asarray(A).tobytes()).hexdigest())
+        return eigh(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    run_experiment(build("bounds", BOUNDS_TINY, tmp_path))
+    assert len(kernels) == len(set(kernels)) == 2 * 2 * 2   # p x n x kernel
+
+
 def test_residual_race_grid(bounds_run):
     out, _ = bounds_run
     rows = load_csv(out / "residual_race.csv")

@@ -3,12 +3,15 @@ from import on, the start-up count as the cap on the pool width, and nested
 calls that share the pool without waiting on it."""
 
 import concurrent.futures
+import gc
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 
+import numpy as np
 import pytest
 
 from conftest import PATHS, needs_openblas_hooks
@@ -85,6 +88,35 @@ def test_nested_calls_finish_while_every_pool_thread_is_busy(monkeypatch, width)
     finally:
         release.set()
         concurrent.futures.wait(held)
+
+
+@needs_openblas_hooks
+def test_a_finished_call_frees_its_data_while_its_helper_stays_queued(
+        monkeypatch):
+    # the one pool thread waits on `release`, so the call's helper stays in
+    # the pool's queue after the call has cancelled it and returned; the
+    # queued helper must no longer reach the call's block, spans or results
+    monkeypatch.setattr(pool, "_block_threads", lambda: 2)
+    running, release = threading.Event(), threading.Event()
+
+    def hold():
+        running.set()
+        release.wait()
+
+    held = pool._pool(1).submit(hold)
+    try:
+        assert running.wait(timeout=10)
+        data = np.arange(4.0)
+        alive = weakref.ref(data)
+        # the block, a bound method, and its results, views, hold the array
+        views = pool._run_blocks(data.__getitem__, [slice(0, 2), slice(2, 4)])
+        assert [view.tolist() for view in views] == [[0.0, 1.0], [2.0, 3.0]]
+        del data, views
+        gc.collect()
+        assert alive() is None
+    finally:
+        release.set()
+        held.result(timeout=30)
 
 
 @needs_openblas_hooks

@@ -19,6 +19,7 @@ from ntklab import (
     kernel_dynamics,
     thm3_bounds,
 )
+from ntklab import spectral
 
 
 def random_psd(n, seed, rank=None):
@@ -69,10 +70,44 @@ def test_eig_sym_alignment():
     H = random_psd(7, seed=4)
     y = np.random.default_rng(5).standard_normal(7)
     rep = eig_sym(H, y)
-    np.testing.assert_allclose(rep.alignment, (rep.eigenvectors.T @ y) ** 2)
+    alignment = rep.coeffs ** 2
+    np.testing.assert_allclose(alignment, (rep.eigenvectors.T @ y) ** 2)
     # alignment masses sum to ||y||^2 (eigenvectors are orthonormal)
-    assert rep.alignment.sum() == pytest.approx(y @ y)
-    assert eig_sym(H).alignment is None
+    assert alignment.sum() == pytest.approx(y @ y)
+
+
+def test_eig_sym_coeffs_are_the_labels_in_the_eigenbasis():
+    H = random_psd(7, seed=6)
+    y = np.random.default_rng(7).standard_normal(7)
+    rep = eig_sym(H, y)
+    np.testing.assert_array_equal(rep.coeffs, rep.eigenvectors.T @ y)
+    np.testing.assert_allclose(rep.eigenvectors @ rep.coeffs, y, atol=1e-12)
+    assert eig_sym(H).coeffs is None
+
+
+def test_eig_sym_kept_marks_the_pseudo_inverse_range(monkeypatch):
+    # a rank-3 kernel: its 4 null eigenvalues are rounding noise around 0
+    H = random_psd(7, seed=8, rank=3)
+    rep = eig_sym(H)
+    assert rep.kept.tolist() == [True] * 3 + [False] * 4
+    np.testing.assert_array_equal(
+        rep.kept, rep.eigenvalues > spectral.PINV_CUTOFF * rep.eigenvalues[0])
+    # the cutoff is relative to lambda_max
+    lam = np.array([4.0, 2.5, 1.5, 0.5])
+    monkeypatch.setattr(spectral, "PINV_CUTOFF", 0.5)
+    assert eig_sym(np.diag(lam)).kept.tolist() == [True, True, False, False]
+    # no eigenvalue is kept when lambda_max is not positive
+    assert not eig_sym(-np.eye(3)).kept.any()
+    assert not eig_sym(np.zeros((3, 3))).kept.any()
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda rep: kernel_dynamics(rep, times=[1.0]),
+    lambda rep: generalization_bound(rep, delta=0.1),
+], ids=["kernel_dynamics", "generalization_bound"])
+def test_a_report_without_labels_is_rejected(consumer):
+    with pytest.raises(ValueError, match="carries no labels"):
+        consumer(eig_sym(np.eye(3)))
 
 
 def test_eig_sym_rejects_nonfinite():
@@ -116,7 +151,7 @@ def rk4_residual(H, y, t_end, steps=4000):
 def test_dynamics_matches_ode_integration():
     H = random_psd(8, seed=7)
     y = np.random.default_rng(8).standard_normal(8)
-    res = kernel_dynamics(H, y, times=[0.0, 0.5])
+    res = kernel_dynamics(eig_sym(H, y), times=[0.0, 0.5])
     np.testing.assert_allclose(res[0], y, atol=1e-14)
     np.testing.assert_allclose(
         res[1], rk4_residual(H, y, 0.5), rtol=1e-8, atol=1e-10
@@ -126,22 +161,22 @@ def test_dynamics_matches_ode_integration():
 def test_dynamics_residual_norm_decreasing_for_psd():
     H = random_psd(10, seed=11)
     y = np.random.default_rng(12).standard_normal(10)
-    res = kernel_dynamics(H, y, times=np.linspace(0, 5, 30))
+    res = kernel_dynamics(eig_sym(H, y), times=np.linspace(0, 5, 30))
     assert np.all(np.diff(np.linalg.norm(res, axis=1)) <= 1e-12)
 
 
 def test_dynamics_diagonal_kernel_exact():
     lam = np.array([3.0, 1.0, 0.25])
     y = np.array([1.0, -2.0, 0.5])
-    res = kernel_dynamics(np.diag(lam), y, times=[0.7])
+    res = kernel_dynamics(eig_sym(np.diag(lam), y), times=[0.7])
     np.testing.assert_allclose(res[0], y * np.exp(-lam * 0.7), rtol=1e-12)
 
 
 def test_dynamics_mode_coefficients_decay():
     H = random_psd(5, seed=13)
     y = np.random.default_rng(14).standard_normal(5)
-    res = kernel_dynamics(H, y, times=[0.0, 2.0])
-    rep = eig_sym(H)
+    rep = eig_sym(H, y)
+    res = kernel_dynamics(rep, times=[0.0, 2.0])
     c0 = rep.eigenvectors.T @ y
     modes = res @ rep.eigenvectors     # residual mode coefficients
     np.testing.assert_allclose(modes[0], c0, atol=1e-12)
@@ -151,18 +186,13 @@ def test_dynamics_mode_coefficients_decay():
 
 
 def test_dynamics_scalar_time_promoted():
-    res = kernel_dynamics(np.eye(2), np.ones(2), times=1.0)
+    res = kernel_dynamics(eig_sym(np.eye(2), np.ones(2)), times=1.0)
     assert res.shape == (1, 2)
 
 
 def test_dynamics_rejects_negative_times():
     with pytest.raises(ValueError):
-        kernel_dynamics(np.eye(2), np.ones(2), times=[-0.1, 1.0])
-
-
-def test_dynamics_rejects_nonfinite_labels():
-    with pytest.raises(ValueError):
-        kernel_dynamics(np.eye(2), np.array([1.0, np.inf]), times=[1.0])
+        kernel_dynamics(eig_sym(np.eye(2), np.ones(2)), times=[-0.1, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +257,7 @@ def test_generalization_bound_formula():
     m = 20
     H = random_psd(m, seed=20) + 0.5 * np.eye(m)
     y = np.random.default_rng(21).standard_normal(m)
-    got = generalization_bound(H, y, m, delta=0.05)
+    got = generalization_bound(eig_sym(H, y), delta=0.05)
     want = np.sqrt(y @ np.linalg.solve(H, y) * np.trace(H)) / m
     want += np.sqrt(np.log(1 / 0.05) / m)
     assert got == pytest.approx(want, rel=1e-9)
@@ -240,7 +270,7 @@ def test_generalization_bound_in_range_labels_ok():
     B = rng.standard_normal((m, 4))
     H = B @ B.T
     y = H @ rng.standard_normal(m)
-    got = generalization_bound(H, y, m, delta=0.1)
+    got = generalization_bound(eig_sym(H, y), delta=0.1)
     want = np.sqrt(y @ np.linalg.pinv(H) @ y * np.trace(H)) / m
     want += np.sqrt(np.log(1 / 0.1) / m)
     assert got == pytest.approx(want, rel=1e-6)
@@ -253,7 +283,7 @@ def test_generalization_bound_out_of_range_labels_rejected():
     H = B @ B.T
     # a random vector has mass in the 6-dimensional null space a.s.
     with pytest.raises(RangeViolationError):
-        generalization_bound(H, rng.standard_normal(m), m, delta=0.1)
+        generalization_bound(eig_sym(H, rng.standard_normal(m)), delta=0.1)
 
 
 def test_generalization_bound_shrinks_with_m():
@@ -261,20 +291,18 @@ def test_generalization_bound_shrinks_with_m():
     for m in (10, 40):
         H = np.eye(m)
         y = np.ones(m) / np.sqrt(m)       # fixed norm
-        vals.append(generalization_bound(H, y, m, delta=0.05))
+        vals.append(generalization_bound(eig_sym(H, y), delta=0.05))
     assert vals[1] < vals[0]
 
 
 def test_generalization_bound_validation():
-    H = np.eye(4)
+    rep = eig_sym(np.eye(4), np.ones(4))
     with pytest.raises(ValueError):
-        generalization_bound(H, np.ones(4), 4, delta=0.0)
+        generalization_bound(rep, delta=0.0)
     with pytest.raises(ValueError):
-        generalization_bound(H, np.ones(4), 4, delta=1.0)
+        generalization_bound(rep, delta=1.0)
     with pytest.raises(ValueError):
-        generalization_bound(H, np.ones(3), 4, delta=0.1)
-    with pytest.raises(ValueError):
-        generalization_bound(H, np.ones(4), 5, delta=0.1)
+        generalization_bound(eig_sym(np.eye(4), np.ones(3)), delta=0.1)
 
 
 # ---------------------------------------------------------------------------

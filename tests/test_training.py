@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ntklab import DivergenceError, training
+from ntklab import DivergenceError, spectral, training
+from ntklab.kernels import mlp_kernel_function
 from ntklab.nets import WcgcnNet, gradients, init_net, loss_value, n_params
 from ntklab.netsim import gaussian_node_dataset, generate_instances, synthetic_labels
 from ntklab.training import (
@@ -417,6 +418,24 @@ def test_evaluate_oracle_is_relu_kernel_regression():
     err = net.forward(Xte) - test_ds.labels
     assert metrics["e_gen"] == pytest.approx(
         float(np.mean(err ** 2 - oracle_err ** 2)), rel=1e-9)
+
+
+def test_evaluate_oracle_keeps_the_pairs_of_the_one_cutoff(monkeypatch):
+    # at a cutoff of one half the oracle regresses on the eigenpairs above
+    # lambda_max / 2 alone; a cutoff of evaluate's own would keep them all
+    monkeypatch.setattr(spectral, "PINV_CUTOFF", 0.5)
+    train_ds = labeled_gaussian(12, seed=22)
+    test_ds = labeled_gaussian(8, seed=23)
+    net = init_net("two-layer", 3, 16, seed=24)
+    metrics = evaluate(net, test_ds, train_ds=train_ds)
+    Xtr, Xte = train_ds.flat_features, test_ds.flat_features
+    lam, V = np.linalg.eigh(mlp_kernel_function(Xtr))
+    keep = lam > lam[-1] / 2
+    assert 0 < keep.sum() < len(lam)
+    coef = V[:, keep] @ (V[:, keep].T @ train_ds.labels / lam[keep])
+    oracle_err = mlp_kernel_function(Xte, Xtr) @ coef - test_ds.labels
+    assert metrics["oracle_loss"] == pytest.approx(
+        float(np.mean(oracle_err ** 2)), rel=1e-12)
 
 
 def test_evaluate_validation():
