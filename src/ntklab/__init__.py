@@ -22,7 +22,7 @@ from .errors import (DegenerateInputError, DivergenceError,
                      NumericFailureError, RangeViolationError,
                      UnsupportedConstantError)
 from .netsim import (Dataset, gaussian_node_dataset, generate_instances,
-                     sum_rate_batch, synthetic_labels)
+                     sum_rate_batch)
 from .wmmse import wmmse_batch
 from .kernels import (analytic_ntk_gnn, analytic_ntk_mlp, empirical_ntk,
                       load_kernel_csv, mc_ntk, save_kernel_csv)

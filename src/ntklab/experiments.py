@@ -7,12 +7,12 @@ pool.  Wall-clock times therefore never enter data CSVs; they live in
 manifest header comments only.  Cells — independent (model, K, m) units — of
 fig1 and fig3 run one after another in this process, each net pass and
 kernel spreading its tiles and blocks over this thread and the pool;
-ntk-regime's width cells run side by side the same way.  Every BLAS call
-runs on one OpenBLAS thread (:mod:`ntklab.pool`), so no output depends on
-the environment's BLAS thread count either.  All files are written
-atomically (temp file + rename).  :func:`run_experiment` opens the run
-directory (a RunFiles) before the runner starts and seals it after the
-runner returns: the manifest lists exactly the files the run wrote.
+ntk-regime's width cells and fig3's eigensolves run side by side the same
+way.  Every BLAS call runs on one OpenBLAS thread (:mod:`ntklab.pool`), so
+no output depends on the environment's BLAS thread count either.  All files
+are written atomically (temp file + rename).  :func:`run_experiment` opens
+the run directory (a RunFiles) before the runner starts and seals it after
+the runner returns: the manifest lists exactly the files the run wrote.
 """
 
 import hashlib
@@ -294,13 +294,21 @@ def run_fig3(cfg, files):
 
     # analytic-kernel smallest eigenvalues on nested sample prefixes: both
     # kernels are entrywise and sample m is a prefix of sample m', so each
-    # m's kernel is the leading block of the largest one
+    # m's kernel is the leading block of the largest one.  The eigensolves
+    # are independent and each runs on one BLAS thread, so they run side by
+    # side on the pool, largest first; the rows keep lambda_m_list's order
     big = generate_instances(k, max(lambda_ms), cfg.seed)
-    H_mlp = analytic_ntk_mlp(big.flat_features)
-    H_gnn = analytic_ntk_gnn(big.node_features)
-    lam_rows = [(m, float(np.linalg.eigvalsh(H_mlp[:m, :m])[0]),
-                 float(np.linalg.eigvalsh(H_gnn[:m, :m])[0]))
-                for m in lambda_ms]
+    H = {"mlp": analytic_ntk_mlp(big.flat_features),
+         "gnn": analytic_ntk_gnn(big.node_features)}
+    solves = [(m, model) for m in sorted(set(lambda_ms), reverse=True)
+              for model in H]
+
+    def lambda_min(solve):
+        m, model = solve
+        return float(np.linalg.eigvalsh(H[model][:m, :m])[0])
+
+    lam = dict(zip(solves, _run_blocks(lambda_min, solves)))
+    lam_rows = [(m, lam[(m, "mlp")], lam[(m, "gnn")]) for m in lambda_ms]
     files.write("lambda_min.csv", csv_text(
         "m,lambda_min_mlp,lambda_min_gnn", lam_rows,
         comments=[f"K = {k}, seed = {cfg.seed}; sample m is a "

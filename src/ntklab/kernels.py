@@ -14,13 +14,16 @@ The permutation-invariant (GNN) kernel is the same base network applied per
 node with a sum readout, giving the pairwise sum over node pairs.  Node-set
 arrays are evaluated in square sample blocks of about ``_BLOCK_ENTRIES``
 base-kernel entries each, so memory stays bounded whatever m is; only the
-upper block triangle is evaluated, and each mirror block is filled from its
-transposed base block.  The blocks, and ``mc_ntk``'s Monte Carlo draws,
-run on the thread pool of :mod:`ntklab.pool`, whose policy keeps every
-BLAS call on one OpenBLAS thread, and the ReLU chain runs in place over
-L2-sized tiles of the Gram block; neither the pool size nor the tiles move
-a bit.  In ``mc_ntk``, flat (m, d) samples select the flat kernel and
-(m, n, d) node sets the sum-readout one.
+upper block triangle is evaluated, and each mirror block is summed from the
+same base block.  Both node sums reproduce numpy's pairwise summation order,
+and tests pin it: the forward sum runs numpy's ``sum`` along the contiguous
+second node, the mirror's runs the same order over contiguous first-node
+slabs (:func:`_pairwise_slab_sum`).  The blocks, and ``mc_ntk``'s Monte
+Carlo draws, run on the thread pool of :mod:`ntklab.pool`, whose policy
+keeps every BLAS call on one OpenBLAS thread, and the ReLU chain runs in
+place over L2-sized tiles of the Gram block; neither the pool size nor the
+tiles move a bit.  In ``mc_ntk``, flat (m, d) samples select the flat kernel
+and (m, n, d) node sets the sum-readout one.
 
 Every kernel function returns a symmetric, finite (m, m) ndarray.  Kernels
 persist as ``save_kernel_csv`` text of 17 significant digits, which loads
@@ -49,10 +52,8 @@ __all__ = [
 SYMMETRY_TOL = 1e-10
 # entries of one base-kernel block in gnn_kernel_function (8 MB of float64)
 _BLOCK_ENTRIES = 1_000_000
-# entries of one ReLU-chain tile (256 KB) and of one transposed mirror
-# sub-block (2 MB)
+# entries of one ReLU-chain tile (256 KB)
 _TILE_ENTRIES = 32_768
-_MIRROR_ENTRIES = 262_144
 
 
 def _check_samples(X):
@@ -70,15 +71,17 @@ def _relu_in_place(G, nx, nz):
     [-1, 1], written over the (rows, cols) Gram matrix G and returned.
 
     Runs over row tiles of about ``_TILE_ENTRIES`` entries, so the one
-    temporary stays in L2.  Every entry goes through the same ufuncs in the
-    same order as in a whole-array pass, so the tile size moves no bit.
+    temporary stays in L2.  Every entry goes through the same operations in
+    the same order as in a whole-array pass, so the tile size moves no bit.
+    The norms' outer product is an einsum: the same one rounded product per
+    entry as ``np.multiply.outer``, whose broadcast loop is slower.
     """
     rows = max(1, _TILE_ENTRIES // max(G.shape[1], 1))
     tile = np.empty((min(rows, G.shape[0]), G.shape[1]))
     for lo in range(0, G.shape[0], rows):
         g = G[lo:lo + rows]
         t = tile[:len(g)]
-        np.multiply.outer(nx[lo:lo + rows], nz, out=t)
+        np.einsum("i,j->ij", nx[lo:lo + rows], nz, out=t)
         np.divide(g, t, out=t)
         np.clip(t, -1.0, 1.0, out=t)
         np.arccos(t, out=t)
@@ -95,6 +98,11 @@ def mlp_kernel_function(X, Z=None, activation="relu"):
         Z, nz = X, nx
     else:
         Z, nz = _check_samples(np.atleast_2d(Z))
+    return _base_kernel(X, nx, Z, nz, activation)
+
+
+def _base_kernel(X, nx, Z, nz, activation):
+    """mlp_kernel_function of checked samples X and Z with row norms nx, nz."""
     G = X @ Z.T
     if activation == "relu":
         return _relu_in_place(G, nx, nz)
@@ -122,15 +130,69 @@ def _pair_sums(base):
     return out
 
 
+def _pairwise_slab_sum(x, lo, n):
+    """Sum of the slabs x[:, lo], ..., x[:, lo + n - 1], in the order of
+    numpy's pairwise summation of n values (``pairwise_sum`` in numpy's
+    loops), applied entrywise:
+
+    - n < 8: one after another;
+    - 8 <= n <= 128: eight running sums over every eighth slab, joined as
+      ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the remaining n % 8
+      slabs one after another;
+    - n > 128: the sums of two halves added, the first half's length
+      rounded down to a multiple of 8.
+
+    numpy's ``sum`` along a contiguous axis adds this to its initial value,
+    so ``sum(initial=-0.0)`` (-0.0 changes no value) equals it bit for bit,
+    and a test pins that.  Each slab of a C-ordered x is contiguous, so
+    every step is one vectorised pass.
+    """
+    if n < 8:
+        res = x[:, lo].copy()
+        for i in range(lo + 1, lo + n):
+            res += x[:, i]
+        return res
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        res = _pairwise_slab_sum(x, lo, half)
+        res += _pairwise_slab_sum(x, lo + half, n - half)
+        return res
+    body = lo + n - n % 8
+
+    def lane(j):
+        # running sum j: slabs lo + j, lo + j + 8, ... before the remainder
+        slabs = range(lo + j, body, 8)
+        if len(slabs) == 1:
+            return x[:, slabs[0]]
+        res = x[:, slabs[0]] + x[:, slabs[1]]
+        for i in slabs[2:]:
+            res += x[:, i]
+        return res
+
+    def quad(j):
+        res = lane(j) + lane(j + 1)
+        res += lane(j + 2) + lane(j + 3)
+        return res
+
+    res = quad(0)
+    res += quad(4)
+    for i in range(body, lo + n):
+        res += x[:, i]
+    return res
+
+
 def _mirror_pair_sums(base):
     """_pair_sums of the (s2, nb, s, na) transpose of an (s, na, s2, nb)
-    block, with the transposed copy made a few second samples (about
-    ``_MIRROR_ENTRIES`` entries) at a time rather than whole."""
-    s, na, s2, nb = base.shape
-    step = max(1, _MIRROR_ENTRIES // max(s * na * nb, 1))
-    return np.concatenate([
-        _pair_sums(np.ascontiguousarray(base[:, :, lo:lo + step].transpose(2, 3, 0, 1)))
-        for lo in range(0, s2, step)])
+    block, without the transposed copy: the sum over the first node runs
+    numpy's pairwise order on the contiguous ``base[:, i]`` slabs
+    (:func:`_pairwise_slab_sum`), then the second nodes are added in order.
+    A test checks the bits against the transposed copy's sums.
+    """
+    firsts = _pairwise_slab_sum(base, 0, base.shape[1])       # (s, s2, nb)
+    out = np.zeros(firsts.shape[:2])
+    for j in range(firsts.shape[2]):
+        out += firsts[:, :, j]
+    return out.T
 
 
 def gnn_kernel_function(nodes, activation="relu"):
@@ -141,8 +203,9 @@ def gnn_kernel_function(nodes, activation="relu"):
     The samples are evaluated in square blocks whose base kernel holds
     about ``_BLOCK_ENTRIES`` entries (8 MB).  Only the blocks on and above
     the diagonal are evaluated; each mirror block is filled from the
-    transposed base block, summed in the order the mirror's own evaluation
-    would use.  The blocks run on the pool of :mod:`ntklab.pool`; each
+    same base block, summed in the order the mirror's own evaluation
+    would use.  The nodes are checked, and their norms taken, once for the
+    whole call.  The blocks run on the pool of :mod:`ntklab.pool`; each
     block writes only its own entries of H, so the schedule and the pool
     size move no bit.  A block holds its base kernel and a few small
     tiles, so the temporaries stay about one 8 MB block per thread
@@ -154,15 +217,15 @@ def gnn_kernel_function(nodes, activation="relu"):
     if nodes.ndim != 3:
         raise ValueError("node features must be (samples, nodes, dim) arrays")
     m, n, d = nodes.shape
+    rows, norms = _check_samples(nodes.reshape(m * n, d))
     step = max(1, int(np.sqrt(_BLOCK_ENTRIES / max(n * n, 1))))
     out = np.empty((m, m))
 
     def block(span):
         lo, hi, lo2, hi2 = span
-        base = mlp_kernel_function(
-            nodes[lo:hi].reshape((hi - lo) * n, d),
-            nodes[lo2:hi2].reshape((hi2 - lo2) * n, d), activation,
-        ).reshape(hi - lo, n, hi2 - lo2, n)
+        a, b = slice(lo * n, hi * n), slice(lo2 * n, hi2 * n)
+        base = _base_kernel(rows[a], norms[a], rows[b], norms[b],
+                            activation).reshape(hi - lo, n, hi2 - lo2, n)
         out[lo:hi, lo2:hi2] = _pair_sums(base)
         if lo2 > lo:
             out[lo2:hi2, lo:hi] = _mirror_pair_sums(base)

@@ -13,11 +13,12 @@ OpenBLAS nothing is set and every pool call runs serially.
 
 ``kernels.gnn_kernel_function`` runs its sample blocks here,
 ``kernels.mc_ntk`` its Monte Carlo draws, the sum-rate nets in ``nets``
-their sample tiles and their independent whole-array reductions, and
-ntk-regime its width cells, widest first.  Each task writes only its own
-slices of preallocated arrays, or returns a whole-array result (a whole
-ntk-regime cell returns its own rows), so neither the schedule nor the pool
-width moves a bit.  The calling thread runs tasks too (:func:`_run_blocks`)
+their sample tiles and their independent whole-array reductions,
+ntk-regime its width cells, widest first, and fig3 its lambda_min
+eigensolves, largest first.  Each task writes only its own slices of
+preallocated arrays, or returns a whole-array result (a whole ntk-regime
+cell returns its own rows), so neither the schedule nor the pool width
+moves a bit.  The calling thread runs tasks too (:func:`_run_blocks`)
 and waits only for tasks already running, so a task may itself reach a
 tiled pass or the GNN kernel: a nested call never waits for a pool thread
 that is not yet working on it.

@@ -250,9 +250,10 @@ _DETERMINISM = {
     # the flat kernel's X @ X.T over 100 samples of 420 entries, which
     # OpenBLAS rounds differently at one and at two BLAS threads
     "fig2": {"n_list": "1, 20", "samples": "100"},
-    # tiny trainings, and eigensolves of 400 x 400 kernels, which OpenBLAS
-    # rounds differently at one and at two BLAS threads
-    "fig3": dict(FIG3_TINY, k="20", lambda_m_list="400"),
+    # tiny trainings, and eigensolves of 100 x 100 and 400 x 400 kernels,
+    # which OpenBLAS rounds differently at one and at two BLAS threads; the
+    # four solves run side by side on the pool
+    "fig3": dict(FIG3_TINY, k="20", lambda_m_list="100, 400"),
     # three width cells, listed out of width order
     "ntk-regime": dict(ntk_overrides(), widths="32, 8, 16"),
     "bounds": BOUNDS_TINY,
@@ -300,7 +301,10 @@ def test_fig2_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_fig3_lambda_min_does_not_depend_on_blas_threads(tmp_path):
-    _same_csvs_at_one_and_two_blas_threads("fig3", tmp_path)
+    # the rows follow lambda_m_list, not the largest-first order the
+    # eigensolves run in
+    out = _same_csvs_at_one_and_two_blas_threads("fig3", tmp_path)
+    assert [r["m"] for r in load_csv(out / "lambda_min.csv")] == ["100", "400"]
 
 
 def test_bounds_do_not_depend_on_blas_threads(tmp_path):

@@ -132,9 +132,10 @@ def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
     # small-integer features make every base Gram entry exact, so the blocked
     # and one-block results differ only if the blocking changes which terms
     # are summed or their order (not by how BLAS rounds at each block shape);
-    # 9 and 10 nodes put numpy's pairwise summation to work on both node axes
+    # 9, 10, 20 and 129 nodes put numpy's pairwise summation to work on both
+    # node axes: 20 runs its unrolled path and 129 its halving one
     rng = np.random.default_rng(7)
-    for m, n in ((40, 10), (25, 9)):
+    for m, n in ((40, 10), (25, 9), (25, 20), (10, 129)):
         nodes = rng.integers(1, 4, (m, n, 3)) * rng.choice([-1.0, 1.0], (m, n, 3))
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 10 ** 12)
         whole = gnn_kernel_function(nodes)
@@ -146,6 +147,42 @@ def test_gnn_kernel_slab_boundaries_are_invisible(monkeypatch):
             assert np.array_equal(blocked, whole)
         np.testing.assert_allclose(blocked, _per_sample_pair_sums(nodes, nodes),
                                    rtol=1e-12)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _mixed_values(rng, shape):
+    """Values over 60 decades of both signs, with some +0.0 and -0.0 and, in
+    the first column, every value -0.0."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-30, 30, shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    x[:, :, 0] = -0.0
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_pairwise_slab_sum_has_the_bits_of_numpy_sum(n, seed):
+    # n < 8 adds in order, 8 to 128 runs the unrolled lanes, above 128 halves
+    # numpy's sum from -0.0, the one start that changes no value
+    x = _mixed_values(np.random.default_rng(seed), (3, n, 5))
+    numpy_sum = np.ascontiguousarray(x.transpose(0, 2, 1)).sum(axis=-1,
+                                                               initial=-0.0)
+    assert np.array_equal(_bits(kernels._pairwise_slab_sum(x, 0, n)),
+                          _bits(numpy_sum))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 20, 129, 257])
+def test_mirror_pair_sums_match_the_transposed_copy(n):
+    # the definition: _pair_sums of the whole transposed block
+    rng = np.random.default_rng(n)
+    base = _mixed_values(rng, (4, n, 3, n))
+    copy = np.ascontiguousarray(base.transpose(2, 3, 0, 1))
+    assert np.array_equal(_bits(kernels._mirror_pair_sums(base)),
+                          _bits(kernels._pair_sums(copy)))
 
 
 def _pool_cases():
@@ -182,26 +219,33 @@ def test_a_gnn_kernel_block_that_raises_on_a_pool_thread_reaches_the_caller(
     # every block has run to its end
     monkeypatch.setattr(pool, "_block_threads", lambda: 2)
     nodes = np.random.default_rng(0).standard_normal((200, 20, 2))
-    base = kernels.mlp_kernel_function
+    base = kernels._base_kernel
     started, finished = [], []
 
-    def counted(*args):
+    def counted(X, nx, Z, nz, activation):
         started.append(threading.current_thread())
         try:
             time.sleep(0.01)
-            return base(*args)
+            if np.any(X == 123.0) or np.any(Z == 123.0):
+                raise RuntimeError("a block holds the marked node")
+            return base(X, nx, Z, nz, activation)
         finally:
             finished.append(threading.current_thread())
 
-    monkeypatch.setattr(kernels, "mlp_kernel_function", counted)
+    monkeypatch.setattr(kernels, "_base_kernel", counted)
     gnn_kernel_function(nodes)
     blocks = len(started)
     assert blocks == 10
-    nodes[150, 3] = 0.0
-    with pytest.raises(DegenerateInputError):
+    nodes[150, 3, 0] = 123.0
+    with pytest.raises(RuntimeError, match="marked node"):
         gnn_kernel_function(nodes)
     assert len(finished) == len(started) == 2 * blocks
     assert any(thread is not threading.main_thread() for thread in started)
+    # the nodes are checked once for the whole call, before any block runs
+    nodes[150, 3] = 0.0
+    with pytest.raises(DegenerateInputError):
+        gnn_kernel_function(nodes)
+    assert len(started) == 2 * blocks
 
 
 def test_gnn_kernel_without_the_openblas_hooks_starts_no_thread(monkeypatch):
